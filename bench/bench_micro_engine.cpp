@@ -32,14 +32,13 @@ namespace {
 using namespace sps;
 using sched::kernel::KernelMode;
 
-template <sim::QueueKind Kind>
 void BM_EventQueuePushPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
   std::vector<Time> times(n);
   for (auto& t : times) t = rng.uniformInt(0, 1000000);
   for (auto _ : state) {
-    sim::EventQueue q(Kind);
+    sim::EventQueue q;
     for (std::size_t i = 0; i < n; ++i)
       q.push(times[i], sim::EventType::Timer, i);
     while (!q.empty()) benchmark::DoNotOptimize(q.pop());
@@ -47,14 +46,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EventQueuePushPop<sim::QueueKind::BinaryHeap>)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000);
-BENCHMARK(BM_EventQueuePushPop<sim::QueueKind::Calendar>)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000);
+BENCHMARK(BM_EventQueuePushPop)->Arg(1000)->Arg(10000)->Arg(100000);
 
 template <core::PolicyKind Kind>
 void BM_Simulation(benchmark::State& state) {
@@ -185,17 +177,14 @@ void runKernelSweep() {
   // cost of --timeline; the acceptance bound is <= 5%.
   core::SimulationOptions sampled;
   sampled.timeline.enabled = true;
-  // The rebuild lane is the pre-redesign configuration end to end: reference
-  // kernel structure AND the binary-heap event queue. Incremental lanes run
-  // the calendar queue (the default), so the speedup column prices the full
-  // hot-path overhaul, with golden equivalence pinning both axes at once.
-  core::SimulationOptions rebuildOptions;
-  rebuildOptions.sim.queueKind = sim::QueueKind::BinaryHeap;
+  // The rebuild lane runs the reference kernel structure, so the speedup
+  // column prices the incremental kernel, with golden equivalence pinning
+  // both modes to one schedule.
 
   for (const auto& [label, policySpec] : policies) {
     const Lane reb =
         timeLane(trace, sched::withKernelMode(policySpec, KernelMode::Rebuild),
-                 repeats, rebuildOptions);
+                 repeats);
     const Lane inc = timeLane(
         trace, sched::withKernelMode(policySpec, KernelMode::Incremental),
         repeats);
@@ -349,11 +338,11 @@ void runKernelSweep() {
   // sweep prices the acceptance-scale run). Two configurations over the
   // SAME fleet workload: 4 clusters x 128 procs under conservative epochs,
   // and the monolithic control — one 4x-wide machine swallowing the whole
-  // stream. Equal work, equal total capacity; the gap is partitioning's
+  // stream. Equal work, equal total capacity. The shard pool is sized to
+  // the host's cores, so fleetSpeedup (wall/wall) mixes partitioning's
   // algorithmic win (shorter per-shard queues, narrower ProcSets, smaller
-  // backfill scans), not thread parallelism — fleetSpeedup is wall/wall on
-  // however many cores the host gives. Single repeat: the lanes are long
-  // and deterministic.
+  // backfill scans) with thread parallelism. Single repeat: the lanes are
+  // long and deterministic.
   {
     const std::size_t fleetJobs = jobs * 1250;
     constexpr std::uint32_t kClusters = 4;

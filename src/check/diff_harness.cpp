@@ -252,12 +252,6 @@ RunRecord runRecorded(const CheckConfig& checks, const FuzzCase& c,
   const auto policy = core::makePolicy(spec);
   std::optional<sched::DiskSwapOverhead> overhead;
   sim::Simulator::Config config;
-  // Cross the event-queue implementations with the kernel modes, so one
-  // diff pins both redesigned layers against their references: the rebuild
-  // lane runs the binary heap, the incremental lane the calendar queue.
-  config.queueKind = mode == KernelMode::Rebuild
-                         ? sim::QueueKind::BinaryHeap
-                         : sim::QueueKind::Calendar;
   if (c.overhead) {
     // Per-job costs are precomputed by id from the original trace; the
     // streamed lane assigns identical ids (stream order == trace order).
@@ -312,8 +306,8 @@ RunRecord DiffHarness::runStreamed(const FuzzCase& c, KernelMode mode,
         // Usually advance under minimum lookahead first (to the instant
         // before the block's first submit); sometimes stay put, so a block
         // lands while the simulator lags several events behind — both leave
-        // multiple future arrivals pending in the event queue, which the
-        // per-job pump never does.
+        // multiple future arrivals pending behind the arrival cursor, which
+        // the per-job pump never does.
         Rng rng(seed);
         const auto& jobs = c.trace.jobs;
         std::size_t i = 0;

@@ -113,10 +113,10 @@ class DiffHarness {
   /// Run the case once under `mode` through the streaming ingest boundary:
   /// the trace is chopped into seeded segments, each submitted as a block
   /// after advancing the simulator under bounded lookahead. Coarse segments
-  /// deliberately leave several future arrivals pending in the event queue
-  /// at once — the interleaving the per-job pump (core::runSimulation's
-  /// streaming overload) never produces. Same record/violation contract as
-  /// runOnce.
+  /// deliberately leave several future arrivals pending behind the arrival
+  /// cursor at once — the interleaving the per-job pump
+  /// (core::runSimulation's streaming overload) never produces. Same
+  /// record/violation contract as runOnce.
   [[nodiscard]] RunRecord runStreamed(const FuzzCase& c,
                                       sched::kernel::KernelMode mode,
                                       std::uint64_t seed,

@@ -20,9 +20,7 @@ namespace sps::fed {
 
 /// Run `c` (which must have fedShards > 0) as a federation and diff it
 /// against its per-shard single-cluster replay under both kernel modes.
-/// The kernel-mode/queue-kind crossing matches DiffHarness: the rebuild
-/// lane runs the binary-heap event queue, the incremental lane the
-/// calendar queue. `threads` sizes the shard pool (0 = hardware).
+/// `threads` sizes the shard pool (0 = hardware).
 [[nodiscard]] check::DiffOutcome diffFederated(
     const check::FuzzCase& c,
     const check::CheckConfig& checks = check::CheckConfig::all(1),

@@ -1,34 +1,23 @@
-// EventQueue — the discrete-event core's pending-event set.
+// EventQueue — the discrete-event core's set of pending dynamic events.
 //
-// Two interchangeable implementations behind one façade, selected by
-// QueueKind:
+// Arrivals never enter this queue. The trace is already sorted by submit
+// time, so the simulator serves arrivals from a cursor over it and merges
+// that cursor with this queue at dispatch (Simulator::dispatchOne): the
+// next arrival fires whenever its submit time is <= the queue's earliest
+// time. The queue therefore holds only completions, suspend drains and
+// policy timers — O(running + timers) entries — in a binary min-heap.
 //
-//  * BinaryHeap — the original std::priority_queue ordered by
-//    (time, sequence). O(log n) per operation, kept as the reference
-//    implementation and pinned against the calendar queue by the
-//    event-queue property suite and the differential fuzzer.
-//  * Calendar — a calendar/ladder queue tuned to the workload's shape:
-//    minute-granularity preemption ticks plus arrival/completion events
-//    spread over a bounded horizon. Events hash into fixed-width time
-//    buckets; only the bucket under the cursor is ever sorted, so the
-//    common push/pop pair is O(1) amortized.
-//
-// Both orders are the same total order (time, then band, then insertion
-// sequence), so simulations replay bit-identically regardless of the queue
-// kind. The band puts JobArrival ahead of every other event type at the
-// same instant: batch construction pushes all arrivals first (so they won
-// same-time ties by sequence number alone), and ranking arrivals explicitly
-// keeps streamed-in submissions — pushed *after* dynamic events already in
-// the queue — firing in exactly the batch order. Within a band, the
-// sequence number makes ordering total and deterministic: two events at the
-// same instant fire in the order they were scheduled.
+// The merged order is (time, band, seq): at one instant arrivals (band 0)
+// fire before every queued event, in id order among themselves, and queued
+// events fire in the order they were scheduled (the sequence number the
+// queue assigns makes that order total and deterministic). Batch and
+// streamed runs therefore replay bit-identically.
 //
 // Completions cancelled by preemption are handled by the *simulator* with
 // generation counters (stale events are popped and ignored), so the queue
 // itself needs no removal support.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -39,7 +28,7 @@
 namespace sps::sim {
 
 enum class EventType : std::uint8_t {
-  JobArrival,     ///< job submitted; payload = JobId
+  JobArrival,     ///< job submitted; payload = JobId (served by the cursor)
   JobCompletion,  ///< running job finished; payload = JobId, gen = counter
   SuspendDrained, ///< suspension overhead (memory write-out) done; payload = JobId
   Timer,          ///< policy timer; payload = opaque tag
@@ -47,30 +36,34 @@ enum class EventType : std::uint8_t {
 
 struct Event {
   Time time = 0;
-  std::uint64_t seq = 0;  ///< tie-breaker; assigned by the queue
+  /// Tie-breaker assigned by the queue; 0 on arrivals, which never enter it.
+  std::uint64_t seq = 0;
   EventType type = EventType::Timer;
   std::uint64_t payload = 0;  ///< JobId or timer tag
   std::uint64_t generation = 0;  ///< completion-validity counter
 };
 
-/// Same-instant rank: arrivals fire before every other event type at the
-/// same timestamp, so a submission streamed in mid-run (pushed after dynamic
-/// events with earlier sequence numbers) still fires in the position the
-/// batch path would have given it.
-[[nodiscard]] inline std::uint8_t eventBand(EventType type) {
-  return type == EventType::JobArrival ? 0 : 1;
-}
-
-enum class QueueKind : std::uint8_t { Calendar, BinaryHeap };
-
-/// Reference implementation: binary min-heap over (time, band, seq).
-class BinaryHeapEventQueue {
+/// Binary min-heap over (time, seq) of the non-arrival events.
+class EventQueue {
  public:
-  void push(const Event& e) { heap_.push(e); }
+  void push(Time time, EventType type, std::uint64_t payload,
+            std::uint64_t generation = 0) {
+    SPS_DCHECK(type != EventType::JobArrival);
+    heap_.push(Event{time, nextSeq_++, type, payload, generation});
+  }
+
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  [[nodiscard]] Time nextTime() const { return heap_.top().time; }
+
+  /// Earliest event's time; requires non-empty.
+  [[nodiscard]] Time nextTime() const {
+    SPS_CHECK_MSG(!empty(), "nextTime() on empty queue");
+    return heap_.top().time;
+  }
+
+  /// Remove and return the earliest event; requires non-empty.
   Event pop() {
+    SPS_CHECK_MSG(!empty(), "pop() on empty queue");
     Event e = heap_.top();
     heap_.pop();
     return e;
@@ -80,100 +73,10 @@ class BinaryHeapEventQueue {
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
-      if (eventBand(a.type) != eventBand(b.type))
-        return eventBand(a.type) > eventBand(b.type);
       return a.seq > b.seq;
     }
   };
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
-};
-
-/// Calendar queue: a ring of fixed-width time buckets plus an overflow list
-/// for events beyond the ring's window.
-///
-/// Invariants between operations ("settled" state):
-///  * the ring covers absolute buckets [cur_, farStart_), with
-///    farStart_ - cur_ <= kBuckets, so slots never alias;
-///  * far_ holds every event whose bucket is >= farStart_;
-///  * if the queue is non-empty, the cursor bucket is sorted by
-///    (time, band, seq) and has unconsumed events at [curPos_, size), so
-///    nextTime() is O(1).
-///
-/// Pushes at or before the cursor bucket (same-timestamp cascades, which
-/// the simulator produces constantly) binary-insert into the unconsumed
-/// suffix; future in-window pushes append unsorted and are sorted only when
-/// the cursor reaches them; far pushes go to the overflow list, which is
-/// redistributed when the cursor crosses farStart_.
-class CalendarEventQueue {
- public:
-  void push(const Event& e);
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] Time nextTime() const {
-    return ring_[cur_ % kBuckets][curPos_].time;
-  }
-  Event pop();
-
- private:
-  // 64-second buckets sit just above the minute-granularity preemption tick,
-  // and 2048 of them give a ~36-hour window — wider than the arrival→
-  // completion horizon of almost every job in the traces, so overflow
-  // redistribution is rare.
-  static constexpr std::uint64_t kBucketWidth = 64;
-  static constexpr std::uint64_t kBuckets = 2048;
-
-  static std::uint64_t bucketOf(Time t) {
-    return t <= 0 ? 0 : static_cast<std::uint64_t>(t) / kBucketWidth;
-  }
-  static bool earlier(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (eventBand(a.type) != eventBand(b.type))
-      return eventBand(a.type) < eventBand(b.type);
-    return a.seq < b.seq;
-  }
-
-  /// Re-establish the settled invariant after a push or pop.
-  void settle();
-  /// Advance the window: move far_ events now in range into the ring.
-  void rebase();
-
-  std::array<std::vector<Event>, kBuckets> ring_;
-  std::vector<Event> far_;        ///< events in buckets >= farStart_
-  std::uint64_t cur_ = 0;         ///< absolute bucket under the cursor
-  std::uint64_t farStart_ = kBuckets;  ///< ring covers [cur_, farStart_)
-  std::size_t curPos_ = 0;        ///< consumed prefix of the cursor bucket
-  bool curSorted_ = false;        ///< cursor bucket sorted and live
-  std::size_t size_ = 0;
-  std::size_t farCount_ = 0;      ///< == far_.size(); ring holds the rest
-};
-
-/// The façade the simulator uses. Assigns sequence numbers and dispatches
-/// to the selected implementation.
-class EventQueue {
- public:
-  explicit EventQueue(QueueKind kind = QueueKind::Calendar) : kind_(kind) {}
-
-  void push(Time time, EventType type, std::uint64_t payload,
-            std::uint64_t generation = 0);
-
-  [[nodiscard]] QueueKind kind() const { return kind_; }
-  [[nodiscard]] bool empty() const {
-    return kind_ == QueueKind::Calendar ? calendar_.empty() : heap_.empty();
-  }
-  [[nodiscard]] std::size_t size() const {
-    return kind_ == QueueKind::Calendar ? calendar_.size() : heap_.size();
-  }
-
-  /// Earliest event's time; requires non-empty.
-  [[nodiscard]] Time nextTime() const;
-
-  /// Remove and return the earliest event; requires non-empty.
-  Event pop();
-
- private:
-  QueueKind kind_;
-  CalendarEventQueue calendar_;
-  BinaryHeapEventQueue heap_;
   std::uint64_t nextSeq_ = 0;
 };
 

@@ -66,7 +66,6 @@ Simulator::Simulator(const workload::Trace& trace, SchedulingPolicy& policy,
       policy_(policy),
       config_(config),
       machine_(trace.machineProcs),
-      events_(config.queueKind),
       exec_(trace.jobs.size()),
       states_(trace.jobs.size(), JobState::NotArrived),
       owedRef_(trace.machineProcs, 0),
@@ -76,8 +75,6 @@ Simulator::Simulator(const workload::Trace& trace, SchedulingPolicy& policy,
   unfinished_ = static_cast<std::uint32_t>(trace_.jobs.size());
   firstSubmit_ = trace_.jobs.empty() ? 0 : trace_.jobs.front().submit;
   lastSubmit_ = trace_.jobs.empty() ? 0 : trace_.jobs.back().submit;
-  for (const workload::Job& j : trace_.jobs)
-    events_.push(j.submit, EventType::JobArrival, j.id);
 }
 
 namespace {
@@ -101,7 +98,6 @@ Simulator::Simulator(std::string traceName, std::uint32_t machineProcs,
       policy_(policy),
       config_(config),
       machine_(checkedMachineProcs(trace_.name, machineProcs)),
-      events_(config.queueKind),
       owedRef_(machineProcs, 0) {
   if (config.recorder != nullptr) obs_ = config.recorder;
 }
@@ -144,7 +140,6 @@ JobId Simulator::submit(workload::Job job) {
   listPos_.push_back(0);
   ++unfinished_;
   ++epoch_;  // trace contents are scheduler-visible state
-  events_.push(job.submit, EventType::JobArrival, job.id);
   return job.id;
 }
 
@@ -195,8 +190,24 @@ void Simulator::ensureStarted() {
   policy_.onSimulationStart(*this);
 }
 
+bool Simulator::arrivalIsNext() const {
+  return nextArrival_ < trace_.jobs.size() &&
+         (events_.empty() ||
+          trace_.jobs[nextArrival_].submit <= events_.nextTime());
+}
+
 void Simulator::dispatchOne() {
-  const Event e = events_.pop();
+  Event e;
+  if (arrivalIsNext()) {
+    // Arrivals win same-instant ties and fire in id order (the band-0
+    // rule of the (time, band, seq) order); they never enter events_.
+    const workload::Job& j = trace_.jobs[nextArrival_++];
+    e.time = j.submit;
+    e.type = EventType::JobArrival;
+    e.payload = j.id;
+  } else {
+    e = events_.pop();
+  }
   SPS_CHECK_MSG(e.time >= now_, "event time " << e.time << " before now "
                                               << now_);
   if (!steadySnapshotTaken_ && e.time >= lastSubmit_) {
@@ -238,20 +249,22 @@ void Simulator::dispatchOne() {
 
 bool Simulator::step() {
   ensureStarted();
-  if (events_.empty()) return false;
+  if (!hasPending()) return false;
   dispatchOne();
   return true;
 }
 
 void Simulator::runUntil(Time horizon) {
   ensureStarted();
-  while (!events_.empty() && events_.nextTime() <= horizon) dispatchOne();
+  for (Time t = nextEventTime(); t != kNoTime && t <= horizon;
+       t = nextEventTime())
+    dispatchOne();
 }
 
 void Simulator::drain() {
   if (finalized_) return;
   ensureStarted();
-  while (!events_.empty()) dispatchOne();
+  while (hasPending()) dispatchOne();
   SPS_CHECK_MSG(unfinished_ == 0,
                 unfinished_ << " jobs never finished — policy starved them");
   finalized_ = true;
@@ -264,7 +277,10 @@ void Simulator::run() {
 }
 
 Time Simulator::nextEventTime() const {
-  return events_.empty() ? kNoTime : events_.nextTime();
+  if (nextArrival_ == trace_.jobs.size())
+    return events_.empty() ? kNoTime : events_.nextTime();
+  const Time arrival = trace_.jobs[nextArrival_].submit;
+  return events_.empty() ? arrival : std::min(arrival, events_.nextTime());
 }
 
 void Simulator::handleArrival(JobId id) {

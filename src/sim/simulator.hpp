@@ -154,11 +154,6 @@ struct SimulatorConfig {
   /// sink wiring alive after the simulator is destroyed (core::Runner
   /// harvests through metrics::collect either way).
   obs::Recorder* recorder = nullptr;
-  /// Pending-event structure. Calendar (the default) and BinaryHeap pop
-  /// the identical (time, band, seq) order, so schedules are bit-identical
-  /// either way; the golden suite and the fuzzer pin one mode to each
-  /// kind to keep that claim continuously tested.
-  QueueKind queueKind = QueueKind::Calendar;
 };
 
 class Simulator {
@@ -181,7 +176,7 @@ class Simulator {
 
   // --- run loop ----------------------------------------------------------
   // The loop is steppable: between any two dispatched events the clock,
-  // event queue, job sets, observer channels, and every accessor below are
+  // pending events, job sets, observer channels, and every accessor below are
   // all valid and mutually consistent ("paused state"). run() is literally
   // runUntil(kTimeMax); drain();.
 
@@ -204,7 +199,8 @@ class Simulator {
   /// Run to completion: runUntil(kTimeMax); drain();.
   void run();
 
-  /// Earliest pending event time, or kNoTime when the queue is empty.
+  /// Earliest pending event time — the next arrival or the earliest queued
+  /// event, whichever comes first — or kNoTime when neither is pending.
   [[nodiscard]] Time nextEventTime() const;
   /// True once drain() has finalized the run.
   [[nodiscard]] bool drained() const { return finalized_; }
@@ -394,7 +390,12 @@ class Simulator {
  private:
   /// Fire onSimulationStart exactly once, before the first dispatch.
   void ensureStarted();
-  /// Pop and dispatch the earliest event; requires a non-empty queue.
+  [[nodiscard]] bool hasPending() const {
+    return nextArrival_ < trace_.jobs.size() || !events_.empty();
+  }
+  /// True when the arrival under the cursor precedes every queued event.
+  [[nodiscard]] bool arrivalIsNext() const;
+  /// Dispatch the earliest pending event; requires hasPending().
   void dispatchOne();
   void handleArrival(JobId id);
   void handleCompletion(JobId id, std::uint64_t generation);
@@ -417,7 +418,10 @@ class Simulator {
   SchedulingPolicy& policy_;
   Config config_;
   Machine machine_;
+  /// Completions, drains and timers. Arrivals are served from
+  /// trace_.jobs[nextArrival_...] instead (see event_queue.hpp).
   EventQueue events_;
+  std::size_t nextArrival_ = 0;
   std::vector<JobExec> exec_;
   /// SoA: per-job lifecycle state, one byte per job (see JobExec).
   std::vector<JobState> states_;

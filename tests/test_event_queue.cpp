@@ -1,6 +1,9 @@
 // Unit tests: sim::EventQueue ordering semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/event_queue.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -44,8 +47,8 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
 
 TEST(EventQueue, InterleavedPushPopKeepsOrder) {
   EventQueue q;
-  q.push(5, EventType::JobArrival, 0);
-  q.push(1, EventType::JobArrival, 1);
+  q.push(5, EventType::Timer, 0);
+  q.push(1, EventType::Timer, 1);
   EXPECT_EQ(q.pop().payload, 1u);
   q.push(2, EventType::JobCompletion, 2);
   q.push(4, EventType::SuspendDrained, 3);
@@ -85,72 +88,76 @@ TEST(EventQueue, RandomizedOrderIsNonDecreasing) {
   }
 }
 
+#ifndef NDEBUG
+TEST(EventQueue, RejectsArrivals) {
+  // Arrivals are served from the simulator's trace cursor, never queued.
+  EventQueue q;
+  EXPECT_THROW(q.push(1, EventType::JobArrival, 0), InvariantError);
+}
+#endif
+
 // ---------------------------------------------------------------------------
-// Property suite: the calendar queue and the binary heap implement the SAME
-// total order (time, then insertion sequence). Every test below drives both
-// kinds through an identical operation sequence and requires identical pop
-// streams — the contract that lets simulations replay bit-identically
-// regardless of QueueKind.
+// Property suite: the heap pops the total order (time, then insertion
+// sequence). Every test below drives the queue and a sorted reference
+// through one operation sequence and requires identical pop streams — the
+// contract that lets simulations replay bit-identically.
 
-/// Drive both queue kinds through one scripted load and compare every pop.
-class QueuePair {
+/// The heap beside a sorted reference; every pop is compared.
+class CheckedQueue {
  public:
-  QueuePair() : cal_(QueueKind::Calendar), heap_(QueueKind::BinaryHeap) {}
-
   void push(Time t, EventType type, std::uint64_t payload,
             std::uint64_t gen = 0) {
-    cal_.push(t, type, payload, gen);
-    heap_.push(t, type, payload, gen);
+    queue_.push(t, type, payload, gen);
+    Event e;
+    e.time = t;
+    e.seq = pushed_++;
+    e.type = type;
+    e.payload = payload;
+    e.generation = gen;
+    // Insert after every event at or before (t, seq): the reference stays
+    // sorted by (time, seq), earliest first.
+    const auto at = std::upper_bound(
+        ref_.begin(), ref_.end(), e, [](const Event& a, const Event& b) {
+          return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+        });
+    ref_.insert(at, e);
   }
 
-  /// Pop one event from each and assert full equality (including seq, which
-  /// both façades assign identically from the push order).
-  Event popBoth() {
-    EXPECT_EQ(cal_.empty(), heap_.empty());
-    const Event c = cal_.pop();
-    const Event h = heap_.pop();
-    EXPECT_EQ(c.time, h.time);
-    EXPECT_EQ(c.seq, h.seq);
-    EXPECT_EQ(c.type, h.type);
-    EXPECT_EQ(c.payload, h.payload);
-    EXPECT_EQ(c.generation, h.generation);
-    EXPECT_EQ(cal_.nextTimeOrSentinel(), heap_.nextTimeOrSentinel());
-    return c;
+  /// Pop from both and assert full equality, including seq (the queue
+  /// assigns it from the push order, as the reference does).
+  Event popChecked() {
+    EXPECT_FALSE(ref_.empty());
+    const Event got = queue_.pop();
+    const Event want = ref_.front();
+    ref_.erase(ref_.begin());
+    EXPECT_EQ(got.time, want.time);
+    EXPECT_EQ(got.seq, want.seq);
+    EXPECT_EQ(got.type, want.type);
+    EXPECT_EQ(got.payload, want.payload);
+    EXPECT_EQ(got.generation, want.generation);
+    EXPECT_EQ(queue_.size(), ref_.size());
+    if (!ref_.empty()) {
+      EXPECT_EQ(queue_.nextTime(), ref_.front().time);
+    }
+    return got;
   }
 
-  void drainBoth() {
-    while (!cal_.empty() || !heap_.empty()) popBoth();
-    EXPECT_TRUE(cal_.empty());
-    EXPECT_TRUE(heap_.empty());
+  void drainChecked() {
+    while (!queue_.empty()) popChecked();
+    EXPECT_TRUE(ref_.empty());
   }
 
-  [[nodiscard]] bool empty() const { return cal_.empty() && heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return cal_.size(); }
+  [[nodiscard]] bool empty() const { return queue_.empty(); }
 
  private:
-  // nextTime() requires non-empty; fold the empty case into a sentinel so
-  // popBoth can compare the successor state unconditionally.
-  struct Facade : EventQueue {
-    using EventQueue::EventQueue;
-    [[nodiscard]] Time nextTimeOrSentinel() const {
-      return empty() ? Time{-1} : nextTime();
-    }
-  };
-  Facade cal_;
-  Facade heap_;
+  EventQueue queue_;
+  std::vector<Event> ref_;
+  std::uint64_t pushed_ = 0;
 };
-
-TEST(EventQueueProperty, KindsAreExplicit) {
-  EventQueue cal(QueueKind::Calendar);
-  EventQueue heap(QueueKind::BinaryHeap);
-  EXPECT_EQ(cal.kind(), QueueKind::Calendar);
-  EXPECT_EQ(heap.kind(), QueueKind::BinaryHeap);
-  EXPECT_EQ(EventQueue{}.kind(), QueueKind::Calendar);
-}
 
 TEST(EventQueueProperty, RandomLoadPopsIdentically) {
   for (const std::uint64_t seed : {1u, 7u, 1234u, 987654u}) {
-    QueuePair q;
+    CheckedQueue q;
     Rng rng(seed);
     for (int i = 0; i < 5000; ++i)
       q.push(rng.uniformInt(0, 200000), EventType::Timer,
@@ -158,10 +165,12 @@ TEST(EventQueueProperty, RandomLoadPopsIdentically) {
     Time prev = -1;
     std::uint64_t prevSeq = 0;
     while (!q.empty()) {
-      const Event e = q.popBoth();
+      const Event e = q.popChecked();
       // Non-decreasing time; strictly increasing seq within a timestamp.
       EXPECT_GE(e.time, prev);
-      if (e.time == prev) EXPECT_GT(e.seq, prevSeq);
+      if (e.time == prev) {
+        EXPECT_GT(e.seq, prevSeq);
+      }
       prev = e.time;
       prevSeq = e.seq;
     }
@@ -172,78 +181,55 @@ TEST(EventQueueProperty, InterleavedPushPopIdentical) {
   // The simulator's actual shape: pop the earliest event, then push a
   // handful of follow-ups at or after "now" (same-instant cascades
   // included). Time never runs backwards relative to the last pop.
-  QueuePair q;
+  CheckedQueue q;
   Rng rng(4242);
   q.push(0, EventType::Timer, 0);
   Time now = 0;
   std::uint64_t payload = 1;
   for (int step = 0; step < 4000 && !q.empty(); ++step) {
-    const Event e = q.popBoth();
+    const Event e = q.popChecked();
     now = e.time;
     const int follow = rng.uniformInt(0, 3);
     for (int f = 0; f < follow; ++f) {
       const Time at = now + rng.uniformInt(0, 300);
-      const auto type = static_cast<EventType>(rng.uniformInt(0, 3));
+      const auto type = static_cast<EventType>(rng.uniformInt(1, 3));
       q.push(at, type, payload++, rng.uniformInt(0, 2));
     }
   }
-  q.drainBoth();
+  q.drainChecked();
 }
 
 TEST(EventQueueProperty, SameInstantBurstIsFifo) {
-  // A tick cascade: many events at one instant must fire in push order on
-  // BOTH kinds (the calendar binary-inserts into its live cursor bucket,
-  // the heap orders by seq — same answer required).
-  QueuePair q;
+  // A tick cascade: many events at one instant must fire in push order.
+  CheckedQueue q;
   for (std::uint64_t i = 0; i < 200; ++i)
-    q.push(777, EventType::JobArrival, i);
+    q.push(777, EventType::Timer, i);
   for (std::uint64_t i = 0; i < 200; ++i) {
-    const Event e = q.popBoth();
+    const Event e = q.popChecked();
     EXPECT_EQ(e.time, 777);
     EXPECT_EQ(e.payload, i);
   }
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueProperty, FarFutureEventsSurviveRebase) {
-  // Events far beyond the calendar ring's window (2048 x 64 s) land in the
-  // overflow list and are redistributed as the cursor advances. Spread
-  // events over many windows and verify the pop stream matches the heap
-  // throughout.
-  QueuePair q;
-  Rng rng(55);
-  const Time window = 2048 * 64;
-  for (int i = 0; i < 2000; ++i)
-    q.push(rng.uniformInt(0, 40) * window + rng.uniformInt(0, 131071),
-           EventType::JobCompletion, static_cast<std::uint64_t>(i),
-           static_cast<std::uint64_t>(i % 3));
-  Time prev = -1;
-  while (!q.empty()) {
-    const Event e = q.popBoth();
-    EXPECT_GE(e.time, prev);
-    prev = e.time;
-  }
-}
-
 TEST(EventQueueProperty, DrainThenPushBeforeOldCursor) {
-  // Regression shape: drain the queue completely, then push an event whose
-  // bucket precedes the stale cursor position. The calendar must re-anchor
-  // its window instead of serving from the dead cursor bucket.
-  QueuePair q;
+  // Drain the queue completely, then push an event far earlier than the
+  // last one popped: the emptied queue must keep no stale position.
+  CheckedQueue q;
   q.push(100000, EventType::Timer, 1);
-  EXPECT_EQ(q.popBoth().payload, 1u);
+  EXPECT_EQ(q.popChecked().payload, 1u);
   EXPECT_TRUE(q.empty());
   q.push(3, EventType::Timer, 2);  // far before the drained cursor
   q.push(100001, EventType::Timer, 3);
-  EXPECT_EQ(q.popBoth().payload, 2u);
-  EXPECT_EQ(q.popBoth().payload, 3u);
+  EXPECT_EQ(q.popChecked().payload, 2u);
+  EXPECT_EQ(q.popChecked().payload, 3u);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueProperty, RepeatedDrainRefillCycles) {
-  // Alternate full drains with refills at ever-later times — each cycle
-  // forces the calendar to re-anchor, and the streams must stay identical.
-  QueuePair q;
+  // Alternate full drains with refills at ever-later times; the stream must
+  // match the reference through every cycle.
+  CheckedQueue q;
   Rng rng(321);
   Time base = 0;
   for (int cycle = 0; cycle < 30; ++cycle) {
@@ -251,7 +237,7 @@ TEST(EventQueueProperty, RepeatedDrainRefillCycles) {
     for (int i = 0; i < n; ++i)
       q.push(base + rng.uniformInt(0, 5000), EventType::SuspendDrained,
              static_cast<std::uint64_t>(cycle * 1000 + i));
-    q.drainBoth();
+    q.drainChecked();
     base += rng.uniformInt(0, 200000);
   }
 }

@@ -231,8 +231,8 @@ TEST(FleetAudit, CatchesATamperedRecord) {
 // The theorem, policy by policy: a federation with a recorded router
 // equals the matching single-cluster batch runs on the per-shard traces,
 // bit for bit — schedules, counters, suspension categories — under BOTH
-// kernel modes. diffFederated also crosses the event-queue kinds and
-// re-runs the fleet through the ReplayRouter, so one green outcome pins
+// kernel modes. diffFederated also re-runs the fleet through the
+// ReplayRouter, so one green outcome pins
 // the router record, the epoch sync, and the shard independence at once.
 void expectPartitionEquivalence(std::uint32_t shards) {
   for (const std::string& token : sched::knownPolicyTokens()) {

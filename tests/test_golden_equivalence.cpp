@@ -47,11 +47,6 @@ Schedule runSchedule(const workload::Trace& trace,
   const auto policy = core::makePolicy(withKernelMode(spec, mode));
   sim::Simulator::Config config;
   config.overhead = overhead;
-  // Cross the queue implementations with the kernel modes so equivalence
-  // pins both redesigned layers at once: the rebuild reference runs on the
-  // binary heap, the incremental kernel on the calendar queue.
-  config.queueKind = mode == KernelMode::Rebuild ? sim::QueueKind::BinaryHeap
-                                                 : sim::QueueKind::Calendar;
   sim::Simulator simulator(trace, *policy, config);
   Schedule schedule;
   simulator.observers().onStateChange(
@@ -132,14 +127,17 @@ std::vector<std::pair<std::string, core::PolicySpec>> kernelPolicies() {
   return specs;
 }
 
+// The trace kind is a std::string, not a const char*: gtest prints the
+// parameter into the listed test name, and a pointer would print as its
+// run-to-run varying address.
 class GoldenEquivalence : public ::testing::TestWithParam<
-                              std::tuple<const char*, std::size_t>> {};
+                              std::tuple<std::string, std::size_t>> {};
 
 TEST_P(GoldenEquivalence, IncrementalMatchesRebuild) {
   const auto& [traceKind, jobCount] = GetParam();
   workload::Trace trace = generateTrace(
-      std::string(traceKind) == "ctc" ? workload::ctcConfig(jobCount, 42)
-                                      : workload::sdscConfig(jobCount, 42));
+      traceKind == "ctc" ? workload::ctcConfig(jobCount, 42)
+                         : workload::sdscConfig(jobCount, 42));
   // Two estimate regimes: exact estimates drive the incremental kernel's
   // on-time-completion fast paths on every completion; the Modal model
   // makes most completions early, driving the full compression/rebuild
@@ -174,10 +172,10 @@ TEST_P(GoldenEquivalence, IncrementalMatchesRebuild) {
 
 INSTANTIATE_TEST_SUITE_P(
     Traces, GoldenEquivalence,
-    ::testing::Values(std::make_tuple("ctc", std::size_t{800}),
-                      std::make_tuple("sdsc", std::size_t{800})),
+    ::testing::Values(std::make_tuple(std::string("ctc"), std::size_t{800}),
+                      std::make_tuple(std::string("sdsc"), std::size_t{800})),
     [](const auto& paramInfo) {
-      return std::string(std::get<0>(paramInfo.param)) + "_" +
+      return std::get<0>(paramInfo.param) + "_" +
              std::to_string(std::get<1>(paramInfo.param));
     });
 

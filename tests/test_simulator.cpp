@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "helpers.hpp"
+#include "obs/counters.hpp"
 #include "sched/overhead.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
@@ -375,6 +380,143 @@ TEST(SimulatorOverhead, WaitAccruesDuringDrainAndSuspension) {
   Simulator s(trace, policy, config);
   s.run();
   EXPECT_EQ(s.exec(0).finish, 120);
+}
+
+// ------------------------------------------------------------ arrival cursor
+// Arrivals are served from a cursor over the trace and merged with the
+// event queue at dispatch; these pin the merged order and the steppable
+// contract around it.
+
+/// One dispatched event, as an observer sees it.
+using Dispatch = std::tuple<Time, EventType, std::uint64_t>;
+
+void recordDispatches(Simulator& s, std::vector<Dispatch>& out) {
+  s.observers().onEventDispatched(
+      [&out](const Simulator&, const Event& e) {
+        out.emplace_back(e.time, e.type, e.payload);
+      });
+}
+
+TEST(SimulatorArrivalCursor, ArrivalBeatsEarlierQueuedEventsAtSameInstant) {
+  // Job 0 arrives at 0, runs 100 s and arms a timer for 100; job 1 arrives
+  // at 100, the instant the queued completion and timer fall due.
+  const auto trace = makeTrace(4, {{0, 100, 2}, {100, 10, 2}});
+  const std::vector<Dispatch> want = {
+      {0, EventType::JobArrival, 0},      {100, EventType::JobArrival, 1},
+      {100, EventType::JobCompletion, 0}, {100, EventType::Timer, 7},
+      {110, EventType::JobCompletion, 1},
+  };
+  for (const bool streamed : {false, true}) {
+    ScriptedPolicy policy;
+    policy.arrival = [](Simulator& s, JobId j) {
+      ScriptedPolicy::greedy(s);
+      if (j == 0) s.scheduleTimer(100, 7);
+    };
+    std::optional<Simulator> s;
+    std::vector<Dispatch> seen;
+    if (streamed) {
+      s.emplace("stream", 4, policy, Simulator::Config{});
+      recordDispatches(*s, seen);
+      s->submit(trace.jobs[0]);
+      s->runUntil(99);  // completion and timer at 100 are queued by now
+      EXPECT_EQ(s->nextEventTime(), 100);
+      s->submit(trace.jobs[1]);
+    } else {
+      s.emplace(trace, policy);
+      recordDispatches(*s, seen);
+    }
+    s->run();
+    EXPECT_EQ(seen, want) << "streamed=" << streamed;
+  }
+}
+
+TEST(SimulatorArrivalCursor, CancelBeforeArrivalDispatchesOneNoOp) {
+  const auto trace = makeTrace(4, {{0, 100, 2}, {50, 10, 2}});
+  for (const bool streamed : {false, true}) {
+    ScriptedPolicy policy;
+    std::vector<JobId> arrivalsSeenByPolicy;
+    policy.arrival = [&](Simulator& s, JobId j) {
+      arrivalsSeenByPolicy.push_back(j);
+      ScriptedPolicy::greedy(s);
+    };
+    std::optional<Simulator> s;
+    if (streamed) {
+      s.emplace("stream", 4, policy, Simulator::Config{});
+      s->submit(trace.jobs[0]);
+      s->submit(trace.jobs[1]);
+    } else {
+      s.emplace(trace, policy);
+    }
+    std::vector<Dispatch> seen;
+    recordDispatches(*s, seen);
+    ASSERT_TRUE(s->cancelJob(1));
+    s->run();
+    const std::vector<Dispatch> want = {
+        {0, EventType::JobArrival, 0},
+        {50, EventType::JobArrival, 1},  // the no-op arrival
+        {100, EventType::JobCompletion, 0},
+    };
+    EXPECT_EQ(seen, want) << "streamed=" << streamed;
+    EXPECT_EQ(s->eventsProcessed(), want.size());
+    EXPECT_EQ(s->counters().value(obs::Counter::SimEvents), want.size());
+    EXPECT_EQ(arrivalsSeenByPolicy, std::vector<JobId>{0});
+    EXPECT_EQ(s->state(1), JobState::Cancelled);
+  }
+}
+
+TEST(SimulatorArrivalCursor, NextEventTimeIsMinOfCursorAndQueue) {
+  // Arrivals at 0, 100, 200; job 0's completion (150) is queued between
+  // the second and third arrivals.
+  const auto trace =
+      makeTrace(4, {{0, 150, 2}, {100, 10, 2}, {200, 30, 2}});
+  ScriptedPolicy policy;
+  Simulator s(trace, policy);
+  EXPECT_EQ(s.nextEventTime(), 0);  // cursor only
+  const std::vector<std::pair<Time, Time>> horizons = {
+      {50, 100},   // cursor (100) before queued completion (150)
+      {120, 150},  // queued completion (150) before cursor (200)
+      {170, 200},  // queue empty, cursor only
+      {199, 200},
+      {200, 230},  // cursor exhausted, queue only
+  };
+  for (const auto& [horizon, next] : horizons) {
+    s.runUntil(horizon);
+    EXPECT_LE(s.now(), horizon);
+    EXPECT_EQ(s.nextEventTime(), next) << "after runUntil(" << horizon << ")";
+  }
+  s.runUntil(kTimeMax);
+  EXPECT_EQ(s.nextEventTime(), kNoTime);
+  EXPECT_FALSE(s.step());
+  s.drain();
+  EXPECT_EQ(s.exec(2).finish, 230);
+}
+
+TEST(SimulatorArrivalCursor, SubmitAfterCursorRanOffTheEnd) {
+  const auto trace = makeTrace(4, {{0, 100, 2}});
+  for (const bool streamed : {false, true}) {
+    ScriptedPolicy policy;
+    std::optional<Simulator> s;
+    if (streamed) {
+      s.emplace("stream", 4, policy, Simulator::Config{});
+      s->submit(trace.jobs[0]);
+    } else {
+      s.emplace(trace, policy);
+    }
+    s->runUntil(1000);
+    EXPECT_EQ(s->nextEventTime(), kNoTime);
+    EXPECT_EQ(s->state(0), JobState::Finished);
+    workload::Job late = trace.jobs[0];
+    late.submit = 2000;
+    const JobId id = s->submit(late);
+    EXPECT_EQ(id, 1u);
+    EXPECT_EQ(s->nextEventTime(), 2000);
+    ASSERT_TRUE(s->step());
+    EXPECT_EQ(s->now(), 2000);
+    EXPECT_EQ(s->state(id), JobState::Running);
+    s->drain();
+    EXPECT_EQ(s->exec(id).finish, 2100);
+    EXPECT_EQ(s->eventsProcessed(), 4u);
+  }
 }
 
 }  // namespace
