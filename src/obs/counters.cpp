@@ -18,10 +18,6 @@ const char* counterName(Counter counter) {
       return "kernel.ledger.reservationsAdded";
     case Counter::LedgerReservationsRemoved:
       return "kernel.ledger.reservationsRemoved";
-    case Counter::IndexHits: return "kernel.index.hits";
-    case Counter::IndexMisses: return "kernel.index.misses";
-    case Counter::IndexSeededSorts: return "kernel.index.seededSorts";
-    case Counter::IndexFullSorts: return "kernel.index.fullSorts";
     case Counter::VictimInserts: return "kernel.victim.inserts";
     case Counter::VictimRemoves: return "kernel.victim.removes";
     case Counter::VictimRangeQueries: return "kernel.victim.rangeQueries";

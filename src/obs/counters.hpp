@@ -10,9 +10,9 @@
 // The slots mirror the quantities the paper's evaluation and the kernel's
 // perf work care about: suspensions (total and per Table-I category),
 // backfill successes/failures, the incremental kernel's fast-path vs
-// full-pass split, PriorityIndex epoch-cache hits and resort kinds, and the
-// ledger's profile maintenance operations. metrics::collect() copies the
-// block into RunStats, where it reaches the JSON export and RunResult.
+// full-pass split, victim-index work, and the ledger's profile maintenance
+// operations. metrics::collect() copies the block into RunStats, where it
+// reaches the JSON export and RunResult.
 #pragma once
 
 #include <array>
@@ -39,11 +39,6 @@ enum class Counter : std::uint8_t {
   LedgerRebuilds,      ///< full profile reconstructions (Rebuild refresh)
   LedgerReservationsAdded,
   LedgerReservationsRemoved,
-  // --- scheduling kernel: priority index ---------------------------------
-  IndexHits,           ///< idle() served from the epoch cache
-  IndexMisses,         ///< idle() had to recompute
-  IndexSeededSorts,    ///< resorts seeded by the previous epoch's order
-  IndexFullSorts,      ///< from-scratch std::sort resorts
   // --- scheduling kernel: victim index ------------------------------------
   VictimInserts,       ///< running jobs entered into the VictimIndex
   VictimRemoves,       ///< running jobs dropped from the VictimIndex
@@ -79,7 +74,7 @@ inline constexpr std::size_t kCounterCount =
     static_cast<std::size_t>(Counter::kCount);
 
 /// Stable dotted identifier of a counter ("sim.suspensions",
-/// "kernel.index.hits", ...) — the key used in the metrics JSON export.
+/// "kernel.victim.inserts", ...) — the key used in the metrics JSON export.
 [[nodiscard]] const char* counterName(Counter counter);
 
 class Counters {

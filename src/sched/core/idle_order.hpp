@@ -1,0 +1,48 @@
+// Idle-job orders for the preemptive policies' walks (SS/TSS and IS).
+//
+// No order is kept between walks: each walk gathers the idle jobs it can
+// act on and sorts that list. Both comparators are strict total orders
+// (every tie broken by job id), so the result does not depend on gather
+// order — which makes the simulator's unordered (swap-and-pop) job lists
+// safe to gather from, and gives a filtered subset the same relative order
+// a sort of the whole idle set would.
+#pragma once
+
+#include <algorithm>
+#include <vector>
+
+#include "sim/simulator.hpp"
+
+namespace sps::sched::kernel {
+
+/// An idle job with its sort keys read once, at gather time.
+struct IdleJob {
+  double priority;  ///< expansion factor (Eq. 2)
+  Time submit;
+  JobId id;
+};
+
+[[nodiscard]] inline IdleJob idleJob(const sim::Simulator& s, JobId id) {
+  return {s.xfactor(id), s.job(id).submit, id};
+}
+
+/// Eq. 2 priority order (SS/TSS): expansion factor descending, then submit
+/// time, then id.
+inline void sortByPriority(std::vector<IdleJob>& jobs) {
+  std::sort(jobs.begin(), jobs.end(), [](const IdleJob& a, const IdleJob& b) {
+    if (a.priority != b.priority) return a.priority > b.priority;
+    if (a.submit != b.submit) return a.submit < b.submit;
+    return a.id < b.id;
+  });
+}
+
+/// Submission order (IS): submit time, then id.
+inline void sortBySubmit(std::vector<JobId>& jobs, const sim::Simulator& s) {
+  std::sort(jobs.begin(), jobs.end(), [&s](JobId a, JobId b) {
+    if (s.job(a).submit != s.job(b).submit)
+      return s.job(a).submit < s.job(b).submit;
+    return a < b;
+  });
+}
+
+}  // namespace sps::sched::kernel

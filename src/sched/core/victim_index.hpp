@@ -13,9 +13,8 @@
 // on-processor — so the running set's priority order never drifts between
 // transitions. Each Table-I category (by the scheduler-visible estimate x
 // width classification) keeps its members sorted by (frozen xfactor, id),
-// maintained by a state-change observer exactly the way PriorityIndex
-// follows the idle set. The pass's per-victim tests then collapse into
-// per-category range queries:
+// maintained by a state-change observer. The pass's per-victim tests then
+// collapse into per-category range queries:
 //
 //   * SF ratio  — victims failing `priority < SF * xfactor` form a suffix
 //     of the sorted order: one binary search per category.

@@ -2,18 +2,14 @@
 
 #include <algorithm>
 
+#include "sched/core/idle_order.hpp"
 #include "sim/simulator.hpp"
 
 namespace sps::sched {
 
 ImmediateService::ImmediateService(IsConfig config)
-    : config_(config),
-      waitingIndex_(kernel::IndexOrder::SubmitAsc, config.kernelMode) {
+    : config_(config) {
   SPS_CHECK_MSG(config_.quantum > 0, "IS quantum must be positive");
-}
-
-void ImmediateService::onSimulationStart(sim::Simulator& /*simulator*/) {
-  waitingIndex_.reset();
 }
 
 bool ImmediateService::inFirstQuantum(const sim::Simulator& s,
@@ -129,7 +125,10 @@ void ImmediateService::dispatch(sim::Simulator& simulator) {
   }
 
   // Single greedy pass over all waiting work in submission order. Starts
-  // and resumptions only consume processors, so one pass is complete.
+  // and resumptions only consume processors, so one pass is complete — and
+  // a job that does not fit the processors free when the pass starts fits
+  // at no later step either, so only the jobs that fit now are gathered
+  // and sorted.
   //
   // The owed set starts from the simulator's refcounted aggregate (the
   // union the old per-dispatch suspended-list scan rebuilt) but must be a
@@ -137,17 +136,29 @@ void ImmediateService::dispatch(sim::Simulator& simulator) {
   // as it goes, and that running remainder is policy bookkeeping the
   // live aggregate does not mirror (overlapping owed sets refcount).
   sim::ProcSet owed = simulator.suspendedOwedSet();
-  for (JobId id : waitingIndex_.walk(simulator, kernel::IdleFilter::Idle)) {
+  // Suspended jobs need their exact processors back; queued ones any.
+  auto fits = [&simulator](JobId id) {
+    if (simulator.state(id) == sim::JobState::Suspended)
+      return simulator.exec(id).procs.isSubsetOf(simulator.freeSet());
+    return simulator.job(id).procs <= simulator.freeCount();
+  };
+  waiting_.clear();
+  for (const JobId id : simulator.queuedJobs())
+    if (fits(id)) waiting_.push_back(id);
+  for (const JobId id : simulator.suspendedJobs())
+    if (simulator.state(id) == sim::JobState::Suspended && fits(id))
+      waiting_.push_back(id);
+  kernel::sortBySubmit(waiting_, simulator);
+  for (const JobId id : waiting_) {
+    if (!fits(id)) continue;
     const auto& x = simulator.exec(id);
     if (simulator.state(id) == sim::JobState::Suspended) {
       // Never bounce a job suspended at this very instant straight back in
       // — the suspension was made to give its processors to someone else.
       if (x.waitSince == simulator.now()) continue;
-      if (x.procs.isSubsetOf(simulator.freeSet())) {
-        owed -= x.procs;
-        simulator.resumeJob(id);
-      }
-    } else if (simulator.job(id).procs <= simulator.freeCount()) {
+      owed -= x.procs;
+      simulator.resumeJob(id);
+    } else {
       // Prefer processors no suspended job is owed, so suspended jobs are
       // not stranded behind squatters.
       if ((simulator.freeSet() - owed).count() >= simulator.job(id).procs)

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sched/core/priority_index.hpp"
 #include "sim/policy.hpp"
 
 namespace sps::sched {
@@ -32,8 +31,6 @@ namespace sps::sched {
 struct IsConfig {
   /// Guaranteed initial timeslice, seconds (paper: 10 minutes).
   Time quantum = 10 * kMinute;
-  /// Maintenance mode of the kernel dispatch index (sched/core).
-  kernel::KernelMode kernelMode = kernel::KernelMode::Incremental;
 };
 
 class ImmediateService final : public sim::SchedulingPolicy {
@@ -42,7 +39,6 @@ class ImmediateService final : public sim::SchedulingPolicy {
 
   [[nodiscard]] std::string name() const override { return "IS"; }
 
-  void onSimulationStart(sim::Simulator& simulator) override;
   void onJobArrival(sim::Simulator& simulator, JobId job) override;
   void onJobCompletion(sim::Simulator& simulator, JobId job) override;
   void onSuspendDrained(sim::Simulator& simulator, JobId job) override;
@@ -67,9 +63,10 @@ class ImmediateService final : public sim::SchedulingPolicy {
   [[nodiscard]] bool anyWaitingWork(const sim::Simulator& s) const;
 
   IsConfig config_;
-  /// Waiting work (queued + fully-suspended) in submission order — the
-  /// kernel priority index replaces the per-dispatch gather-and-sort.
-  kernel::PriorityIndex waitingIndex_;
+  /// Dispatch scratch: the waiting work (queued + fully-suspended) that fits
+  /// the free processors, gathered and sorted into submission order on
+  /// every dispatch.
+  std::vector<JobId> waiting_;
   std::uint64_t preemptions_ = 0;
   /// A job whose immediate-service victims are still draining their memory
   /// images (overhead model only). Until it starts, nothing else may be

@@ -118,7 +118,6 @@ PolicySpec withKernelMode(PolicySpec spec, kernel::KernelMode mode) {
   spec.easy.kernelMode = mode;
   spec.depth.kernelMode = mode;
   spec.ss.kernelMode = mode;
-  spec.is.kernelMode = mode;
   return spec;
 }
 

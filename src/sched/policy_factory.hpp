@@ -77,7 +77,9 @@ struct PolicySpec {
 /// example parameters) — the fuzzer's policy lane list.
 [[nodiscard]] std::vector<std::string> knownPolicyTokens();
 
-/// Copy of `spec` with every per-policy kernel-mode knob set to `mode`.
+/// Copy of `spec` with every per-policy kernel-mode knob set to `mode`
+/// (conservative, EASY/SJF-BF, depth and SS/TSS; FCFS, IS and gang have
+/// one code path and no knob).
 [[nodiscard]] PolicySpec withKernelMode(PolicySpec spec,
                                         kernel::KernelMode mode);
 

@@ -1,34 +1,12 @@
 #include "sched/selective_suspension.hpp"
 
-#ifdef SPS_MANUAL_PROF
-#include <x86intrin.h>
-#include <cstdio>
-namespace {
-struct ProfAcc {
-  unsigned long long t[8] = {};
-  ~ProfAcc() {
-    std::fprintf(stderr,
-                 "PROF(ss Mcycles) dispatch=%llu pass=%llu gate=%llu arrival=%llu\n",
-                 t[0] / 1000000, t[1] / 1000000, t[2] / 1000000, t[3] / 1000000);
-  }
-} profAcc;
-struct ProfScope {
-  unsigned long long s; int i;
-  explicit ProfScope(int idx) : s(__rdtsc()), i(idx) {}
-  ~ProfScope() { profAcc.t[i] += __rdtsc() - s; }
-};
-}  // namespace
-#define SPS_PROF(i) ProfScope prof_scope_(i)
-#else
-#define SPS_PROF(i)
-#endif
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
 
 #include "obs/trace.hpp"
+#include "sched/core/idle_order.hpp"
 #include "sim/simulator.hpp"
 
 namespace sps::sched {
@@ -89,8 +67,7 @@ Time crossingHorizon(const sim::Simulator& s, JobId id, double x,
 }  // namespace
 
 SelectiveSuspension::SelectiveSuspension(SsConfig config)
-    : config_(config),
-      idleIndex_(kernel::IndexOrder::XFactorDesc, config.kernelMode) {
+    : config_(config) {
   SPS_CHECK_MSG(config_.suspensionFactor >= 1.0,
                 "suspension factor must be >= 1");
   SPS_CHECK_MSG(config_.preemptionInterval > 0,
@@ -111,21 +88,17 @@ std::string SelectiveSuspension::name() const {
 }
 
 void SelectiveSuspension::onSimulationStart(sim::Simulator& simulator) {
-  idleIndex_.reset();
   claimsDirty_ = true;
   gateStamp_ = ~std::uint64_t{0};
   gateSkipUntil_ = kNoTime;
   tickPrefix_.clear();
   sweepHorizon_ = kNoTime;
   passHorizon_ = kNoTime;
-  if (config_.kernelMode == kernel::KernelMode::Incremental) {
-    idleIndex_.attach(simulator);
+  if (config_.kernelMode == kernel::KernelMode::Incremental)
     victimIndex_.attach(simulator);
-  }
 }
 
 void SelectiveSuspension::onJobArrival(sim::Simulator& simulator, JobId job) {
-  SPS_PROF(3);
   if (config_.kernelMode == kernel::KernelMode::Incremental) {
     // At handler entry the machine sits at a dispatch fixpoint (every
     // handler ends in dispatch() or a proven no-op skip), and an arrival
@@ -221,7 +194,6 @@ void SelectiveSuspension::onTimer(sim::Simulator& simulator,
 }
 
 bool SelectiveSuspension::tickPassSkippable(sim::Simulator& simulator) {
-  SPS_PROF(2);
   const std::uint64_t stamp =
       simulator.counters().value(obs::Counter::SimTransitions);
   if (stamp == gateStamp_ && simulator.now() < gateSkipUntil_) return true;
@@ -413,17 +385,7 @@ std::optional<double> SelectiveSuspension::victimProtectionLimit(
   return std::nullopt;
 }
 
-std::vector<JobId> SelectiveSuspension::idleByPriority(
-    const sim::Simulator& s) {
-  // The kernel index does not know about claims (they are policy state, not
-  // simulator state, so they cannot invalidate its epoch-keyed cache);
-  // claimants are skipped at each use site instead. Filtering after the
-  // sort yields the same order — the comparator is a strict total order.
-  return idleIndex_.idle(s);
-}
-
 void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
-  SPS_PROF(0);
   const bool incremental =
       config_.kernelMode == kernel::KernelMode::Incremental;
   // Serve claimants first, in claim order (they were fenced in priority
@@ -492,8 +454,8 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
   // the per-candidate work.
   const sim::ProcSet fenced = claimedSet(simulator);
   const std::uint32_t countFence = claimedCount(simulator);
-  // usable = freeSet - fence changes only when this walk resumes or starts
-  // a job; incremental mode recomputes it on those mutations only, rebuild
+  // usable = freeSet - fence changes only when a walk resumes or starts a
+  // job; incremental mode recomputes it on those mutations only, rebuild
   // mode per candidate (the reference behaviour).
   sim::ProcSet usable;
   std::uint32_t usableCount = 0;
@@ -505,57 +467,75 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
     usableCount = usable.count();
     usableDirty = false;
   };
-  // Incremental fast-outs: an empty suspended list or an empty free set
-  // makes the whole walk decision-free (every resume needs at least one
-  // usable processor), so the index refresh and fence scan are skipped.
-  if (!incremental ||
-      (!simulator.suspendedJobs().empty() && simulator.freeCount() != 0)) {
-    for (JobId id :
-         idleIndex_.walk(simulator, kernel::IdleFilter::Suspended)) {
-      if (isClaimant(id)) continue;
-      refreshUsable(fenced);
-      // usable only shrinks as this walk acts, so once the fence eats all
-      // of it no later candidate can resume either.
+  // One walk: the `state` jobs of `source`, claimants excluded, highest
+  // priority first, acting on each that `fits`. The walk's own resumes and
+  // starts only shrink usable, so a job that fails `fits` against the
+  // walk's starting capacity fails it at every later step too: incremental
+  // mode gathers only the jobs that fit at the start — a short list even
+  // when thousands wait — and sorts that. Rebuild mode gathers and sorts
+  // every candidate, the unfiltered reference.
+  auto walk = [&](const std::vector<JobId>& source, sim::JobState state,
+                  const sim::ProcSet& fence, auto fits, auto act) {
+    usableDirty = true;
+    if (incremental) refreshUsable(fence);
+    walkScratch_.clear();
+    for (const JobId id : source) {
+      if (simulator.state(id) != state || isClaimant(id)) continue;
+      if (incremental && !fits(id)) continue;
+      walkScratch_.push_back(kernel::idleJob(simulator, id));
+    }
+    kernel::sortByPriority(walkScratch_);
+    for (const kernel::IdleJob& candidate : walkScratch_) {
+      refreshUsable(fence);
+      // usable only shrinks as the walk acts, so once the fence eats all
+      // of it no later candidate can fit either.
       if (incremental && usableCount <= countFence) break;
-      if (config_.migratableJobs) {
-        if (usableCount >= simulator.job(id).procs + countFence) {
-          simulator.resumeJobMigrating(id, fenced);
-          usableDirty = true;
-        }
-        continue;
-      }
-      // x.procs subset of (freeSet - fenced) == subset of freeSet and
-      // disjoint from the fence.
-      const sim::ProcSet& procs = simulator.exec(id).procs;
-      if (procs.isSubsetOf(usable)) {
-        if (usableCount >= procs.count() + countFence) {
-          simulator.resumeJob(id);
-          usableDirty = true;
-        }
+      if (fits(candidate.id)) {
+        act(candidate.id);
+        usableDirty = true;
       }
     }
+  };
+  // Incremental fast-outs: an empty candidate list or an empty free set
+  // makes a walk decision-free (every resume and start needs at least one
+  // usable processor), so its gather and fence scan are skipped.
+  if (!incremental ||
+      (!simulator.suspendedJobs().empty() && simulator.freeCount() != 0)) {
+    walk(
+        simulator.suspendedJobs(), sim::JobState::Suspended, fenced,
+        [&](JobId id) {
+          if (config_.migratableJobs)
+            return usableCount >= simulator.job(id).procs + countFence;
+          // x.procs subset of (freeSet - fenced) == subset of freeSet and
+          // disjoint from the fence.
+          const sim::ProcSet& procs = simulator.exec(id).procs;
+          return procs.isSubsetOf(usable) &&
+                 usableCount >= procs.count() + countFence;
+        },
+        [&](JobId id) {
+          if (config_.migratableJobs)
+            simulator.resumeJobMigrating(id, fenced);
+          else
+            simulator.resumeJob(id);
+        });
   }
 
   // Backfilling without guarantees: walk queued jobs in priority order and
   // start anything that fits on unclaimed capacity; do not stop at the
   // first job that does not fit. The suspended-set lease fence is fixed for
   // the whole walk (starting a job never changes the suspended set), so it
-  // is computed once, after the resume pass above settled it.
+  // is computed once, after the resume walk above settled it.
   sim::ProcSet unusable = fenced;
   if (config_.owedProcs == OwedProcsPolicy::Lease)
     unusable |= suspendedSets(simulator);
-  usableDirty = true;  // the fence changed; first candidate recomputes
   if (!incremental ||
       (!simulator.queuedJobs().empty() && simulator.freeCount() != 0)) {
-    for (JobId id : idleIndex_.walk(simulator, kernel::IdleFilter::Queued)) {
-      if (isClaimant(id)) continue;
-      refreshUsable(unusable);
-      if (incremental && usableCount <= countFence) break;
-      if (usableCount >= simulator.job(id).procs + countFence) {
-        startFreshPreferring(simulator, id);
-        usableDirty = true;
-      }
-    }
+    walk(
+        simulator.queuedJobs(), sim::JobState::Queued, unusable,
+        [&](JobId id) {
+          return usableCount >= simulator.job(id).procs + countFence;
+        },
+        [&](JobId id) { startFreshPreferring(simulator, id); });
   }
 }
 
@@ -643,9 +623,19 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
     freeNow = usableFree >= countFence ? usableFree - countFence : 0;
   };
 
-  for (JobId id : idleByPriority(simulator)) {
-    // The idle snapshot can go stale as this loop suspends and starts jobs;
-    // skip anything no longer idle.
+  // The idle jobs in priority order, as of the pass start. The snapshot goes
+  // stale as this loop suspends and starts jobs; anything no longer idle is
+  // skipped at use.
+  std::vector<kernel::IdleJob> idle;
+  for (const JobId id : simulator.queuedJobs())
+    idle.push_back(kernel::idleJob(simulator, id));
+  for (const JobId id : simulator.suspendedJobs())
+    if (simulator.state(id) == sim::JobState::Suspended)
+      idle.push_back(kernel::idleJob(simulator, id));
+  kernel::sortByPriority(idle);
+
+  for (const kernel::IdleJob& candidate : idle) {
+    const JobId id = candidate.id;
     const sim::JobState st = simulator.state(id);
     if (st != sim::JobState::Queued && st != sim::JobState::Suspended)
       continue;
@@ -735,7 +725,6 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
 
 void SelectiveSuspension::preemptionPassIncremental(
     sim::Simulator& simulator) {
-  SPS_PROF(1);
   // No running jobs: the candidate walk below could only hit the
   // decision-free continue arms (argued per arm), so skip it outright.
   if (victimIndex_.empty()) return;

@@ -35,7 +35,7 @@
 #include <optional>
 #include <vector>
 
-#include "sched/core/priority_index.hpp"
+#include "sched/core/idle_order.hpp"
 #include "sched/core/victim_index.hpp"
 #include "sim/policy.hpp"
 #include "sim/procset.hpp"
@@ -95,8 +95,9 @@ struct SsConfig {
   std::optional<double> tssOnlineMultiplier;
   std::size_t tssOnlineMinSamples = 20;
 
-  /// Maintenance mode of the kernel priority index (sched/core). Rebuild
-  /// re-sorts the idle set on every walk, as the seed implementation did.
+  /// Kernel mode (sched/core). Incremental runs the victim index, the tick
+  /// gate and the fit-filtered idle walks; Rebuild gathers and sorts every
+  /// idle candidate and re-tests every victim, the reference both must match.
   kernel::KernelMode kernelMode = kernel::KernelMode::Incremental;
 };
 
@@ -112,8 +113,8 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   void onJobCompletion(sim::Simulator& simulator, JobId job) override;
   void onSuspendDrained(sim::Simulator& simulator, JobId job) override;
   void onTimer(sim::Simulator& simulator, std::uint64_t tag) override;
-  /// Idle membership lives in the kernel PriorityIndex, which follows the
-  /// ->Cancelled transition like any other departure; the only policy-owned
+  /// Idle walks gather their candidates from the simulator's lists, which
+  /// drop a cancelled job like any other departure; the only policy-owned
   /// reference to repair is a capacity claim held by the cancelled job.
   [[nodiscard]] bool supportsCancel() const override { return true; }
   void onJobCancelled(sim::Simulator& simulator, JobId job) override;
@@ -168,14 +169,9 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
                                     std::uint32_t preemptorWidth,
                                     bool reentry) const;
 
-  /// Idle jobs (Queued + Suspended) ordered by descending priority; ties
-  /// broken by submit time then id for determinism. Snapshot of the kernel
-  /// priority index; callers skip claimants (and anything that changed
-  /// state mid-walk) at the point of use.
-  [[nodiscard]] std::vector<JobId> idleByPriority(const sim::Simulator& s);
-
   /// Start/resume everything that fits on unclaimed free processors,
-  /// claimants first. Runs on every event.
+  /// claimants first, then the idle jobs in priority order (Eq. 2; ties by
+  /// submit time, then id). Runs on every event.
   void dispatch(sim::Simulator& simulator);
 
   /// The paper's preemption routine (pseudocode, Section IV-C). Runs on the
@@ -209,7 +205,6 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   void armTick(sim::Simulator& simulator);
 
   SsConfig config_;
-  kernel::PriorityIndex idleIndex_;
   kernel::VictimIndex victimIndex_;
   std::vector<Claim> claims_;
   /// Claim-fence caches; claims_ mutations set claimsDirty_.
@@ -229,6 +224,8 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   /// min extends gateSkipUntil_ past passes that ran but did nothing.
   Time sweepHorizon_ = kNoTime;
   Time passHorizon_ = kNoTime;
+  /// Dispatch-walk candidates, reused across walks.
+  std::vector<kernel::IdleJob> walkScratch_;
   /// Pass scratch, reused across ticks to avoid per-pass allocation.
   std::vector<JobId> occupantsScratch_;
   std::vector<JobId> victimsScratch_;

@@ -247,7 +247,7 @@ class Simulator {
   /// Monotone change counter: bumped whenever the clock advances and on
   /// every job state transition. Two reads of scheduler-visible state made
   /// at the same epoch are guaranteed identical, so incremental caches
-  /// (sched/core's ReservationLedger and PriorityIndex) key on it instead
+  /// (sched/core's ReservationLedger) key on it instead
   /// of recomputing per query.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 

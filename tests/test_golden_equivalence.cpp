@@ -11,6 +11,7 @@
 // numbers in BENCH_engine.json are meaningful against.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -127,21 +128,36 @@ std::vector<std::pair<std::string, core::PolicySpec>> kernelPolicies() {
   return specs;
 }
 
-// The trace kind is a std::string, not a const char*: gtest prints the
-// parameter into the listed test name, and a pointer would print as its
-// run-to-run varying address.
-class GoldenEquivalence : public ::testing::TestWithParam<
-                              std::tuple<std::string, std::size_t>> {};
+/// Most idle jobs (Queued or Suspended) at any instant of a schedule.
+std::size_t maxIdle(const Schedule& schedule) {
+  const auto idle = [](int state) {
+    return state == static_cast<int>(sim::JobState::Queued) ||
+           state == static_cast<int>(sim::JobState::Suspended);
+  };
+  std::size_t now = 0;
+  std::size_t most = 0;
+  for (const auto& [t, id, from, to] : schedule.transitions) {
+    if (idle(from)) --now;
+    if (idle(to)) ++now;
+    most = std::max(most, now);
+  }
+  return most;
+}
 
-TEST_P(GoldenEquivalence, IncrementalMatchesRebuild) {
-  const auto& [traceKind, jobCount] = GetParam();
-  workload::Trace trace = generateTrace(
-      traceKind == "ctc" ? workload::ctcConfig(jobCount, 42)
-                         : workload::sdscConfig(jobCount, 42));
-  // Two estimate regimes: exact estimates drive the incremental kernel's
-  // on-time-completion fast paths on every completion; the Modal model
-  // makes most completions early, driving the full compression/rebuild
-  // path plus the mixed transitions between the two.
+/// Run every policy in `policies` on `trace` under both kernel modes and
+/// expect identical schedules, in both estimate regimes and both overhead
+/// models. Exact estimates drive the incremental kernel's on-time-completion
+/// fast paths on every completion; the Modal model makes most completions
+/// early, driving the full compression/rebuild path plus the mixed
+/// transitions between the two. Overhead only matters to the preemptive
+/// policies, but running every policy under both cost models is cheap and
+/// catches accidental coupling between the ledger and the overhead path.
+/// Returns the deepest idle queue seen across the runs.
+std::size_t expectModesAgree(
+    workload::Trace trace,
+    const std::vector<std::pair<std::string, core::PolicySpec>>& policies,
+    const std::string& traceLabel) {
+  std::size_t deepest = 0;
   for (const bool inaccurate : {false, true}) {
     if (inaccurate) {
       workload::EstimateModelConfig model;
@@ -149,10 +165,7 @@ TEST_P(GoldenEquivalence, IncrementalMatchesRebuild) {
       applyEstimates(trace, model);
     }
     const sched::DiskSwapOverhead swap(trace);
-    for (const auto& [label, spec] : kernelPolicies()) {
-      // Overhead only matters to the preemptive policies, but running every
-      // policy under both cost models is cheap and catches accidental
-      // coupling between the ledger and the overhead path.
+    for (const auto& [label, spec] : policies) {
       for (const sim::OverheadPolicy* overhead :
            {static_cast<const sim::OverheadPolicy*>(nullptr),
             static_cast<const sim::OverheadPolicy*>(&swap)}) {
@@ -161,13 +174,30 @@ TEST_P(GoldenEquivalence, IncrementalMatchesRebuild) {
         const Schedule reb =
             runSchedule(trace, spec, KernelMode::Rebuild, overhead);
         std::ostringstream context;
-        context << label << " on " << traceKind << "/" << jobCount
+        context << label << " on " << traceLabel
                 << (inaccurate ? " modal-estimates" : " exact-estimates")
                 << (overhead ? " +overhead" : "");
         expectIdentical(inc, reb, context.str());
+        deepest = std::max(deepest, maxIdle(reb));
       }
     }
   }
+  return deepest;
+}
+
+// The trace kind is a std::string, not a const char*: gtest prints the
+// parameter into the listed test name, and a pointer would print as its
+// run-to-run varying address.
+class GoldenEquivalence : public ::testing::TestWithParam<
+                              std::tuple<std::string, std::size_t>> {};
+
+TEST_P(GoldenEquivalence, IncrementalMatchesRebuild) {
+  const auto& [traceKind, jobCount] = GetParam();
+  const workload::Trace trace = generateTrace(
+      traceKind == "ctc" ? workload::ctcConfig(jobCount, 42)
+                         : workload::sdscConfig(jobCount, 42));
+  expectModesAgree(trace, kernelPolicies(),
+                   traceKind + "/" + std::to_string(jobCount));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -178,6 +208,27 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(paramInfo.param) + "_" +
              std::to_string(std::get<1>(paramInfo.param));
     });
+
+// Deep idle queues. At preset load the traces above keep only a handful of
+// jobs waiting; offered 1.3x its capacity the machine backs up by well over
+// a hundred. SS and TSS-online's incremental dispatch walks then gather only
+// the waiting jobs that fit the capacity free at walk start, while Rebuild
+// sorts and tests every one of them — this pins the two against each other
+// where the filter drops most of the idle set. IS has a single dispatch
+// path and rides along as the control.
+TEST(GoldenEquivalenceDeepQueue, PreemptivePoliciesMatchRebuild) {
+  workload::SyntheticConfig config = workload::sdscConfig(2000, 42);
+  config.offeredLoad = 1.3;
+  std::vector<std::pair<std::string, core::PolicySpec>> preemptive;
+  for (const auto& entry : kernelPolicies())
+    if (entry.first == "ss" || entry.first == "tss-online" ||
+        entry.first == "is")
+      preemptive.push_back(entry);
+  ASSERT_EQ(preemptive.size(), 3u);
+  const std::size_t deepest =
+      expectModesAgree(generateTrace(config), preemptive, "sdsc/2000@1.3");
+  EXPECT_GE(deepest, 150u) << "the trace no longer backs up the queue";
+}
 
 // The deferred-start edge both kernel modes must agree on: C's anchor lands
 // at t=10 while A and B's completion events are still pending in the same

@@ -323,12 +323,10 @@ TEST(KernelModeCounters, SuspensionAndBackfillCountsAreModeInvariant) {
     spec.easy.kernelMode = KernelMode::Incremental;
     spec.ss.kernelMode = KernelMode::Incremental;
     spec.depth.kernelMode = KernelMode::Incremental;
-    spec.is.kernelMode = KernelMode::Incremental;
     const metrics::RunStats inc = core::runSimulation(trace, spec);
     spec.easy.kernelMode = KernelMode::Rebuild;
     spec.ss.kernelMode = KernelMode::Rebuild;
     spec.depth.kernelMode = KernelMode::Rebuild;
-    spec.is.kernelMode = KernelMode::Rebuild;
     const metrics::RunStats reb = core::runSimulation(trace, spec);
 
     EXPECT_EQ(inc.counters.value(Counter::SimSuspensions),
