@@ -1,6 +1,7 @@
 #include "sched/core/victim_index.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "obs/counters.hpp"
@@ -22,7 +23,6 @@ bool entryLess(const VictimIndex::Entry& a, const VictimIndex::Entry& b) {
 
 void VictimIndex::attach(sim::Simulator& simulator) {
   for (std::vector<Entry>& vec : cats_) vec.clear();
-  prefixDirty_.fill(true);
   serial_ = 0;
   count_ = 0;
   owner_.assign(simulator.machine().totalProcs(), kInvalidJob);
@@ -58,7 +58,6 @@ void VictimIndex::insert(const sim::Simulator& s, JobId id) {
   e.serial = serial_++;
   std::vector<Entry>& vec = cats_[cat];
   vec.insert(std::lower_bound(vec.begin(), vec.end(), e, entryLess), e);
-  prefixDirty_[cat] = true;
   catOf_[id] = static_cast<std::uint8_t>(cat);
   ++count_;
   s.exec(id).procs.forEach([this, id](std::uint32_t p) { owner_[p] = id; });
@@ -78,7 +77,6 @@ void VictimIndex::remove(const sim::Simulator& s, JobId id) {
   SPS_CHECK_MSG(it != vec.end() && it->job == id,
                 "victim index missing running job " << id);
   vec.erase(it);
-  prefixDirty_[cat] = true;
   --count_;
   s.exec(id).procs.forEach([this](std::uint32_t p) {
     owner_[p] = kInvalidJob;
@@ -93,19 +91,6 @@ double VictimIndex::minPriority() const {
   return best;
 }
 
-std::size_t VictimIndex::sfBoundary(std::size_t cat, double preemptorPriority,
-                                    double sf) const {
-  const std::vector<Entry>& vec = cats_[cat];
-  attached_->counters().inc(obs::Counter::VictimRangeQueries);
-  const auto it = std::partition_point(
-      vec.begin(), vec.end(), [preemptorPriority, sf](const Entry& e) {
-        // Eligible prefix: exactly the entries the reference's per-victim
-        // SF test `preemptorPriority < sf * xfactor` would NOT reject.
-        return !(preemptorPriority < sf * e.xfactor);
-      });
-  return static_cast<std::size_t>(it - vec.begin());
-}
-
 std::size_t VictimIndex::limitBoundary(std::size_t cat, double limit) const {
   const std::vector<Entry>& vec = cats_[cat];
   attached_->counters().inc(obs::Counter::VictimRangeQueries);
@@ -115,17 +100,56 @@ std::size_t VictimIndex::limitBoundary(std::size_t cat, double limit) const {
   return static_cast<std::size_t>(it - vec.begin());
 }
 
-std::uint32_t VictimIndex::gainPrefix(std::size_t cat, std::size_t end) const {
-  const std::vector<Entry>& vec = cats_[cat];
-  std::vector<std::uint32_t>& pre = prefix_[cat];
-  if (prefixDirty_[cat]) {
-    pre.resize(vec.size() + 1);
-    pre[0] = 0;
-    for (std::size_t i = 0; i < vec.size(); ++i)
-      pre[i + 1] = pre[i] + vec[i].procs;
-    prefixDirty_[cat] = false;
+void VictimSteps::build(
+    const VictimIndex& index,
+    const std::array<double, VictimIndex::kCategories>& limits) {
+  steps_.clear();
+  for (std::size_t cat = 0; cat < VictimIndex::kCategories; ++cat) {
+    const std::vector<VictimIndex::Entry>& vec = index.category(cat);
+    if (vec.empty()) continue;
+    const std::size_t end = std::isinf(limits[cat])
+                                ? vec.size()
+                                : index.limitBoundary(cat, limits[cat]);
+    const auto widthClass =
+        static_cast<std::uint8_t>(workload::widthClassOfCategory(cat));
+    for (std::size_t i = 0; i < end; ++i)
+      steps_.push_back({vec[i], widthClass});
   }
-  return pre[end];
+  std::sort(steps_.begin(), steps_.end(), [](const Step& a, const Step& b) {
+    return entryLess(a.entry, b.entry);
+  });
+  const std::size_t n = steps_.size();
+  for (std::size_t r = 0; r < kReaches; ++r) {
+    std::vector<std::uint32_t>& gain = gain_[r];
+    std::vector<std::uint32_t>& next = next_[r];
+    gain.resize(n + 1);
+    next.resize(n + 1);
+    gain[0] = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      gain[i + 1] = gain[i] + (steps_[i].widthClass <= r
+                                   ? steps_[i].entry.procs
+                                   : 0);
+    next[n] = static_cast<std::uint32_t>(n);
+    for (std::size_t i = n; i-- > 0;)
+      next[i] = steps_[i].widthClass <= r ? static_cast<std::uint32_t>(i)
+                                          : next[i + 1];
+  }
+}
+
+VictimSteps::Cut VictimSteps::cut(double priority, double sf,
+                                  int reach) const {
+  // Eligible prefix: exactly the entries the reference's per-victim SF test
+  // `priority < sf * xfactor` would NOT reject.
+  const auto it = std::partition_point(
+      steps_.begin(), steps_.end(), [priority, sf](const Step& s) {
+        return !(priority < sf * s.entry.xfactor);
+      });
+  const auto end = static_cast<std::size_t>(it - steps_.begin());
+  const auto r = static_cast<std::size_t>(reach);
+  const std::size_t next = next_[r][end];
+  return {end, gain_[r][end],
+          next < steps_.size() ? steps_[next].entry.xfactor
+                               : std::numeric_limits<double>::infinity()};
 }
 
 }  // namespace sps::sched::kernel

@@ -14,20 +14,21 @@
 // transitions. Each Table-I category (by the scheduler-visible estimate x
 // width classification) keeps its members sorted by (frozen xfactor, id),
 // maintained by a state-change observer. The pass's per-victim tests then
-// collapse into per-category range queries:
+// collapse into cuts of a sorted order:
 //
 //   * SF ratio  — victims failing `priority < SF * xfactor` form a suffix
-//     of the sorted order: one binary search per category.
+//     of the (frozen xfactor, id) order.
 //   * TSS limit — protected victims (`xfactor >= limit`) are likewise a
-//     suffix; the boundary is a second binary search.
+//     suffix of each category; limitBoundary() finds it.
 //   * half-width — width bands are constant within a category, so whole
 //     categories pass or fail wholesale; only the unbounded Very-Wide band
 //     (and the preemptor's own boundary band) needs per-entry width checks.
 //
-// A lazily maintained prefix sum of widths over each category's eligible
-// prefix gives an upper bound on the processors a candidate could free —
-// candidates whose bound cannot cover their shortfall are dismissed with
-// zero per-victim work (the dominant case at high load).
+// VictimSteps (below) merges the categories inside their TSS cuts into one
+// order and keeps prefix sums of widths per width-reach class, which bound
+// the processors a candidate could free — candidates whose bound cannot
+// cover their shortfall are dismissed with zero per-victim work (the
+// dominant case at high load).
 //
 // Pass-start snapshot semantics: the reference implementation sorts the
 // running set once at the top of the pass, so jobs *started mid-pass* are
@@ -88,25 +89,10 @@ class VictimIndex {
     return cats_[cat];
   }
 
-  /// Length of the category prefix passing the SF ratio test for a
-  /// preemptor of priority `preemptorPriority`: the first index whose
-  /// entry fails `preemptorPriority < sf * xfactor` (the exact float
-  /// predicate of the scan this replaces). Entries beyond it are a
-  /// monotone ineligible suffix.
-  [[nodiscard]] std::size_t sfBoundary(std::size_t cat,
-                                       double preemptorPriority,
-                                       double sf) const;
-
   /// Length of the category prefix below a TSS protection limit: the first
   /// index with xfactor >= limit.
   [[nodiscard]] std::size_t limitBoundary(std::size_t cat,
                                           double limit) const;
-
-  /// Sum of widths over category[0, end) — an upper bound on the
-  /// processors preempting that whole prefix could free. Lazily
-  /// recomputed per category after churn.
-  [[nodiscard]] std::uint32_t gainPrefix(std::size_t cat,
-                                         std::size_t end) const;
 
   /// The running job holding processor `proc`, or kInvalidJob if it is
   /// free or held by a Suspending job. Live (not pass-snapshotted) —
@@ -122,10 +108,6 @@ class VictimIndex {
   void remove(const sim::Simulator& s, JobId id);
 
   std::array<std::vector<Entry>, kCategories> cats_;
-  /// prefix_[cat][i] = sum of widths of cats_[cat][0, i). Rebuilt on
-  /// demand; mutable because queries are logically const.
-  mutable std::array<std::vector<std::uint32_t>, kCategories> prefix_;
-  mutable std::array<bool, kCategories> prefixDirty_{};
   std::vector<JobId> owner_;       ///< per processor; kInvalidJob if free
   std::vector<std::uint8_t> catOf_;  ///< per job: category at insertion
   std::uint64_t serial_ = 0;
@@ -133,6 +115,53 @@ class VictimIndex {
   /// Distinguishes the simulator currently served from a stale one still
   /// holding our observer (a policy may be re-attached across runs).
   const sim::Simulator* attached_ = nullptr;
+};
+
+/// The victims one preemption pass may draw on, as a step function of the
+/// preemptor's priority. Every running job inside its category's TSS cut,
+/// merged into one array ascending by (frozen xfactor, id) — the
+/// reference pass's runningAsc order. The SF test `p < sf * xfactor`
+/// rejects a suffix of it, so a preemptor of priority p may draw on a
+/// prefix; alongside the array sit, per width-reach class, prefix sums of
+/// the widths a preemptor of that reach may take and the index of the next
+/// entry it may take. A candidate's gain bound and wake-up priority are
+/// then one binary search plus two lookups. The TSS cut and the frozen
+/// xfactors stay put between transitions, so a pass builds the steps once
+/// and again after each of its own actions.
+class VictimSteps {
+ public:
+  /// Width-reach classes: reach r may take victims whose category's width
+  /// class (workload::WidthClass) is at most r.
+  static constexpr std::size_t kReaches = 4;
+
+  struct Step {
+    VictimIndex::Entry entry;
+    std::uint8_t widthClass;
+  };
+
+  struct Cut {
+    std::size_t end;      ///< entries passing !(p < sf * xfactor)
+    std::uint32_t bound;  ///< summed widths of reachable entries in [0, end)
+    /// xfactor of the first reachable entry at or past `end`, +infinity if
+    /// none: more gain needs p to cross sf times this.
+    double xNext;
+  };
+
+  /// Rebuild from `index`, keeping the members of category `cat` below
+  /// the TSS protection limit `limits[cat]` (+infinity: no limit).
+  void build(const VictimIndex& index,
+             const std::array<double, VictimIndex::kCategories>& limits);
+
+  [[nodiscard]] Cut cut(double priority, double sf, int reach) const;
+
+  [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
+
+ private:
+  std::vector<Step> steps_;
+  /// gain_[r][i]: widths of the entries of class <= r in steps_[0, i).
+  std::array<std::vector<std::uint32_t>, kReaches> gain_;
+  /// next_[r][i]: first index >= i holding an entry of class <= r.
+  std::array<std::vector<std::uint32_t>, kReaches> next_;
 };
 
 }  // namespace sps::sched::kernel

@@ -90,29 +90,37 @@ void EasyBackfill::schedulePass(sim::Simulator& simulator) {
   if (queue_.empty()) return;
 
   // Phase 2: the head does not fit. Compute its shadow time and the extra
-  // processors, then backfill. Restart the scan whenever a job starts, since
-  // free processors (and hence shadow/extra) change — the ledger follows
-  // each start through its observer, so the shadow query always sees the
-  // current machine.
+  // processors, then backfill; the ledger follows each start through its
+  // observer (and an incremental refresh at an unchanged clock is a
+  // no-op), so the shadow query always sees the current machine. A
+  // backfill start neither moves the shadow earlier nor grows `extra` (the
+  // ledger holds only running jobs, and the started job either ends by the
+  // shadow or fits inside `extra`), and it only shrinks the free
+  // processors — so every job rejected before it stays rejected, and
+  // KernelMode::Incremental refreshes the shadow and carries on from the
+  // same index. Rebuild restarts the scan after each start, as the seed did.
+  const bool rescan = config_.kernelMode == kernel::KernelMode::Rebuild;
   bool progress = true;
   while (progress && !queue_.empty()) {
     progress = false;
-    // Inside the loop so KernelMode::Rebuild reconstructs per restart, as
-    // the seed did; incremental refresh at an unchanged clock is a no-op.
     ledger_.refresh(simulator);
-    const auto shadow = engine_.shadowOf(simulator, queue_.front());
-    for (std::size_t i = 1; i < queue_.size(); ++i) {
+    auto shadow = engine_.shadowOf(simulator, queue_.front());
+    for (std::size_t i = 1; i < queue_.size();) {
       const JobId id = queue_[i];
       if (!engine_.canBackfill(simulator, id, shadow)) {
         simulator.counters().inc(obs::Counter::BackfillRejects);
+        ++i;
         continue;
       }
       simulator.counters().inc(obs::Counter::BackfillStarts);
       simulator.startJob(id);
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
       ++backfills_;
-      progress = true;
-      break;  // recompute shadow/extra with the new machine state
+      if (rescan) {
+        progress = true;
+        break;  // recompute shadow/extra and restart from index 1
+      }
+      shadow = engine_.shadowOf(simulator, queue_.front());
     }
   }
 }

@@ -20,49 +20,17 @@ std::size_t estimateCategory(const workload::Job& j) {
   return workload::category16(j.estimate, j.procs);
 }
 
-/// Inclusive processor-count band of a Table-I category's width class.
-/// Within a VictimIndex category every member's width falls in this band,
-/// so the half-width rule often resolves for the whole category at once.
-struct WidthBand {
-  std::uint32_t min;
-  std::uint32_t max;   ///< meaningless when unbounded
-  bool unbounded;
-};
-
-WidthBand widthBandOfCategory(std::size_t cat) {
-  switch (workload::widthClassOfCategory(cat)) {
-    case workload::WidthClass::Sequential:
-      return {1, workload::kSequentialMax, false};
-    case workload::WidthClass::Narrow:
-      return {workload::kSequentialMax + 1, workload::kNarrowMax, false};
-    case workload::WidthClass::Wide:
-      return {workload::kNarrowMax + 1, workload::kWideMax, false};
-    case workload::WidthClass::VeryWide:
-      break;
-  }
-  return {workload::kWideMax + 1, 0, true};
-}
-
-/// Last tick-skippable horizon for idle job `id` (current priority `x`,
-/// rising linearly in wait) against a frozen `target` threshold: ticks
-/// strictly before the returned time still satisfy !(priority >= target).
-/// The crossing is estimated algebraically, then re-verified with the
-/// simulator's own integer+double arithmetic at the horizon so float
-/// rounding can only shrink the window, never hide a live pass.
-Time crossingHorizon(const sim::Simulator& s, JobId id, double x,
-                     double target) {
-  const Time now = s.now();
-  if (!(x < target)) return now;
-  const auto est = static_cast<double>(s.job(id).estimate);
-  const double tc = static_cast<double>(now) + (target - x) * est;
-  Time cross = tc >= static_cast<double>(kTimeMax) ? kTimeMax
-                                                   : static_cast<Time>(tc) - 1;
-  if (cross > now && cross != kTimeMax) {
-    const auto wait =
-        static_cast<double>(s.accumulatedWait(id) + (cross - 1 - now));
-    if (!((wait + est) / est < target)) cross = now;
-  }
-  return cross;
+/// Width-reach class of a fresh preemptor (kernel::VictimSteps): the
+/// highest width-band rank whose band.min its doubled width covers. Under
+/// the half-width rule a victim category of width class q is out of reach
+/// exactly when q > reach (2 x width < band.min); without it every band is.
+int reachOf(std::uint32_t width, bool halfWidthRule) {
+  if (!halfWidthRule) return 3;
+  const std::uint32_t w2 = 2 * width;
+  if (w2 >= workload::kWideMax + 1) return 3;
+  if (w2 >= workload::kNarrowMax + 1) return 2;
+  if (w2 >= workload::kSequentialMax + 1) return 1;
+  return 0;
 }
 }  // namespace
 
@@ -94,8 +62,10 @@ void SelectiveSuspension::onSimulationStart(sim::Simulator& simulator) {
   tickPrefix_.clear();
   sweepHorizon_ = kNoTime;
   passHorizon_ = kNoTime;
-  if (config_.kernelMode == kernel::KernelMode::Incremental)
+  if (config_.kernelMode == kernel::KernelMode::Incremental) {
     victimIndex_.attach(simulator);
+    idleLines_.attach(simulator);
+  }
 }
 
 void SelectiveSuspension::onJobArrival(sim::Simulator& simulator, JobId job) {
@@ -184,7 +154,7 @@ void SelectiveSuspension::onTimer(sim::Simulator& simulator,
       // The pass ran and proved itself a no-op. Absent transitions (which
       // invalidate gateStamp_), it can only go live once some candidate
       // crosses an SF boundary it failed this tick — the pass and the gate
-      // sweep both recorded the earliest such crossing, so ticks before it
+      // query both recorded the earliest such crossing, so ticks before it
       // skip on the cache.
       gateSkipUntil_ = std::min(sweepHorizon_, passHorizon_);
     }
@@ -216,7 +186,7 @@ bool SelectiveSuspension::tickPassSkippable(sim::Simulator& simulator) {
   // its live break can reach (the threshold never falls mid-pass: fresh
   // preemptors and reentrants enter the index at >= SF x a victim's
   // priority, and removals only raise the minimum) — so the pass runs off
-  // this sweep instead of a priority-index rebuild.
+  // this query alone.
   //
   // Idle priorities grow linearly in wait while running priorities (hence
   // the threshold) are frozen until the next transition, so each
@@ -224,58 +194,20 @@ bool SelectiveSuspension::tickPassSkippable(sim::Simulator& simulator) {
   // stays below — their minimum caps how long the verdict may be cached.
   const double threshold =
       config_.suspensionFactor * victimIndex_.minPriority();
-  // Below-threshold candidates only contribute the *minimum* crossing, so
-  // the sweep accumulates the raw algebraic crossing (a multiply per
-  // candidate) and runs the exact re-verified crossingHorizon once, on the
-  // winner. The raw crossing is monotone in the verified one (floor is
-  // monotone and verification can only clamp to now), so the minimum is
-  // unchanged.
-  const auto nowD = static_cast<double>(simulator.now());
-  const double tMinus1 = threshold - 1.0;
-  double minTc = std::numeric_limits<double>::infinity();
-  JobId minId = kInvalidJob;
+  // The idle-line index reports exactly the candidates the verbatim
+  // per-job test puts at or above the threshold, and the earliest raw
+  // algebraic crossing among the rest. The exact re-verified
+  // crossingHorizon runs once, on that winner: the raw crossing is
+  // monotone in the verified one (floor is monotone and verification can
+  // only clamp to now), so the minimum is unchanged.
   tickPrefix_.clear();
-  auto consider = [&](JobId id) {
-    // x >= threshold <=> wait >= (threshold - 1) * estimate in real
-    // arithmetic — a multiply instead of the xfactor division. Floats can
-    // disagree only within rounding distance of the boundary, so anything
-    // inside a generous relative margin falls back to the verbatim
-    // division test; the slack is also exactly the algebraic crossing
-    // distance (tc = now + slack), and its float noise (~1e-7 s) is
-    // absorbed by crossingHorizon's floor-minus-one margin below.
-    const workload::Job& j = simulator.job(id);
-    const auto est = static_cast<double>(j.estimate);
-    const auto wait = static_cast<double>(simulator.accumulatedWait(id));
-    const double slack = tMinus1 * est - wait;
-    if (slack > 1e-9 * (wait + est)) {
-      const double tc = nowD + slack;
-      if (tc < minTc) {
-        minTc = tc;
-        minId = id;
-      }
-      return;
-    }
-    const double x = (wait + est) / est;
-    if (!(x < threshold)) {
-      tickPrefix_.emplace_back(x, id);
-      return;
-    }
-    const double tc = nowD + (threshold - x) * est;
-    if (tc < minTc) {
-      minTc = tc;
-      minId = id;
-    }
-  };
-  for (JobId id : simulator.queuedJobs()) consider(id);
-  for (JobId id : simulator.suspendedJobs()) {
-    if (simulator.state(id) != sim::JobState::Suspended) continue;
-    consider(id);
-  }
-  sweepHorizon_ =
-      minId == kInvalidJob
-          ? kTimeMax
-          : crossingHorizon(simulator, minId, simulator.xfactor(minId),
-                            threshold);
+  const kernel::IdleLineIndex::Crossing first =
+      idleLines_.query(simulator.now(), threshold, tickPrefix_);
+  sweepHorizon_ = first.id == kInvalidJob
+                      ? kTimeMax
+                      : kernel::crossingHorizon(simulator, first.id,
+                                                simulator.xfactor(first.id),
+                                                threshold);
   if (!tickPrefix_.empty()) return false;  // gateSkipUntil_ stays at now
   gateSkipUntil_ = sweepHorizon_;
   return true;
@@ -347,7 +279,6 @@ bool SelectiveSuspension::victimEligible(const sim::Simulator& s,
                                          double preemptorPriority,
                                          std::uint32_t preemptorWidth,
                                          bool reentry) const {
-  s.counters().inc(obs::Counter::VictimTests);
   if (s.state(victim) != sim::JobState::Running) return false;
   const double victimPriority = s.xfactor(victim);
   if (preemptorPriority < config_.suspensionFactor * victimPriority)
@@ -360,22 +291,19 @@ bool SelectiveSuspension::victimEligible(const sim::Simulator& s,
     return false;
   // TSS victim protection: a job whose priority already exceeds its category
   // limit has suffered enough; preempting it would blow up the worst case.
-  if (config_.tssLimits) {
-    const double limit = (*config_.tssLimits)[estimateCategory(s.job(victim))];
-    if (victimPriority >= limit) return false;
-  }
-  if (config_.tssOnlineMultiplier) {
-    const auto& [n, mean] = onlineSlowdowns_[estimateCategory(s.job(victim))];
-    if (n >= config_.tssOnlineMinSamples &&
-        victimPriority >= *config_.tssOnlineMultiplier * mean)
-      return false;
-  }
+  const std::optional<double> limit =
+      categoryLimit(estimateCategory(s.job(victim)));
+  if (limit && victimPriority >= *limit) return false;
   return true;
 }
 
 std::optional<double> SelectiveSuspension::victimProtectionLimit(
     const sim::Simulator& s, JobId job) const {
-  const std::size_t category = estimateCategory(s.job(job));
+  return categoryLimit(estimateCategory(s.job(job)));
+}
+
+std::optional<double> SelectiveSuspension::categoryLimit(
+    std::size_t category) const {
   if (config_.tssLimits) return (*config_.tssLimits)[category];
   if (config_.tssOnlineMultiplier) {
     const auto& [n, mean] = onlineSlowdowns_[category];
@@ -667,6 +595,7 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
       if (blocked) continue;
       sim::ProcSet covered = needed & simulator.freeSet();
       for (JobId r : occupants) {
+        simulator.counters().inc(obs::Counter::VictimTests);
         if (!victimEligible(simulator, r, priority, width,
                             /*reentry=*/true)) {
           blocked = true;
@@ -710,6 +639,7 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
         // fails here it fails for every later victim too — victimEligible
         // cannot pass past this point.
         if (priority < config_.suspensionFactor * simulator.xfactor(r)) break;
+        simulator.counters().inc(obs::Counter::VictimTests);
         if (!victimEligible(simulator, r, priority, width,
                             /*reentry=*/false))
           continue;
@@ -729,49 +659,52 @@ void SelectiveSuspension::preemptionPassIncremental(
   // decision-free continue arms (argued per arm), so skip it outright.
   if (victimIndex_.empty()) return;
   // Reference snapshot semantics: entries inserted at or after this stamp
-  // were started mid-pass and are invisible to the fresh-victim merge (the
-  // reference's pass-start sort would not contain them). The reentry
+  // were started mid-pass and are invisible to the fresh-victim collection
+  // (the reference's pass-start sort would not contain them). The reentry
   // occupant map stays live — so does the reference's occupant scan.
   const std::uint64_t passStamp = victimIndex_.beginPass();
   seenStamp_.resize(simulator.trace().jobs.size(), 0);
   passHorizon_ = kTimeMax;
-  // Failed arms fold their raw algebraic crossing (one multiply) into a
-  // running minimum; the exact re-verified crossingHorizon runs once, on
-  // the winner, at pass end. Sound for the non-winners too: their raw
-  // crossings are at least the winner's, and the floor-minus-one margin
-  // keeps every skipped tick strictly before any candidate's true crossing
-  // even under the ~1e-7 s float noise of the raw form.
-  const auto nowD = static_cast<double>(simulator.now());
-  double passMinTc = std::numeric_limits<double>::infinity();
-  JobId passMinId = kInvalidJob;
-  double passMinX = 0.0;
-  double passMinTarget = 0.0;
-  auto noteHorizon = [&](JobId id, double x, double target) {
-    const double tc =
-        nowD + (target - x) * static_cast<double>(simulator.job(id).estimate);
-    if (tc < passMinTc) {
-      passMinTc = tc;
-      passMinId = id;
-      passMinX = x;
-      passMinTarget = target;
-    }
-  };
+  const double sf = config_.suspensionFactor;
 
-  // The gate sweep already gathered every candidate the live break can
-  // reach, with its priority evaluated at this very clock (idle priorities
-  // change only on the candidate's own transitions, and those drop it from
-  // the walk anyway). Ordering it under the priority-index comparator —
-  // xfactor descending, ties by submit then id — reproduces the reference
-  // walk exactly, without touching the full idle index.
-  std::sort(tickPrefix_.begin(), tickPrefix_.end(),
-            [&simulator](const std::pair<double, JobId>& a,
-                         const std::pair<double, JobId>& b) {
-              if (a.first != b.first) return a.first > b.first;
-              const Time sa = simulator.job(a.second).submit;
-              const Time sb = simulator.job(b.second).submit;
-              if (sa != sb) return sa < sb;
-              return a.second < b.second;
-            });
+  // What evaluating a candidate does besides deciding: work counters and
+  // the failed arms' wake-up horizon. Failed arms fold their raw algebraic
+  // crossing (one multiply) into a running minimum; the exact re-verified
+  // crossingHorizon runs once, on the winner, at pass end. Sound for the
+  // non-winners too: their raw crossings are at least the winner's, and the
+  // floor-minus-one margin keeps every skipped tick strictly before any
+  // candidate's true crossing even under the ~1e-7 s float noise of the raw
+  // form. Ties go to the candidate the ordered walk reaches first, so the
+  // winner does not depend on evaluation order.
+  struct Tally {
+    std::uint64_t victimTests = 0;
+    std::uint64_t boundSkips = 0;
+    std::uint64_t fenceScans = 0;
+    double minTc = std::numeric_limits<double>::infinity();
+    JobId minId = kInvalidJob;
+    double minX = 0.0;
+    double minTarget = 0.0;
+  };
+  Tally tally;
+  const auto nowD = static_cast<double>(simulator.now());
+  auto noteHorizon = [&](JobId id, double x, double est, double target) {
+    const double tc = nowD + (target - x) * est;
+    if (tc > tally.minTc) return;
+    if (tc == tally.minTc) {
+      // Eq. 2 walk order: priority descending, then submit, then id.
+      if (x != tally.minX) {
+        if (x < tally.minX) return;
+      } else {
+        const Time sa = simulator.job(id).submit;
+        const Time sb = simulator.job(tally.minId).submit;
+        if (sa != sb ? sa > sb : id > tally.minId) return;
+      }
+    }
+    tally.minTc = tc;
+    tally.minId = id;
+    tally.minX = x;
+    tally.minTarget = target;
+  };
 
   // Fresh-preemptor fences, recomputed only after this pass changes them.
   bool fencesDirty = true;
@@ -779,7 +712,7 @@ void SelectiveSuspension::preemptionPassIncremental(
   std::uint32_t freeNow = 0;
   auto refreshFences = [&] {
     if (!fencesDirty) return;
-    simulator.counters().inc(obs::Counter::FenceScans);
+    ++tally.fenceScans;
     offLimits = claimedSet(simulator);
     if (config_.owedProcs == OwedProcsPolicy::Lease)
       offLimits |= suspendedSets(simulator);
@@ -789,158 +722,37 @@ void SelectiveSuspension::preemptionPassIncremental(
     fencesDirty = false;
   };
 
-  // Per-category cut cursors, shared across this pass's fresh candidates.
-  // Candidates walk in *descending* priority, so each category's SF cut
-  // (the eligible prefix length) only shrinks from one candidate to the
-  // next — instead of two binary searches per candidate per category, walk
-  // the cursor down with the exact same float predicate and adjust the
-  // summed gain bound by the widths that fall out. The TSS cut and the
-  // frozen xfactors are pass-constant between actions, so cursors stay
-  // valid until the pass suspends or starts something (which edits the
-  // category vectors); any action rebuilds them at the next candidate.
-  struct CatCursor {
-    std::size_t sfCur;     ///< sfBoundary(cat, priority, SF), maintained
-    std::size_t limitEnd;  ///< TSS protection cut (pass-constant)
-    std::uint32_t gain;    ///< gainPrefix(cat, min(sfCur, limitEnd))
-  };
-  std::array<CatCursor, kernel::VictimIndex::kCategories> cursors;
-  std::uint32_t boundTotal = 0;
-  bool cursorsDirty = true;
-  double minPrio = 0.0;
-  bool minPrioDirty = true;
-  auto categoryLimit = [&](std::size_t cat,
-                           const std::vector<kernel::VictimIndex::Entry>& vec)
-      -> std::size_t {
-    if (config_.tssLimits)
-      return victimIndex_.limitBoundary(cat, (*config_.tssLimits)[cat]);
-    if (config_.tssOnlineMultiplier) {
-      const auto& [n, mean] = onlineSlowdowns_[cat];
-      if (n >= config_.tssOnlineMinSamples)
-        return victimIndex_.limitBoundary(cat,
-                                          *config_.tssOnlineMultiplier * mean);
+  // The victim step function, rebuilt lazily after this pass's actions.
+  // The TSS limits (static, or online averages that move only on
+  // completions) are pass-constant.
+  bool stepsDirty = true;
+  auto refreshSteps = [&] {
+    if (!stepsDirty) return;
+    std::array<double, kernel::VictimIndex::kCategories> limits;
+    for (std::size_t cat = 0; cat < limits.size(); ++cat) {
+      const std::optional<double> limit = categoryLimit(cat);
+      limits[cat] = limit ? *limit : std::numeric_limits<double>::infinity();
     }
-    return vec.size();
-  };
-  auto rebuildCursors = [&](double priority) {
-    boundTotal = 0;
-    for (std::size_t cat = 0; cat < kernel::VictimIndex::kCategories; ++cat) {
-      const auto& vec = victimIndex_.category(cat);
-      CatCursor& cc = cursors[cat];
-      if (vec.empty()) {
-        cc = {0, 0, 0};
-        continue;
-      }
-      cc.sfCur = victimIndex_.sfBoundary(cat, priority,
-                                         config_.suspensionFactor);
-      cc.limitEnd = categoryLimit(cat, vec);
-      cc.gain = victimIndex_.gainPrefix(cat, std::min(cc.sfCur, cc.limitEnd));
-      boundTotal += cc.gain;
-    }
-    cursorsDirty = false;
-  };
-  auto advanceCursors = [&](double priority) {
-    for (std::size_t cat = 0; cat < kernel::VictimIndex::kCategories; ++cat) {
-      CatCursor& cc = cursors[cat];
-      if (cc.sfCur == 0) continue;
-      const auto& vec = victimIndex_.category(cat);
-      // Verbatim sfBoundary predicate: entry sfCur-1 stays eligible iff
-      // !(priority < SF * xfactor). Total movement per pass is bounded by
-      // the running-set size, amortized O(1) per candidate.
-      while (cc.sfCur > 0 &&
-             priority <
-                 config_.suspensionFactor * vec[cc.sfCur - 1].xfactor) {
-        --cc.sfCur;
-        if (cc.sfCur < cc.limitEnd) {
-          cc.gain -= vec[cc.sfCur].procs;
-          boundTotal -= vec[cc.sfCur].procs;
-        }
-      }
-    }
-  };
-  // Steady-state O(1) per candidate: no cursor moves while the candidate's
-  // priority stays at or above SF x the strongest entry still inside any SF
-  // cut (the max over categories of the advance predicate's right side), so
-  // a single compare proves every cursor exact. While cursors are still,
-  // the gain excluded by the half-width rule and the wake-up xfactor depend
-  // only on which width bands the candidate can reach — four possible
-  // reach classes (band mins are the only cuts 2 x width is tested
-  // against), each cached on first use and invalidated on any movement.
-  double advanceTrigger = -std::numeric_limits<double>::infinity();
-  std::array<double, 4> xNextByReach{};
-  std::array<std::uint32_t, 4> exclByReach{};
-  std::array<bool, 4> reachValid{};
-  auto cursorsMoved = [&] {
-    advanceTrigger = -std::numeric_limits<double>::infinity();
-    for (std::size_t cat = 0; cat < kernel::VictimIndex::kCategories; ++cat) {
-      const CatCursor& cc = cursors[cat];
-      if (cc.sfCur == 0) continue;
-      advanceTrigger = std::max(
-          advanceTrigger, config_.suspensionFactor *
-                              victimIndex_.category(cat)[cc.sfCur - 1].xfactor);
-    }
-    reachValid.fill(false);
-  };
-  // Reach class: highest width-band rank whose band.min the candidate's
-  // doubled width covers. Identical to testing 2 x width < band.min per
-  // category — a rank-q band is excluded exactly when q > reach.
-  auto reachOf = [&](std::uint32_t width) -> int {
-    if (!config_.halfWidthRule) return 3;
-    const std::uint32_t w2 = 2 * width;
-    if (w2 >= workload::kWideMax + 1) return 3;
-    if (w2 >= workload::kNarrowMax + 1) return 2;
-    if (w2 >= workload::kSequentialMax + 1) return 1;
-    return 0;
-  };
-  auto computeReach = [&](int reach) {
-    double xn = std::numeric_limits<double>::infinity();
-    std::uint32_t excl = 0;
-    for (std::size_t cat = 0; cat < kernel::VictimIndex::kCategories; ++cat) {
-      const CatCursor& cc = cursors[cat];
-      const auto& vec = victimIndex_.category(cat);
-      if (vec.empty()) continue;
-      if (static_cast<int>(workload::widthClassOfCategory(cat)) > reach) {
-        excl += cc.gain;  // band too wide to reach: no gain, no wake-up
-        continue;
-      }
-      if (cc.sfCur < cc.limitEnd && cc.sfCur < vec.size())
-        xn = std::min(xn, vec[cc.sfCur].xfactor);
-    }
-    xNextByReach[reach] = xn;
-    exclByReach[reach] = excl;
-    reachValid[reach] = true;
+    victimSteps_.build(victimIndex_, limits);
+    stepsDirty = false;
   };
 
-  for (const auto& [priority, id] : tickPrefix_) {
-    // Same skip-on-stale semantics as the index walk: jobs this pass
-    // started or resumed no longer match the idle filter.
-    const sim::JobState st = simulator.state(id);
-    if (st != sim::JobState::Queued && st != sim::JobState::Suspended)
-      continue;
-    if (isClaimant(id)) continue;
-    // Candidates walk in descending priority, so once even the weakest
-    // running job fails the SF test no later candidate can preempt
-    // anything: reentry blocks on its first occupant, fresh collects no
-    // victims — the reference merely burns failing victimTests past this
-    // point. minPriority() is live but only the pass's own actions can move
-    // it mid-pass, so it is cached on the same dirty signal as the cursors;
-    // if the index empties mid-pass it returns +infinity and the break
-    // fires, an equally decision-free tail.
-    if (minPrioDirty) {
-      minPrio = victimIndex_.minPriority();
-      minPrioDirty = false;
-    }
-    if (priority < config_.suspensionFactor * minPrio) break;
-    const bool reentry =
-        st == sim::JobState::Suspended && !config_.migratableJobs;
-    const std::uint32_t width = simulator.job(id).procs;
-
+  // One candidate against the current state: true when it can act, with
+  // its occupants (reentry) or victims (fresh) left in the scratch lists.
+  // Until the pass first acts, the verdict and every tally increment depend
+  // only on the pass-start state and the candidate itself.
+  auto evaluate = [&](const kernel::IdleLineIndex::Hit& hit,
+                      bool reentry) -> bool {
+    const double priority = hit.x;
+    const JobId id = hit.id;
+    const std::uint32_t width = hit.procs;
     if (reentry) {
       // Must reclaim the exact saved set: every current occupant of those
       // processors has to be an eligible victim, and none may be mid-drain.
-      const sim::ProcSet needed = simulator.exec(id).procs;
-      if (needed.intersects(claimedSet(simulator))) continue;
+      const sim::ProcSet& needed = simulator.exec(id).procs;
+      if (needed.intersects(claimedSet(simulator))) return false;
       // The reference's Suspending scan, as one aggregate intersection.
-      if (needed.intersects(simulator.drainingSet())) continue;
+      if (needed.intersects(simulator.drainingSet())) return false;
       // Occupants via the owner map: O(width) instead of O(running). The
       // map tracks Running holders only, exactly the reference's scan of
       // runningJobs(); ascending sort gives the canonical suspension order.
@@ -956,25 +768,144 @@ void SelectiveSuspension::preemptionPassIncremental(
       });
       std::sort(occupantsScratch_.begin(), occupantsScratch_.end());
       sim::ProcSet covered = needed & simulator.freeSet();
-      bool blocked = false;
       for (JobId r : occupantsScratch_) {
+        ++tally.victimTests;
         if (!victimEligible(simulator, r, priority, width,
                             /*reentry=*/true)) {
-          blocked = true;
           // If the SF ratio is what failed, this arm cannot go live before
           // the candidate's priority crosses SF x this occupant's (frozen)
           // priority — a sound wake-up bound even when later occupants
           // would fail too. A TSS-limit failure is time-independent; only
           // transitions (stamp) can change it.
           const double xr = simulator.xfactor(r);
-          if (priority < config_.suspensionFactor * xr)
-            noteHorizon(id, priority, config_.suspensionFactor * xr);
-          break;
+          if (priority < sf * xr) noteHorizon(id, priority, hit.est, sf * xr);
+          return false;
         }
         covered |= simulator.exec(r).procs & needed;
       }
-      if (blocked || !(needed - covered).empty()) continue;
-      if (occupantsScratch_.empty()) continue;  // free case: dispatch()
+      if (!(needed - covered).empty()) return false;
+      return !occupantsScratch_.empty();  // free case: dispatch()
+    }
+    refreshFences();
+    if (freeNow >= width) return false;  // dispatch() handles the free case
+
+    // The eligible victims are a prefix of the step function's (frozen
+    // xfactor, id) order: the SF test and any TSS limit both reject
+    // monotone suffixes, and the half-width rule resolves by width class.
+    // The reachable widths in that prefix bound the gain this candidate
+    // could possibly collect, and most candidates die on that bound
+    // without a single per-victim test. xNext is the weakest reachable
+    // victim just beyond the SF cut (and inside any TSS cut): a candidate
+    // that fails for lack of gain cannot go live before its priority
+    // crosses SF x that — the earliest any eligible prefix can grow
+    // without a transition.
+    refreshSteps();
+    const int reach = reachOf(width, config_.halfWidthRule);
+    const kernel::VictimSteps::Cut cut = victimSteps_.cut(priority, sf, reach);
+    if (freeNow + cut.bound < width) {
+      ++tally.boundSkips;
+      if (std::isfinite(cut.xNext))
+        noteHorizon(id, priority, hit.est, sf * cut.xNext);
+      return false;
+    }
+    // Exact collection, ascending by (frozen xfactor, id) — the
+    // reference's runningAsc order — taking the lowest-priority victims
+    // first until free + gain covers the request (pseudocode label
+    // suspend_jobs_1).
+    victimsScratch_.clear();
+    std::uint32_t gain = 0;
+    const auto& steps = victimSteps_.steps();
+    for (std::size_t i = 0; i < cut.end && freeNow + gain < width; ++i) {
+      const kernel::VictimSteps::Step& step = steps[i];
+      if (step.widthClass > reach) continue;
+      const kernel::VictimIndex::Entry& e = step.entry;
+      if (e.serial >= passStamp) continue;  // started mid-pass: invisible
+      ++tally.victimTests;
+      if (config_.halfWidthRule && 2 * width < e.procs) continue;
+      victimsScratch_.push_back(e.job);
+      gain += e.procs;
+    }
+    if (freeNow + gain < width) {
+      // The collection exhausted the eligible prefix (the bound counts
+      // serial-stamped and width-failing entries, so it can pass where the
+      // exact collection falls short); more gain likewise needs an SF
+      // boundary to move.
+      if (std::isfinite(cut.xNext))
+        noteHorizon(id, priority, hit.est, sf * cut.xNext);
+      return false;
+    }
+    return true;
+  };
+  auto isReentry = [&](JobId id) {
+    return simulator.state(id) == sim::JobState::Suspended &&
+           !config_.migratableJobs;
+  };
+  auto finish = [&] {
+    obs::Counters& counters = simulator.counters();
+    counters.add(obs::Counter::VictimTests, tally.victimTests);
+    counters.add(obs::Counter::VictimBoundSkips, tally.boundSkips);
+    counters.add(obs::Counter::FenceScans, tally.fenceScans);
+    if (tally.minId != kInvalidJob)
+      passHorizon_ = kernel::crossingHorizon(simulator, tally.minId,
+                                             tally.minX, tally.minTarget);
+  };
+
+  // Until its first action the pass reads only pass-start state, so which
+  // candidates act, and what the others tally, does not depend on walk
+  // order (no candidate is stale, and the live break below cannot fire:
+  // the gate reported exactly the candidates at or above SF x the minimum
+  // priority). Evaluate in gather order; if nobody can act, that is the
+  // whole pass — no sort.
+  bool acts = false;
+  for (const kernel::IdleLineIndex::Hit& hit : tickPrefix_) {
+    if (isClaimant(hit.id)) continue;
+    if (evaluate(hit, isReentry(hit.id))) {
+      acts = true;
+      break;
+    }
+  }
+  if (!acts) {
+    finish();
+    return;
+  }
+
+  // Some candidate acts: rerun the pass as the ordered walk, from a clean
+  // tally (the fences are recounted; the steps still hold pass-start
+  // state). Ordering the gate's candidates under the Eq. 2 comparator —
+  // xfactor descending, ties by submit then id — reproduces the reference
+  // walk exactly: idle priorities change only on the candidate's own
+  // transitions, and those drop it from the walk anyway.
+  tally = Tally{};
+  fencesDirty = true;
+  std::sort(tickPrefix_.begin(), tickPrefix_.end(),
+            [&simulator](const kernel::IdleLineIndex::Hit& a,
+                         const kernel::IdleLineIndex::Hit& b) {
+              if (a.x != b.x) return a.x > b.x;
+              const Time sa = simulator.job(a.id).submit;
+              const Time sb = simulator.job(b.id).submit;
+              if (sa != sb) return sa < sb;
+              return a.id < b.id;
+            });
+  double minPrio = victimIndex_.minPriority();
+  for (const kernel::IdleLineIndex::Hit& hit : tickPrefix_) {
+    const JobId id = hit.id;
+    // Same skip-on-stale semantics as the reference walk: jobs this pass
+    // started or resumed are no longer idle.
+    const sim::JobState st = simulator.state(id);
+    if (st != sim::JobState::Queued && st != sim::JobState::Suspended)
+      continue;
+    if (isClaimant(id)) continue;
+    // Candidates walk in descending priority, so once even the weakest
+    // running job fails the SF test no later candidate can preempt
+    // anything: reentry blocks on its first occupant, fresh collects no
+    // victims — the reference merely burns failing victimTests past this
+    // point. minPriority() is live but only the pass's own actions move it;
+    // if the index empties mid-pass it returns +infinity and the break
+    // fires, an equally decision-free tail.
+    if (hit.x < sf * minPrio) break;
+    const bool reentry = isReentry(id);
+    if (!evaluate(hit, reentry)) continue;
+    if (reentry) {
       bool anyDraining = false;
       for (JobId r : occupantsScratch_) {
         simulator.counters().inc(obs::Counter::Preemptions);
@@ -986,9 +917,6 @@ void SelectiveSuspension::preemptionPassIncremental(
         if (simulator.state(r) == sim::JobState::Suspending)
           anyDraining = true;
       }
-      fencesDirty = true;
-      cursorsDirty = true;
-      minPrioDirty = true;
       if (anyDraining) {
         claims_.push_back({id, /*exact=*/true});
         claimsDirty_ = true;
@@ -996,107 +924,14 @@ void SelectiveSuspension::preemptionPassIncremental(
         simulator.resumeJob(id);
       }
     } else {
-      refreshFences();
-      if (freeNow >= width) continue;  // dispatch() handles the free case
-
-      // Per-category range cuts: within a category the eligible victims
-      // form a prefix of the (frozen xfactor, id) order — the SF test and
-      // any TSS limit both reject monotone suffixes, and the half-width
-      // rule resolves bandwise. The cuts come from the maintained pass
-      // cursors; in the steady state (no cursor crosses the advance
-      // trigger) the candidate costs one compare plus a cached reach-class
-      // lookup. The summed prefix widths bound the gain this candidate
-      // could possibly collect, and most candidates die on that bound
-      // without a single per-victim test. xNext is the weakest victim just
-      // beyond a binding SF cut (and inside any TSS cut): a candidate that
-      // fails for lack of gain cannot go live before its priority crosses
-      // SF x that — the earliest any eligible prefix can grow without a
-      // transition.
-      if (cursorsDirty) {
-        rebuildCursors(priority);
-        cursorsMoved();
-      } else if (priority < advanceTrigger) {
-        advanceCursors(priority);
-        cursorsMoved();
-      }
-      const int reach = reachOf(width);
-      if (!reachValid[reach]) computeReach(reach);
-      const std::uint32_t bound = boundTotal - exclByReach[reach];
-      const double xNext = xNextByReach[reach];
-      if (freeNow + bound < width) {
-        simulator.counters().inc(obs::Counter::VictimBoundSkips);
-        if (std::isfinite(xNext))
-          noteHorizon(id, priority, config_.suspensionFactor * xNext);
-        continue;
-      }
-
-      // The bound passed (rare at load): materialize the merge heads from
-      // the cursors exactly as the search-based cuts did.
-      struct Head {
-        const kernel::VictimIndex::Entry* cur;
-        const kernel::VictimIndex::Entry* end;
-        bool widthCheck;
-      };
-      std::array<Head, kernel::VictimIndex::kCategories> heads;
-      std::size_t nHeads = 0;
-      for (std::size_t cat = 0; cat < kernel::VictimIndex::kCategories;
-           ++cat) {
-        const CatCursor& cc = cursors[cat];
-        const auto& vec = victimIndex_.category(cat);
-        if (vec.empty()) continue;
-        bool widthCheck = false;
-        if (config_.halfWidthRule) {
-          const WidthBand band = widthBandOfCategory(cat);
-          if (2 * width < band.min) continue;
-          widthCheck = band.unbounded || 2 * width < band.max;
-        }
-        const std::size_t end = std::min(cc.sfCur, cc.limitEnd);
-        if (end == 0) continue;
-        heads[nHeads++] = {vec.data(), vec.data() + end, widthCheck};
-      }
-
-      // Exact collection: merge the eligible prefixes ascending by
-      // (frozen xfactor, id) — the reference's runningAsc order — taking
-      // the lowest-priority victims first until free + gain covers the
-      // request (pseudocode label suspend_jobs_1).
-      victimsScratch_.clear();
-      std::uint32_t gain = 0;
-      while (freeNow + gain < width) {
-        std::size_t best = nHeads;
-        for (std::size_t h = 0; h < nHeads; ++h) {
-          if (heads[h].cur == heads[h].end) continue;
-          if (best == nHeads ||
-              heads[h].cur->xfactor < heads[best].cur->xfactor ||
-              (heads[h].cur->xfactor == heads[best].cur->xfactor &&
-               heads[h].cur->job < heads[best].cur->job))
-            best = h;
-        }
-        if (best == nHeads) break;
-        const kernel::VictimIndex::Entry& e = *heads[best].cur++;
-        if (e.serial >= passStamp) continue;  // started mid-pass: invisible
-        simulator.counters().inc(obs::Counter::VictimTests);
-        if (heads[best].widthCheck && 2 * width < e.procs) continue;
-        victimsScratch_.push_back(e.job);
-        gain += e.procs;
-      }
-      if (freeNow + gain < width) {
-        // The merge exhausted every eligible prefix (bound counts serial-
-        // stamped and width-failing entries, so it can pass where the
-        // exact collection falls short); more gain likewise needs an SF
-        // boundary to move.
-        if (std::isfinite(xNext))
-          noteHorizon(id, priority, config_.suspensionFactor * xNext);
-        continue;
-      }
-      executeFreshPreemption(simulator, id, width, freeNow, victimsScratch_);
-      fencesDirty = true;
-      cursorsDirty = true;
-      minPrioDirty = true;
+      executeFreshPreemption(simulator, id, hit.procs, freeNow,
+                             victimsScratch_);
     }
+    fencesDirty = true;
+    stepsDirty = true;
+    minPrio = victimIndex_.minPriority();
   }
-  if (passMinId != kInvalidJob)
-    passHorizon_ = crossingHorizon(simulator, passMinId, passMinX,
-                                   passMinTarget);
+  finish();
 }
 
 void SelectiveSuspension::onSimulationEnd(sim::Simulator& simulator) {

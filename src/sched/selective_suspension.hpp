@@ -35,6 +35,7 @@
 #include <optional>
 #include <vector>
 
+#include "sched/core/idle_lines.hpp"
 #include "sched/core/idle_order.hpp"
 #include "sched/core/victim_index.hpp"
 #include "sim/policy.hpp"
@@ -95,9 +96,10 @@ struct SsConfig {
   std::optional<double> tssOnlineMultiplier;
   std::size_t tssOnlineMinSamples = 20;
 
-  /// Kernel mode (sched/core). Incremental runs the victim index, the tick
-  /// gate and the fit-filtered idle walks; Rebuild gathers and sorts every
-  /// idle candidate and re-tests every victim, the reference both must match.
+  /// Kernel mode (sched/core). Incremental runs the victim index, the
+  /// idle-line tick gate and the fit-filtered idle walks; Rebuild gathers
+  /// and sorts every idle candidate and re-tests every victim, the reference
+  /// both must match.
   kernel::KernelMode kernelMode = kernel::KernelMode::Incremental;
 };
 
@@ -135,6 +137,10 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
       const sim::Simulator& s, JobId job) const;
 
  private:
+  /// TSS protection limit of an estimate-based category, as
+  /// victimProtectionLimit reports it for a job of that category.
+  [[nodiscard]] std::optional<double> categoryLimit(std::size_t category) const;
+
   /// A preemptor that paid for suspensions whose processors are still
   /// draining (only arises with an overhead model). The claim fences the
   /// capacity it is owed against other starters.
@@ -163,7 +169,8 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   void startFreshPreferring(sim::Simulator& s, JobId id);
 
   /// Victim-protection test: priority ratio, TSS limit, and (for fresh
-  /// preemptors) the half-width rule.
+  /// preemptors) the half-width rule. Callers count the test
+  /// (policy.victimTests).
   [[nodiscard]] bool victimEligible(const sim::Simulator& s, JobId victim,
                                     double preemptorPriority,
                                     std::uint32_t preemptorWidth,
@@ -180,19 +187,19 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   /// Reference shape: sort the whole running set, test every victim per
   /// candidate. The bit-identical baseline the golden suite pins.
   void preemptionPassRebuild(sim::Simulator& simulator);
-  /// Indexed shape: VictimIndex range queries + gain bound + 16-way merge.
-  /// Same decisions as Rebuild (argued inline), a fraction of the work.
+  /// Indexed shape: the gate's reported candidates against VictimSteps'
+  /// gain bound, sorted only when some candidate can act. Same decisions
+  /// as Rebuild (argued inline), a fraction of the work.
   void preemptionPassIncremental(sim::Simulator& simulator);
 
-  /// Tick gate (Incremental only): one sweep over the idle jobs that both
-  /// decides skippability and gathers the pass's working set. Returns true
-  /// when this tick's pass is provably a no-op — every idle candidate's
+  /// Tick gate (Incremental only): one idle-line query that both decides
+  /// skippability and gathers the pass's working set. Returns true when
+  /// this tick's pass is provably a no-op — every idle candidate's
   /// priority is below SF x the weakest running priority, so every SF test
-  /// in the pass would fail. Otherwise tickPrefix_ holds the (priority, id)
-  /// pairs at or above that threshold — exactly the candidates the pass
-  /// can reach before its live break — so the pass needs no further index
-  /// work. Caches the verdict with a transition stamp and an algebraic
-  /// horizon so consecutive quiet ticks skip in O(1).
+  /// in the pass would fail. Otherwise tickPrefix_ holds the candidates at
+  /// or above that threshold — exactly the candidates the pass can reach
+  /// before its live break. Caches the verdict with a transition stamp and
+  /// an algebraic horizon so consecutive quiet ticks skip in O(1).
   [[nodiscard]] bool tickPassSkippable(sim::Simulator& simulator);
 
   /// Suspend `victims` on behalf of preemptor `id` needing `width` procs
@@ -206,6 +213,10 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
 
   SsConfig config_;
   kernel::VictimIndex victimIndex_;
+  kernel::IdleLineIndex idleLines_;
+  /// The pass's victim step function; rebuilt at pass start and after
+  /// each of the pass's actions.
+  kernel::VictimSteps victimSteps_;
   std::vector<Claim> claims_;
   /// Claim-fence caches; claims_ mutations set claimsDirty_.
   mutable sim::ProcSet claimedSetCache_;
@@ -215,11 +226,12 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   /// now < gateSkipUntil_, the last gate verdict (skip) still holds.
   std::uint64_t gateStamp_ = ~std::uint64_t{0};
   Time gateSkipUntil_ = kNoTime;
-  /// Gate-sweep carryover into the pass: idle candidates at or above the
-  /// SF threshold as (priority, id), unsorted until the pass sorts them.
-  std::vector<std::pair<double, JobId>> tickPrefix_;
+  /// Gate carryover into the pass: idle candidates at or above the SF
+  /// threshold, in the index's band order; the pass sorts them only when
+  /// one of them can act.
+  std::vector<kernel::IdleLineIndex::Hit> tickPrefix_;
   /// Earliest time a below-threshold candidate can cross SF x minPriority
-  /// (from the gate sweep) / earliest time any examined candidate's failed
+  /// (from the gate query) / earliest time any examined candidate's failed
   /// arm can go live via an SF-boundary crossing (from a no-op pass). Their
   /// min extends gateSkipUntil_ past passes that ran but did nothing.
   Time sweepHorizon_ = kNoTime;

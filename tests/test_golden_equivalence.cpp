@@ -18,6 +18,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "core/simulation.hpp"
 #include "helpers.hpp"
 #include "sched/overhead.hpp"
@@ -212,21 +213,34 @@ INSTANTIATE_TEST_SUITE_P(
 // Deep idle queues. At preset load the traces above keep only a handful of
 // jobs waiting; offered 1.3x its capacity the machine backs up by well over
 // a hundred. SS and TSS-online's incremental dispatch walks then gather only
-// the waiting jobs that fit the capacity free at walk start, while Rebuild
-// sorts and tests every one of them — this pins the two against each other
-// where the filter drops most of the idle set. IS has a single dispatch
-// path and rides along as the control.
+// the waiting jobs that fit the capacity free at walk start, and their
+// preemption ticks serve the gate from the idle-line index and the pass
+// from the victim step function, while Rebuild sorts and tests every idle
+// job and every victim — this pins the two against each other where the
+// filters drop most of the idle set. TSS at static limits (calibrated from
+// an EASY run, as the experiments do) exercises the step function's TSS
+// cut, and SS at SF 1.5 a non-default suspension factor. IS has a single
+// dispatch path and rides along as the control.
 TEST(GoldenEquivalenceDeepQueue, PreemptivePoliciesMatchRebuild) {
   workload::SyntheticConfig config = workload::sdscConfig(2000, 42);
   config.offeredLoad = 1.3;
+  const workload::Trace trace = generateTrace(config);
   std::vector<std::pair<std::string, core::PolicySpec>> preemptive;
   for (const auto& entry : kernelPolicies())
     if (entry.first == "ss" || entry.first == "tss-online" ||
         entry.first == "is")
       preemptive.push_back(entry);
   ASSERT_EQ(preemptive.size(), 3u);
+  core::PolicySpec spec;
+  spec.kind = core::PolicyKind::SelectiveSuspension;
+  spec.ss.tssLimits = core::bootstrapTssLimits(trace);
+  preemptive.emplace_back("tss", spec);
+  spec = {};
+  spec.kind = core::PolicyKind::SelectiveSuspension;
+  spec.ss.suspensionFactor = 1.5;
+  preemptive.emplace_back("ss:1.5", spec);
   const std::size_t deepest =
-      expectModesAgree(generateTrace(config), preemptive, "sdsc/2000@1.3");
+      expectModesAgree(trace, preemptive, "sdsc/2000@1.3");
   EXPECT_GE(deepest, 150u) << "the trace no longer backs up the queue";
 }
 
