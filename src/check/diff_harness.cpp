@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "check/invariants.hpp"
@@ -13,6 +14,7 @@
 #include "sched/overhead.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
+#include "util/fields.hpp"
 #include "util/rng.hpp"
 #include "workload/estimate_model.hpp"
 #include "workload/synthetic.hpp"
@@ -434,57 +436,65 @@ FuzzCase readRepro(std::istream& is) {
   bool sawHeader = false;
   bool sawPolicy = false;
   std::size_t lineNo = 0;
+  const auto bad = [&](const char* why) {
+    return InputError("repro line " + std::to_string(lineNo) + ": " + why);
+  };
   while (std::getline(is, line)) {
     ++lineNo;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
+    util::FieldCursor fields(line);
+    const std::string_view key = fields.word();
     if (!sawHeader) {
-      int version = 0;
-      if (key != "sps-repro" || !(fields >> version) || version != 1)
-        throw InputError("repro line " + std::to_string(lineNo) +
-                         ": expected header 'sps-repro 1'");
+      if (key != "sps-repro" || fields.integer<int>() != 1)
+        throw bad("expected header 'sps-repro 1'");
       sawHeader = true;
       continue;
     }
     if (key == "policy") {
-      if (!(fields >> c.policyToken))
-        throw InputError("repro line " + std::to_string(lineNo) +
-                         ": policy token missing");
+      const std::string_view token = fields.word();
+      if (token.empty()) throw bad("policy token missing");
+      c.policyToken = token;
       sawPolicy = true;
     } else if (key == "overhead") {
-      int flag = 0;
-      if (!(fields >> flag) || (flag != 0 && flag != 1))
-        throw InputError("repro line " + std::to_string(lineNo) +
-                         ": overhead must be 0 or 1");
-      c.overhead = flag == 1;
+      const auto flag = fields.integer<int>();
+      if (!flag || (*flag != 0 && *flag != 1))
+        throw bad("overhead must be 0 or 1");
+      c.overhead = *flag == 1;
     } else if (key == "machine") {
-      if (!(fields >> c.trace.machineProcs) || c.trace.machineProcs == 0)
-        throw InputError("repro line " + std::to_string(lineNo) +
-                         ": bad machine size");
+      const auto procs = fields.integer<std::uint32_t>();
+      if (!procs || *procs == 0) throw bad("bad machine size");
+      c.trace.machineProcs = *procs;
     } else if (key == "shards") {
-      if (!(fields >> c.fedShards) || c.fedShards == 0)
-        throw InputError("repro line " + std::to_string(lineNo) +
-                         ": shards must be >= 1");
+      const auto shards = fields.integer<std::uint32_t>();
+      if (!shards || *shards == 0) throw bad("shards must be >= 1");
+      c.fedShards = *shards;
     } else if (key == "router") {
-      if (!(fields >> c.fedRouter))
-        throw InputError("repro line " + std::to_string(lineNo) +
-                         ": router token missing");
+      const std::string_view token = fields.word();
+      if (token.empty()) throw bad("router token missing");
+      c.fedRouter = token;
     } else if (key == "delay") {
-      if (!(fields >> c.fedDelay) || c.fedDelay < 0)
-        throw InputError("repro line " + std::to_string(lineNo) +
-                         ": delay must be non-negative");
+      const auto delay = fields.integer<Time>();
+      if (!delay || *delay < 0) throw bad("delay must be non-negative");
+      c.fedDelay = *delay;
     } else if (key == "job") {
+      const auto submit = fields.integer<Time>();
+      const auto runtime = fields.integer<Time>();
+      const auto estimate = fields.integer<Time>();
+      const auto procs = fields.integer<std::uint32_t>();
+      const auto memoryMb = fields.integer<std::uint32_t>();
+      if (!submit || !runtime || !estimate || !procs || !memoryMb ||
+          !fields.atEnd())
+        throw bad("bad job record");
       workload::Job j;
-      if (!(fields >> j.submit >> j.runtime >> j.estimate >> j.procs >>
-            j.memoryMb))
-        throw InputError("repro line " + std::to_string(lineNo) +
-                         ": bad job record");
+      j.submit = *submit;
+      j.runtime = *runtime;
+      j.estimate = *estimate;
+      j.procs = *procs;
+      j.memoryMb = *memoryMb;
       c.trace.jobs.push_back(j);
     } else {
       throw InputError("repro line " + std::to_string(lineNo) +
-                       ": unknown directive '" + key + "'");
+                       ": unknown directive '" + std::string(key) + "'");
     }
   }
   if (!sawHeader) throw InputError("repro: missing 'sps-repro 1' header");

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/fields.hpp"
 
 namespace sps::core {
 
@@ -17,14 +18,18 @@ namespace {
 
 /// Reply helpers: every command answers exactly one `ok ...` or
 /// `err <verb>: ...` line.
-std::string err(const char* verb, const std::string& why) {
-  return std::string("err ") + verb + ": " + why;
+std::string err(const char* verb, std::string_view why) {
+  std::string reply = "err ";
+  reply += verb;
+  reply += ": ";
+  reply += why;
+  return reply;
 }
 
 /// Times that may legitimately be "not yet" (kNoTime) print as '-'.
-void putTime(std::ostream& os, Time t) {
-  if (t == kNoTime) os << '-';
-  else os << t;
+void appendTime(std::string& out, Time t) {
+  if (t == kNoTime) out += '-';
+  else util::appendInt(out, t);
 }
 
 }  // namespace
@@ -34,24 +39,35 @@ SchedulerService::SchedulerService(ServiceConfig config)
                config.options) {}
 
 std::string SchedulerService::processLine(std::string_view line) {
-  std::istringstream in{std::string(line)};
-  std::string verb;
-  if (!(in >> verb) || verb[0] == '#') return "";  // blank / comment
-  if (verb == "submit") return doSubmit(in);
-  if (verb == "cancel") return doCancel(in);
-  if (verb == "query") return doQuery(in);
-  if (verb == "stats") return doStats();
-  if (verb == "drain") return doDrain();
-  return err("parse", "unknown verb '" + verb + "'");
+  util::FieldCursor args(line);
+  const std::string_view verb = args.word();
+  if (verb.empty() || verb[0] == '#') return "";  // blank / comment
+  if (verb == "submit") return doSubmit(args);
+  if (verb == "cancel") return doCancel(args);
+  if (verb == "query") return doQuery(args);
+  if (verb == "stats") return doStats(args);
+  if (verb == "drain") return doDrain(args);
+  return err("parse", "unknown verb '" + std::string(verb) + "'");
 }
 
-std::string SchedulerService::doSubmit(std::istream& args) {
+std::string SchedulerService::doSubmit(util::FieldCursor& args) {
   if (drained()) return err("submit", "run already drained");
-  workload::Job job;
-  if (!(args >> job.submit >> job.procs >> job.runtime >> job.estimate))
+  const auto submit = args.integer<Time>();
+  const auto procs = args.integer<std::uint32_t>();
+  const auto runtime = args.integer<Time>();
+  const auto estimate = args.integer<Time>();
+  std::optional<std::uint32_t> memoryMb = 0;  // optional field
+  if (!args.atEnd()) memoryMb = args.integer<std::uint32_t>();
+  if (!submit || !procs || !runtime || !estimate || !memoryMb ||
+      !args.atEnd())
     return err("submit",
                "expected: submit <time> <procs> <runtime> <estimate> [memMb]");
-  if (!(args >> job.memoryMb)) job.memoryMb = 0;  // optional field
+  workload::Job job;
+  job.submit = *submit;
+  job.procs = *procs;
+  job.runtime = *runtime;
+  job.estimate = *estimate;
+  job.memoryMb = *memoryMb;
   try {
     // Bounded lookahead: the submit line extends the known-input horizon to
     // job.submit, so the simulator may now advance to the instant before it
@@ -63,51 +79,69 @@ std::string SchedulerService::doSubmit(std::istream& args) {
       harness_.simulator().runUntil(job.submit - 1);
     const JobId id = harness_.simulator().submit(job);
     ++submissions_;
-    return "ok " + std::to_string(id);
+    std::string reply = "ok ";
+    util::appendInt(reply, id);
+    return reply;
   } catch (const InputError& e) {
     return err("submit", e.what());
   }
 }
 
-std::string SchedulerService::doCancel(std::istream& args) {
+std::string SchedulerService::doCancel(util::FieldCursor& args) {
   if (drained()) return err("cancel", "run already drained");
-  JobId id = kInvalidJob;
-  if (!(args >> id)) return err("cancel", "expected: cancel <id>");
-  if (id >= harness_.simulator().trace().jobs.size())
-    return err("cancel", "no such job " + std::to_string(id));
-  if (!harness_.simulator().cancelJob(id))
+  const auto id = args.integer<JobId>();
+  if (!id || !args.atEnd()) return err("cancel", "expected: cancel <id>");
+  if (*id >= harness_.simulator().trace().jobs.size())
+    return err("cancel", "no such job " + std::to_string(*id));
+  if (!harness_.simulator().cancelJob(*id))
     return err("cancel",
-               "job " + std::to_string(id) + " not cancellable (state " +
-                   sim::jobStateName(harness_.simulator().state(id)) + ")");
-  return "ok cancelled " + std::to_string(id);
+               "job " + std::to_string(*id) + " not cancellable (state " +
+                   sim::jobStateName(harness_.simulator().state(*id)) + ")");
+  std::string reply = "ok cancelled ";
+  util::appendInt(reply, *id);
+  return reply;
 }
 
-std::string SchedulerService::doQuery(std::istream& args) {
-  JobId id = kInvalidJob;
-  if (!(args >> id)) return err("query", "expected: query <id>");
+std::string SchedulerService::doQuery(util::FieldCursor& args) {
+  const auto id = args.integer<JobId>();
+  if (!id || !args.atEnd()) return err("query", "expected: query <id>");
   const sim::Simulator& s = harness_.simulator();
-  if (id >= s.trace().jobs.size())
-    return err("query", "no such job " + std::to_string(id));
-  std::ostringstream os;
-  os << "ok job " << id << " state " << sim::jobStateName(s.state(id))
-     << " submit " << s.job(id).submit << " start ";
-  putTime(os, s.exec(id).firstStart);
-  os << " finish ";
-  putTime(os, s.exec(id).finish);
-  return os.str();
+  if (*id >= s.trace().jobs.size())
+    return err("query", "no such job " + std::to_string(*id));
+  std::string reply = "ok job ";
+  util::appendInt(reply, *id);
+  reply += " state ";
+  reply += sim::jobStateName(s.state(*id));
+  reply += " submit ";
+  util::appendInt(reply, s.job(*id).submit);
+  reply += " start ";
+  appendTime(reply, s.exec(*id).firstStart);
+  reply += " finish ";
+  appendTime(reply, s.exec(*id).finish);
+  return reply;
 }
 
-std::string SchedulerService::doStats() {
+std::string SchedulerService::doStats(util::FieldCursor& args) {
+  if (!args.atEnd()) return err("stats", "expected: stats");
   const sim::Simulator& s = harness_.simulator();
-  std::ostringstream os;
-  os << "ok now " << s.now() << " events " << s.eventsProcessed()
-     << " submitted " << submissions_ << " unfinished " << s.unfinishedJobs()
-     << " free " << s.freeCount();
-  return os.str();
+  std::string reply = "ok now ";
+  util::appendInt(reply, s.now());
+  reply += " events ";
+  util::appendInt(reply, s.eventsProcessed());
+  reply += " submitted ";
+  util::appendInt(reply, submissions_);
+  reply += " unfinished ";
+  util::appendInt(reply, s.unfinishedJobs());
+  reply += " free ";
+  util::appendInt(reply, s.freeCount());
+  return reply;
 }
 
-std::string SchedulerService::doDrain() {
+std::string SchedulerService::doDrain(util::FieldCursor& args) {
   if (drained()) return err("drain", "run already drained");
+  if (!args.atEnd()) return err("drain", "expected: drain");
+  // Once per run, so it keeps ostream's default formatting of `util` (a
+  // shortest-form to_chars double would print different text).
   const metrics::RunStats stats = finish();
   std::ostringstream os;
   os << "ok drained jobs " << stats.jobs.size() << " events "

@@ -10,10 +10,18 @@
 //   stats                                                -> ok now <t> ...
 //   drain                                                -> ok drained ...
 //
-// Any failure answers `err <verb>: <reason>` on the same line boundary;
-// blank lines and `#` comments are ignored and produce no reply. One reply
-// line per command line, in command order — the protocol is sequential by
-// construction, so replies never interleave.
+// Fields are separated by runs of whitespace (space, \t, \v, \f, \r).
+// Every numeric field is one whole decimal token: `10junk`, an empty sign
+// and a value outside the field's type are malformed. Only the time fields
+// (<time>, <runtime>, <estimate>) take a sign, '+' or '-'; <procs>, [memMb]
+// and <id> take none. A token left after a verb's fields is malformed too,
+// so a `#` comment must start its own line.
+//
+// Any failure answers `err <verb>: <reason>` on the same line boundary; a
+// malformed line answers `err <verb>: expected: <grammar>` and changes no
+// state. Blank lines and `#` comments are ignored and produce no reply. One
+// reply line per command line, in command order — the protocol is
+// sequential by construction, so replies never interleave.
 //
 // Bounded lookahead: the simulator only ever advances to the instant just
 // before the newest externally known submit time (`runUntil(t - 1)`), then
@@ -36,6 +44,10 @@
 #include <string_view>
 
 #include "core/simulation.hpp"
+
+namespace sps::util {
+class FieldCursor;
+}
 
 namespace sps::core {
 
@@ -85,11 +97,11 @@ class SchedulerService {
   [[nodiscard]] sim::Simulator& simulator() { return harness_.simulator(); }
 
  private:
-  std::string doSubmit(std::istream& args);
-  std::string doCancel(std::istream& args);
-  std::string doQuery(std::istream& args);
-  std::string doStats();
-  std::string doDrain();
+  std::string doSubmit(util::FieldCursor& args);
+  std::string doCancel(util::FieldCursor& args);
+  std::string doQuery(util::FieldCursor& args);
+  std::string doStats(util::FieldCursor& args);
+  std::string doDrain(util::FieldCursor& args);
 
   SimulationHarness harness_;
   std::uint64_t submissions_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -105,27 +104,24 @@ Simulator::Simulator(std::string traceName, std::uint32_t machineProcs,
 JobId Simulator::submit(workload::Job job) {
   SPS_CHECK_MSG(!finalized_, "submit() after drain()");
   job.id = static_cast<JobId>(trace_.jobs.size());
-  {
-    std::ostringstream ctx;
-    ctx << "submit to '" << trace_.name << "' (job " << job.id << "): ";
-    if (job.runtime <= 0)
-      throw InputError(ctx.str() + "runtime must be positive");
-    if (job.estimate < job.runtime)
-      throw InputError(ctx.str() + "estimate below runtime (jobs are killed "
-                                   "at their wall-clock limit; clamp first)");
-    if (job.procs == 0) throw InputError(ctx.str() + "procs must be >= 1");
-    if (job.procs > trace_.machineProcs)
-      throw InputError(ctx.str() + "procs exceed machine size");
-    if (job.submit < lastSubmit_ && !trace_.jobs.empty())
-      throw InputError(ctx.str() + "out-of-order submit time " +
-                       std::to_string(job.submit) + " (stream is at " +
-                       std::to_string(lastSubmit_) + ")");
-    if (job.submit < now_)
-      throw InputError(ctx.str() + "submit time " +
-                       std::to_string(job.submit) +
-                       " in the simulated past (clock is at " +
-                       std::to_string(now_) + ")");
-  }
+  // The context prefix is formatted only once a check has failed.
+  const auto reject = [&](const std::string& why) {
+    throw InputError("submit to '" + trace_.name + "' (job " +
+                     std::to_string(job.id) + "): " + why);
+  };
+  if (job.runtime <= 0) reject("runtime must be positive");
+  if (job.estimate < job.runtime)
+    reject("estimate below runtime (jobs are killed at their wall-clock "
+           "limit; clamp first)");
+  if (job.procs == 0) reject("procs must be >= 1");
+  if (job.procs > trace_.machineProcs) reject("procs exceed machine size");
+  if (job.submit < lastSubmit_ && !trace_.jobs.empty())
+    reject("out-of-order submit time " + std::to_string(job.submit) +
+           " (stream is at " + std::to_string(lastSubmit_) + ")");
+  if (job.submit < now_)
+    reject("submit time " + std::to_string(job.submit) +
+           " in the simulated past (clock is at " + std::to_string(now_) +
+           ")");
   if (trace_.jobs.empty()) firstSubmit_ = job.submit;
   if (job.submit > lastSubmit_) {
     // The steady-state utilization window [firstSubmit, lastSubmit] just

@@ -1,7 +1,8 @@
 #include "workload/job.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <limits>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -13,22 +14,20 @@ void validateTrace(const Trace& trace) {
   Time prevSubmit = std::numeric_limits<Time>::min();
   for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
     const Job& j = trace.jobs[i];
-    std::ostringstream ctx;
-    ctx << "trace '" << trace.name << "' job index " << i << " (id " << j.id
-        << "): ";
-    if (j.id != static_cast<JobId>(i))
-      throw InputError(ctx.str() + "ids must be dense 0..n-1");
-    if (j.submit < prevSubmit)
-      throw InputError(ctx.str() + "jobs must be sorted by submit time");
-    if (j.runtime <= 0)
-      throw InputError(ctx.str() + "runtime must be positive");
+    // The context prefix is formatted only once a check has failed.
+    const auto reject = [&](const char* why) {
+      throw InputError("trace '" + trace.name + "' job index " +
+                       std::to_string(i) + " (id " + std::to_string(j.id) +
+                       "): " + why);
+    };
+    if (j.id != static_cast<JobId>(i)) reject("ids must be dense 0..n-1");
+    if (j.submit < prevSubmit) reject("jobs must be sorted by submit time");
+    if (j.runtime <= 0) reject("runtime must be positive");
     if (j.estimate < j.runtime)
-      throw InputError(ctx.str() + "estimate below runtime (jobs are killed "
-                                   "at their wall-clock limit; clamp first)");
-    if (j.procs == 0)
-      throw InputError(ctx.str() + "procs must be >= 1");
-    if (j.procs > trace.machineProcs)
-      throw InputError(ctx.str() + "procs exceed machine size");
+      reject("estimate below runtime (jobs are killed at their wall-clock "
+             "limit; clamp first)");
+    if (j.procs == 0) reject("procs must be >= 1");
+    if (j.procs > trace.machineProcs) reject("procs exceed machine size");
     prevSubmit = j.submit;
   }
 }

@@ -12,11 +12,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/diff_harness.hpp"
 #include "fed/fed_diff.hpp"
+#include "util/check.hpp"
 
 namespace sps {
 namespace {
@@ -90,6 +92,32 @@ TEST(FuzzCorpus, ReproFormatRoundTrips) {
       EXPECT_EQ(first.trace.jobs[i].procs, second.trace.jobs[i].procs);
     }
   }
+}
+
+// Job records whose unsigned fields `istream >>` would wrap (procs
+// -4294967295 reads as 1, memoryMb -1 as 2^32-1) or half-parse are refused
+// with the usual message rather than replayed.
+TEST(FuzzCorpus, ReproRejectsWrappedOrJunkJobFields) {
+  const std::string head =
+      "sps-repro 1\npolicy ss:2\noverhead 0\nmachine 4\n";
+  for (const char* job :
+       {"job 0 10 10 1 -1", "job 5 10 10 -4294967295 0", "job 0 10 10 +1 0",
+        "job 0 10 10 1 0junk", "job 0 10 10 1 4294967296",
+        "job 0 10 10 1 0 7", "job 0 10 10 1"}) {
+    SCOPED_TRACE(job);
+    std::istringstream is(head + "job 0 10 10 1 0\n" + job + "\n");
+    try {
+      (void)check::readRepro(is);
+      ADD_FAILURE() << "accepted";
+    } catch (const InputError& e) {
+      EXPECT_STREQ(e.what(), "repro line 6: bad job record");
+    }
+  }
+  std::istringstream wrappedMachine(
+      "sps-repro 1\npolicy ss:2\nmachine -4294967295\njob 0 10 10 1 0\n");
+  EXPECT_THROW((void)check::readRepro(wrappedMachine), InputError);
+  std::istringstream wellFormed(head + "job\t+0 10 +10 1 0\r\n");
+  EXPECT_EQ(check::readRepro(wellFormed).trace.jobs.size(), 1u);
 }
 
 }  // namespace

@@ -134,13 +134,39 @@ TEST(Ingest, OutOfOrderSubmitRejectedWithoutStateChange) {
   EXPECT_EQ(s.unfinishedJobs(), 0u);
 }
 
+// The rejection messages are pinned byte for byte: the service forwards
+// them as `err submit: <message>`.
 TEST(Ingest, SubmitValidatesJobShape) {
   sched::FcfsScheduler policy;
   sim::Simulator s("shape", 4, policy, {});
-  EXPECT_THROW(s.submit(job(0, 0, 1)), InputError);       // runtime <= 0
-  EXPECT_THROW(s.submit(job(0, 10, 0)), InputError);      // procs == 0
-  EXPECT_THROW(s.submit(job(0, 10, 5)), InputError);      // procs > machine
-  EXPECT_THROW(s.submit(job(0, 10, 1, 5)), InputError);   // estimate < runtime
+  const auto messageOf = [&](const workload::Job& j) -> std::string {
+    try {
+      s.submit(j);
+    } catch (const InputError& e) {
+      return e.what();
+    }
+    return "(accepted)";
+  };
+  EXPECT_EQ(messageOf(job(0, 0, 1)),
+            "submit to 'shape' (job 0): runtime must be positive");
+  EXPECT_EQ(messageOf(job(0, 10, 1, 5)),
+            "submit to 'shape' (job 0): estimate below runtime (jobs are "
+            "killed at their wall-clock limit; clamp first)");
+  EXPECT_EQ(messageOf(job(0, 10, 0)),
+            "submit to 'shape' (job 0): procs must be >= 1");
+  EXPECT_EQ(messageOf(job(0, 10, 5)),
+            "submit to 'shape' (job 0): procs exceed machine size");
+  EXPECT_EQ(messageOf(job(100, 100, 1)), "(accepted)");
+  EXPECT_EQ(messageOf(job(50, 10, 1)),
+            "submit to 'shape' (job 1): out-of-order submit time 50 (stream "
+            "is at 100)");
+  s.runUntil(250);
+  EXPECT_EQ(messageOf(job(-7, 10, 1)),
+            "submit to 'shape' (job 1): out-of-order submit time -7 (stream "
+            "is at 100)");
+  EXPECT_EQ(messageOf(job(150, 10, 1)),
+            "submit to 'shape' (job 1): submit time 150 in the simulated past "
+            "(clock is at 200)");
 }
 
 TEST(Ingest, CancelQueuedJobReleasesItBeforeStart) {
@@ -311,6 +337,105 @@ TEST(SchedulerService, ErrorRepliesNeverThrow) {
                 .rfind("err submit: run already drained", 0),
             0u);
   EXPECT_EQ(service.processLine("drain").rfind("err drain:", 0), 0u);
+}
+
+// Reply text where integer formatting could drift: '-' for a kNoTime start
+// or finish, 64-bit submit times near 2^62, and stats after a cancel.
+TEST(SchedulerService, ReplyTextIsPinned) {
+  core::SchedulerService service(easyService(4));
+  EXPECT_EQ(service.processLine("submit 0 1 100 100"), "ok 0");
+  EXPECT_EQ(service.processLine("submit 10 2 50 60"), "ok 1");
+  EXPECT_EQ(service.processLine("submit 20 4 100 100"), "ok 2");
+  EXPECT_EQ(service.processLine("stats"),
+            "ok now 10 events 2 submitted 3 unfinished 3 free 1");
+  EXPECT_EQ(service.processLine("cancel 2"), "ok cancelled 2");
+  EXPECT_EQ(service.processLine("stats"),
+            "ok now 10 events 2 submitted 3 unfinished 2 free 1");
+  EXPECT_EQ(service.processLine("query 0"),
+            "ok job 0 state Running submit 0 start 0 finish -");
+  EXPECT_EQ(service.processLine("query 2"),
+            "ok job 2 state Cancelled submit 20 start - finish -");
+  EXPECT_EQ(service.processLine("submit 4611686018427387904 1 10 10"),
+            "ok 3");
+  EXPECT_EQ(service.processLine("query 3"),
+            "ok job 3 state NotArrived submit 4611686018427387904 start - "
+            "finish -");
+  EXPECT_EQ(service.processLine("stats"),
+            "ok now 100 events 5 submitted 4 unfinished 1 free 4");
+  EXPECT_EQ(service.processLine("query 0"),
+            "ok job 0 state Finished submit 0 start 0 finish 100");
+  EXPECT_EQ(service.processLine("submit 4611686018427387904 1 10 10"),
+            "ok 4");
+  EXPECT_EQ(service.processLine("stats"),
+            "ok now 100 events 5 submitted 5 unfinished 2 free 4");
+}
+
+// Lines that `istream >>` would wrap or half-parse: each gets the malformed
+// reply and leaves the run exactly as it was.
+TEST(SchedulerService, HostileLinesAreRejectedWithoutStateChange) {
+  const std::string submitGrammar =
+      "err submit: expected: submit <time> <procs> <runtime> <estimate> "
+      "[memMb]";
+  const std::string cancelGrammar = "err cancel: expected: cancel <id>";
+  const std::string queryGrammar = "err query: expected: query <id>";
+  struct Case {
+    const char* line;
+    std::string reply;
+  };
+  const std::vector<Case> cases = {
+      {"cancel -4294967295", cancelGrammar},  // wrapped to id 1
+      {"submit 30 1 10 10 -1", submitGrammar},  // memMb wrapped to 2^32-1
+      {"submit 20 -5 10 10", submitGrammar},  // procs wrapped
+      {"submit 60 1 10 10junk", submitGrammar},
+      {"submit 60 1 10junk 10", submitGrammar},
+      {"cancel 4294967296", cancelGrammar},
+      {"query 4294967296", queryGrammar},
+      {"submit 4294967296 1 10 10 4294967296", submitGrammar},
+      {"submit 60 4294967296 10 10", submitGrammar},
+      {"submit 9223372036854775808 1 10 10", submitGrammar},
+      {"submit 60 1 10 -9223372036854775809", submitGrammar},
+      {"cancel -", cancelGrammar},
+      {"cancel +", cancelGrammar},
+      {"submit - 1 10 10", submitGrammar},
+      {"submit + 1 10 10", submitGrammar},
+      {"submit +-60 1 10 10", submitGrammar},
+      {"submit 60 +1 10 10", submitGrammar},  // no sign on procs
+      {"submit 60 1 10 10 +0", submitGrammar},  // ... on memMb
+      {"cancel +1", cancelGrammar},            // ... or on ids
+      {"query -0", queryGrammar},
+      {"cancel 1 1", cancelGrammar},  // trailing tokens
+      {"query 0 x", queryGrammar},
+      {"submit 60 1 10 10 0 0", submitGrammar},
+      {"submit 60 1 10 10 # note", submitGrammar},
+      {"submit 60 1 10", submitGrammar},
+      {"stats now", "err stats: expected: stats"},
+      {"drain now", "err drain: expected: drain"},
+      {"cancel\t-1\r", cancelGrammar},
+  };
+
+  core::SchedulerService service(easyService(4));
+  ASSERT_EQ(service.processLine("submit 0 1 100 100"), "ok 0");
+  ASSERT_EQ(service.processLine("submit 10 1 100 100"), "ok 1");
+  const std::string before = service.processLine("stats");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.line);
+    EXPECT_EQ(service.processLine(c.line), c.reply);
+    EXPECT_EQ(service.processLine("stats"), before);
+  }
+  EXPECT_FALSE(service.drained());
+  EXPECT_EQ(service.processLine("query 1"),
+            "ok job 1 state NotArrived submit 10 start - finish -");
+
+  // Every classic-locale whitespace character separates fields, and the
+  // time fields take an explicit '+'.
+  EXPECT_EQ(service.processLine("submit\t20\t1\t100\t100"), "ok 2");
+  EXPECT_EQ(service.processLine("submit 30\v1\f100\r100\r"), "ok 3");
+  EXPECT_EQ(service.processLine(" \tsubmit +40 1 +100 +100 0 \r"), "ok 4");
+  EXPECT_EQ(service.processLine("query\v4\f"),
+            "ok job 4 state NotArrived submit 40 start - finish -");
+  EXPECT_EQ(service.processLine("\tstats\r"),
+            "ok now 30 events 4 submitted 5 unfinished 5 free 0");
+  EXPECT_EQ(service.processLine("cancel\f4\r"), "ok cancelled 4");
 }
 
 TEST(SchedulerService, ServeDrivesThreadedReaderToSameResultAsBatch) {

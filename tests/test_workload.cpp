@@ -59,6 +59,40 @@ TEST(Trace, ValidateRejectsTooWideJob) {
   EXPECT_THROW(validateTrace(t), InputError);
 }
 
+// The messages are part of the contract (CLI and fuzz replay print them);
+// the context prefix is built only on this path, so pin it byte for byte.
+TEST(Trace, ValidateMessagesCarryJobContext) {
+  const auto messageOf = [](const Trace& t) -> std::string {
+    try {
+      validateTrace(t);
+    } catch (const InputError& e) {
+      return e.what();
+    }
+    return "(accepted)";
+  };
+  const std::string prefix = "trace 'test' job index 1 (id ";
+  Trace t = makeTrace(4, {{0, 10, 2}, {5, 20, 4}});
+  t.jobs[1].id = 7;
+  EXPECT_EQ(messageOf(t), prefix + "7): ids must be dense 0..n-1");
+  t = makeTrace(4, {{0, 10, 2}, {5, 20, 4}});
+  t.jobs[0].submit = 9;
+  EXPECT_EQ(messageOf(t), prefix + "1): jobs must be sorted by submit time");
+  t.jobs[0].submit = 0;
+  t.jobs[1].runtime = 0;
+  EXPECT_EQ(messageOf(t), prefix + "1): runtime must be positive");
+  t.jobs[1].runtime = 30;
+  EXPECT_EQ(messageOf(t), prefix + "1): estimate below runtime (jobs are "
+                                   "killed at their wall-clock limit; clamp "
+                                   "first)");
+  t.jobs[1].estimate = 30;
+  t.jobs[1].procs = 0;
+  EXPECT_EQ(messageOf(t), prefix + "1): procs must be >= 1");
+  t.jobs[1].procs = 5;
+  EXPECT_EQ(messageOf(t), prefix + "1): procs exceed machine size");
+  t.jobs[1].procs = 4;
+  EXPECT_EQ(messageOf(t), "(accepted)");
+}
+
 TEST(Trace, TotalWorkSums) {
   const Trace t = makeTrace(16, {{0, 10, 2}, {5, 20, 4}});
   EXPECT_DOUBLE_EQ(totalWork(t), 10.0 * 2 + 20.0 * 4);
