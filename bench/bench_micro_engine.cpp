@@ -19,8 +19,6 @@
 #include "check/check_config.hpp"
 #include "core/scheduler_service.hpp"
 #include "core/simulation.hpp"
-#include "fed/federation.hpp"
-#include "fed/router.hpp"
 #include "metrics/json.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
@@ -332,80 +330,6 @@ void runKernelSweep() {
     w.endObject();
     std::cout << "  service-ingest: " << lane.eventsPerSec << " ev/s ("
               << trace.jobs.size() << " protocol submissions, easy)\n";
-  }
-  // Fleet lane: the federated simulator at 10M jobs (scaled by
-  // SPS_BENCH_JOBS like every other lane: jobs x 1250, so the default 8000
-  // sweep prices the acceptance-scale run). Two configurations over the
-  // SAME fleet workload: 4 clusters x 128 procs under conservative epochs,
-  // and the monolithic control — one 4x-wide machine swallowing the whole
-  // stream. Equal work, equal total capacity. The shard pool is sized to
-  // the host's cores, so fleetSpeedup (wall/wall) mixes partitioning's
-  // algorithmic win (shorter per-shard queues, narrower ProcSets, smaller
-  // backfill scans) with thread parallelism. Single repeat: the lanes are
-  // long and deterministic.
-  {
-    const std::size_t fleetJobs = jobs * 1250;
-    constexpr std::uint32_t kClusters = 4;
-    auto clusterCfg = workload::sdscConfig(fleetJobs, 42);
-    clusterCfg.offeredLoad = 0.95;
-    const auto fleetTrace = workload::generateFleetTrace(clusterCfg, kClusters);
-
-    core::PolicySpec fleetSpec;
-    fleetSpec.kind = core::PolicyKind::Easy;
-    fleetSpec = sched::withKernelMode(fleetSpec, KernelMode::Incremental);
-
-    Lane fedLane;
-    std::uint64_t epochs = 0;
-    {
-      fed::StaticHashRouter router;
-      fed::FederationConfig cfg;
-      cfg.shards = kClusters;
-      fed::Federation federation(fleetTrace, fleetSpec, router, cfg);
-      const auto t0 = std::chrono::steady_clock::now();
-      const fed::FleetStats fleet = federation.run();
-      fedLane.wallSeconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      fedLane.events = fleet.eventsProcessed();
-      fedLane.eventsPerSec =
-          static_cast<double>(fedLane.events) / fedLane.wallSeconds;
-      epochs = fleet.epochs;
-    }
-
-    workload::Trace mono = fleetTrace;
-    mono.machineProcs = fleetTrace.machineProcs * kClusters;
-    mono.name += "/mono";
-    const Lane single = timeLane(mono, fleetSpec, 1);
-    const double fleetSpeedup = single.wallSeconds / fedLane.wallSeconds;
-
-    w.beginObject();
-    w.field("policy", "fleet@4x128");
-    w.field("lane", "fleet");
-    w.field("jobs", static_cast<std::uint64_t>(fleetTrace.jobs.size()));
-    w.field("shards", static_cast<std::uint64_t>(kClusters));
-    w.field("epochs", epochs);
-    w.key("incremental").beginObject();
-    w.field("wallSeconds", fedLane.wallSeconds);
-    w.field("eventsPerSec", fedLane.eventsPerSec);
-    w.field("events", fedLane.events);
-    w.endObject();
-    w.field("fleetSpeedup", fleetSpeedup);
-    w.endObject();
-    w.beginObject();
-    w.field("policy", "fleet@1x512");
-    w.field("lane", "fleet");
-    w.field("jobs", static_cast<std::uint64_t>(mono.jobs.size()));
-    w.key("incremental").beginObject();
-    w.field("wallSeconds", single.wallSeconds);
-    w.field("eventsPerSec", single.eventsPerSec);
-    w.field("events", single.events);
-    w.endObject();
-    w.endObject();
-    std::cout << "  fleet@4x128: " << fedLane.eventsPerSec << " ev/s in "
-              << fedLane.wallSeconds << "s (" << epochs
-              << " epochs); fleet@1x512 control " << single.eventsPerSec
-              << " ev/s in " << single.wallSeconds << "s — partition speedup "
-              << fleetSpeedup << "x\n";
   }
   w.endArray();
   w.endObject();

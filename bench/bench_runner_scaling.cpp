@@ -34,7 +34,7 @@ std::size_t benchJobs10k() {
 struct Lane {
   std::size_t threads;
   double seconds = 0.0;
-  std::vector<core::LoadPoint> points;
+  std::vector<core::LoadPoint> points{};
 };
 
 double timedSweep(Lane& lane, const workload::Trace& trace,

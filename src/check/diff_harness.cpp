@@ -372,21 +372,12 @@ DiffOutcome DiffHarness::diff(const FuzzCase& c) const {
 }
 
 FuzzCase DiffHarness::shrink(const FuzzCase& c, std::size_t maxRuns) const {
-  return shrinkWith(
-      c, [this](const FuzzCase& candidate) { return !diff(candidate).ok(); },
-      maxRuns);
-}
-
-FuzzCase DiffHarness::shrinkWith(
-    const FuzzCase& c,
-    const std::function<bool(const FuzzCase&)>& stillFails,
-    std::size_t maxRuns) {
   FuzzCase best = c;
   std::size_t runs = 0;
   bool improved = true;
   // Delta-debugging lite: try dropping ever-smaller chunks; accept any
   // removal that keeps the case failing, restart from large chunks after
-  // progress. Bounded by maxRuns oracle evaluations.
+  // progress. Bounded by maxRuns diff evaluations.
   while (improved && best.trace.jobs.size() > 1 && runs < maxRuns) {
     improved = false;
     for (std::size_t chunk = best.trace.jobs.size() / 2;
@@ -399,7 +390,7 @@ FuzzCase DiffHarness::shrinkWith(
                  js.begin() + static_cast<std::ptrdiff_t>(start + chunk));
         workload::normalizeTrace(candidate.trace);
         ++runs;
-        if (stillFails(candidate)) {
+        if (!diff(candidate).ok()) {
           best = std::move(candidate);
           improved = true;
         } else {
@@ -416,13 +407,6 @@ void writeRepro(std::ostream& os, const FuzzCase& c) {
   os << "policy " << c.policyToken << "\n";
   os << "overhead " << (c.overhead ? 1 : 0) << "\n";
   os << "machine " << c.trace.machineProcs << "\n";
-  if (c.fedShards > 0) {
-    // Federated lane directives (absent on single-cluster repros, so every
-    // pre-federation corpus file still parses unchanged).
-    os << "shards " << c.fedShards << "\n";
-    os << "router " << c.fedRouter << "\n";
-    os << "delay " << c.fedDelay << "\n";
-  }
   os << "# job <submit> <runtime> <estimate> <procs> <memoryMb>\n";
   for (const workload::Job& j : c.trace.jobs)
     os << "job " << j.submit << " " << j.runtime << " " << j.estimate << " "
@@ -464,18 +448,6 @@ FuzzCase readRepro(std::istream& is) {
       const auto procs = fields.integer<std::uint32_t>();
       if (!procs || *procs == 0) throw bad("bad machine size");
       c.trace.machineProcs = *procs;
-    } else if (key == "shards") {
-      const auto shards = fields.integer<std::uint32_t>();
-      if (!shards || *shards == 0) throw bad("shards must be >= 1");
-      c.fedShards = *shards;
-    } else if (key == "router") {
-      const std::string_view token = fields.word();
-      if (token.empty()) throw bad("router token missing");
-      c.fedRouter = token;
-    } else if (key == "delay") {
-      const auto delay = fields.integer<Time>();
-      if (!delay || *delay < 0) throw bad("delay must be non-negative");
-      c.fedDelay = *delay;
     } else if (key == "job") {
       const auto submit = fields.integer<Time>();
       const auto runtime = fields.integer<Time>();

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <tuple>
@@ -38,15 +37,6 @@ struct FuzzCase {
   /// Run with the DiskSwap suspension/restart overhead model.
   bool overhead = false;
   workload::Trace trace;
-  /// Federated lane (sps::fed): when fedShards > 0, the case is a fleet
-  /// trace run as a federation of that many clusters (each of
-  /// trace.machineProcs processors) and diffed against its per-shard
-  /// replay (fed::diffFederated). 0 = a plain single-cluster case.
-  std::uint32_t fedShards = 0;
-  /// Router token for the federated lane ("hash" | "least-loaded").
-  std::string fedRouter = "hash";
-  /// Cross-cluster forwarding delay for the federated lane, seconds.
-  Time fedDelay = 0;
 };
 
 /// Parse a policy token into a spec (kernel mode left at default). Throws
@@ -57,9 +47,7 @@ struct FuzzCase {
 /// Resolve a case's full spec, including the "tss:" bootstrap (limits
 /// calibrated from the case trace's own NS run — deterministic and
 /// kernel-mode independent, so every lane of a diff sees identical
-/// limits). The federated lane resolves against the *fleet* trace through
-/// this same call, so federation shards and their single-cluster replays
-/// agree on the limits too.
+/// limits).
 [[nodiscard]] core::PolicySpec resolveCaseSpec(const FuzzCase& c);
 
 /// The standing fuzz set: every policy family x the paper's interesting
@@ -134,15 +122,6 @@ class DiffHarness {
   /// evaluations.
   [[nodiscard]] FuzzCase shrink(const FuzzCase& c,
                                 std::size_t maxRuns = 400) const;
-
-  /// Generalized minimizer: same greedy chunk removal, but against any
-  /// failure oracle — the federated fuzz lane shrinks with
-  /// fed::diffFederated as the predicate. `stillFails(candidate)` must
-  /// return true while the candidate reproduces the failure.
-  [[nodiscard]] static FuzzCase shrinkWith(
-      const FuzzCase& c,
-      const std::function<bool(const FuzzCase&)>& stillFails,
-      std::size_t maxRuns = 400);
 
  private:
   CheckConfig checks_;

@@ -101,17 +101,6 @@ class Counters {
   void reset() { *this = Counters{}; }
   [[nodiscard]] bool anyNonZero() const;
 
-  /// Add every slot of `other` into this block — the fleet aggregation
-  /// path (sps::fed sums per-shard blocks into one). Merging blocks is
-  /// exact: counting two disjoint runs into one block and merging their
-  /// separate blocks produce identical values.
-  void merge(const Counters& other) {
-    for (std::size_t i = 0; i < kCounterCount; ++i)
-      values_[i] += other.values_[i];
-    for (std::size_t i = 0; i < kSuspensionCategories; ++i)
-      suspensionsByCategory_[i] += other.suspensionsByCategory_[i];
-  }
-
   friend bool operator==(const Counters&, const Counters&) = default;
 
  private:

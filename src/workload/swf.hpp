@@ -17,7 +17,10 @@
 //                           exceeds the request in a consistent model)
 //
 // Jobs with non-positive runtime or processor count (cancelled entries) are
-// dropped, and a summary of drops is reported.
+// dropped, and a summary of drops is reported. A data line is rejected, with
+// its line number, when a token is not a finite number or a consumed field
+// does not fit the Job field it feeds (a count of processors past 2^32 - 1,
+// a time past 2^63 - 1 seconds).
 #pragma once
 
 #include <iosfwd>

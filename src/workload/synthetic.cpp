@@ -180,28 +180,12 @@ SyntheticConfig kthConfig(std::size_t jobCount, std::uint64_t seed) {
   return cfg;
 }
 
-Trace generateFleetTrace(const SyntheticConfig& cluster,
-                         std::uint32_t clusters) {
-  SPS_CHECK_MSG(clusters >= 1, "a fleet needs at least one cluster");
-  // One generator pass at the per-cluster offered load produces the right
-  // job population; compressing the arrivals by the cluster count then
-  // multiplies the offered load by `clusters`, so a federation that splits
-  // the stream across `clusters` machines sees the configured load on each
-  // — without ever tripping the single-machine load ceiling inside
-  // generateTrace. scaleLoad divides every submit by the same factor
-  // (monotone), so job order, ids, and all sampled shapes are untouched;
-  // at clusters == 1 the jobs are bit-identical to generateTrace's.
-  Trace fleet = generateTrace(cluster);
-  if (clusters > 1) fleet = scaleLoad(fleet, static_cast<double>(clusters));
-  fleet.name = cluster.name + "-fleet" + std::to_string(clusters) + "x";
-  return fleet;
-}
-
 SyntheticConfig scaledToMachine(SyntheticConfig cfg,
                                 std::uint32_t machineProcs) {
   SPS_CHECK_MSG(machineProcs > kWideMax,
                 "machine must be wider than the Wide/VeryWide boundary");
-  cfg.name += "@" + std::to_string(machineProcs);
+  cfg.name += '@';
+  cfg.name += std::to_string(machineProcs);
   cfg.machineProcs = machineProcs;
   cfg.scaleWidthBands = true;
   return cfg;

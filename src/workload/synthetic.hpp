@@ -89,15 +89,6 @@ struct SyntheticConfig {
 [[nodiscard]] SyntheticConfig kthConfig(std::size_t jobCount = 10000,
                                         std::uint64_t seed = 42);
 
-/// Fleet-scale workload for the federated simulator (sps::fed): one
-/// generator pass with `cluster`'s population (jobCount is the TOTAL fleet
-/// job count; offeredLoad is the PER-CLUSTER target), arrivals compressed
-/// by the cluster count so a federation of `clusters` machines sees the
-/// configured load on each. Named "<name>-fleet<N>x". At clusters == 1 the
-/// jobs are bit-identical to generateTrace(cluster).
-[[nodiscard]] Trace generateFleetTrace(const SyntheticConfig& cluster,
-                                       std::uint32_t clusters);
-
 /// Re-target a preset at a different machine size (the `sps_sim --procs N`
 /// override and the scale-out bench lanes): sets machineProcs and turns on
 /// proportional width-band scaling so the width spectrum keeps its shape.

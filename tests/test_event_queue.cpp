@@ -189,11 +189,12 @@ TEST(EventQueueProperty, InterleavedPushPopIdentical) {
   for (int step = 0; step < 4000 && !q.empty(); ++step) {
     const Event e = q.popChecked();
     now = e.time;
-    const int follow = rng.uniformInt(0, 3);
+    const auto follow = static_cast<int>(rng.uniformInt(0, 3));
     for (int f = 0; f < follow; ++f) {
       const Time at = now + rng.uniformInt(0, 300);
       const auto type = static_cast<EventType>(rng.uniformInt(1, 3));
-      q.push(at, type, payload++, rng.uniformInt(0, 2));
+      q.push(at, type, payload++,
+             static_cast<std::uint64_t>(rng.uniformInt(0, 2)));
     }
   }
   q.drainChecked();
@@ -233,7 +234,7 @@ TEST(EventQueueProperty, RepeatedDrainRefillCycles) {
   Rng rng(321);
   Time base = 0;
   for (int cycle = 0; cycle < 30; ++cycle) {
-    const int n = rng.uniformInt(1, 40);
+    const auto n = static_cast<int>(rng.uniformInt(1, 40));
     for (int i = 0; i < n; ++i)
       q.push(base + rng.uniformInt(0, 5000), EventType::SuspendDrained,
              static_cast<std::uint64_t>(cycle * 1000 + i));

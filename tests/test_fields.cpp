@@ -1,9 +1,13 @@
 // util::FieldCursor and util::appendInt (ctest label: util) — the
 // allocation-free field reader behind the service protocol and `.repro`
-// files. On well-formed tokens it must read exactly what `istream >>`
-// reads; on the inputs `>>` wraps or half-parses it must refuse.
+// files (integer<T>) and SWF logs (real). On well-formed tokens it must
+// read exactly what `istream >>` reads; on the inputs `>>` wraps or
+// half-parses it must refuse.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -55,10 +59,13 @@ std::string tokenFor(std::mt19937_64& rng, T value) {
     if (value < 0) {
       // Magnitude via unsigned negation so min() does not overflow.
       const auto mag = std::uint64_t{0} - static_cast<std::uint64_t>(value);
-      return "-" + digits(rng, mag);
+      std::string token = "-";
+      token += digits(rng, mag);
+      return token;
     }
-    return (rng() % 2 ? "+" : "") +
-           digits(rng, static_cast<std::uint64_t>(value));
+    std::string token = rng() % 2 ? "+" : "";
+    token += digits(rng, static_cast<std::uint64_t>(value));
+    return token;
   } else {
     return digits(rng, value);
   }
@@ -127,6 +134,49 @@ TEST(FieldCursor, RejectsWhatStreamExtractionWrapsOrHalfParses) {
     SCOPED_TRACE(token);
     FieldCursor cursor(token);
     EXPECT_EQ(cursor.integer<std::int64_t>(), std::nullopt);
+  }
+}
+
+// real() reads what `>>` reads for a finite double, bit for bit: every
+// spelling `>>` takes, and random doubles in shortest and 17-digit form.
+TEST(FieldCursor, RealMatchesStreamExtraction) {
+  std::vector<std::string> tokens = {
+      "0", "-0", "+0", "1.5", "-1.5", ".5", "5.", "+.5", "1e3", "1E-3",
+      "+1e+3", "00012.50", "1e-400", "-1e-400", "2e-324", "5e-324",
+      "1.7976931348623157e308", "123456789012345678901234567890"};
+  std::mt19937_64 rng(3);
+  while (tokens.size() < 2000) {
+    const double value = std::bit_cast<double>(rng());
+    if (!std::isfinite(value)) continue;
+    char buf[32];
+    const auto [ptr, ec] = tokens.size() % 2
+                               ? std::to_chars(buf, buf + sizeof buf, value)
+                               : std::to_chars(buf, buf + sizeof buf, value,
+                                               std::chars_format::general, 17);
+    ASSERT_EQ(ec, std::errc{});
+    tokens.emplace_back(buf, ptr);
+  }
+  for (const std::string& token : tokens) {
+    SCOPED_TRACE(token);
+    std::istringstream in(token);
+    double streamed = 0;
+    ASSERT_TRUE(in >> streamed);
+    FieldCursor cursor(token);
+    const std::optional<double> parsed = cursor.real();
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*parsed),
+              std::bit_cast<std::uint64_t>(streamed));
+  }
+}
+
+TEST(FieldCursor, RealRejectsNonNumericOrNonFinite) {
+  for (const char* token :
+       {"", "junk", "1junk", "1e", "e5", ".", "+", "-", "++1", "+-1", "--1",
+        "0x10", "1,5", "1..5", "inf", "-inf", "+inf", "nan", "infinity",
+        "1e400", "-1e400"}) {
+    SCOPED_TRACE(token);
+    FieldCursor cursor(token);
+    EXPECT_EQ(cursor.real(), std::nullopt);
   }
 }
 

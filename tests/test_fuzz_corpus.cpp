@@ -4,9 +4,6 @@
 // fuzzer finds (regression tests for fixed bugs); the stress-* files are
 // adversarial workloads dumped with `sps_fuzz --dump` to keep every policy
 // family exercised here even when the fuzzer has nothing new to say.
-// Repros carrying federated directives (shards/router/delay) route through
-// fed::diffFederated instead: the case runs as a federation and must equal
-// its per-shard single-cluster replays bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +14,6 @@
 #include <vector>
 
 #include "check/diff_harness.hpp"
-#include "fed/fed_diff.hpp"
 #include "util/check.hpp"
 
 namespace sps {
@@ -45,24 +41,10 @@ TEST(FuzzCorpus, EveryReproDiffsClean) {
     ASSERT_TRUE(is) << "cannot open " << path;
     check::FuzzCase c;
     ASSERT_NO_THROW(c = check::readRepro(is));
-    const check::DiffOutcome outcome =
-        c.fedShards > 0 ? fed::diffFederated(c) : harness.diff(c);
+    const check::DiffOutcome outcome = harness.diff(c);
     EXPECT_TRUE(outcome.violation.empty()) << outcome.violation;
     EXPECT_TRUE(outcome.divergence.empty()) << outcome.divergence;
   }
-}
-
-// At least two corpus entries must keep the federated lane exercised.
-TEST(FuzzCorpus, CarriesFederatedRepros) {
-  std::size_t federated = 0;
-  for (const fs::path& path : corpusFiles()) {
-    std::ifstream is(path);
-    ASSERT_TRUE(is);
-    check::FuzzCase c;
-    ASSERT_NO_THROW(c = check::readRepro(is));
-    if (c.fedShards > 0) ++federated;
-  }
-  EXPECT_GE(federated, 2u);
 }
 
 // The repro format round-trips: write(read(f)) parses back to the same case.
@@ -81,9 +63,6 @@ TEST(FuzzCorpus, ReproFormatRoundTrips) {
     EXPECT_EQ(first.policyToken, second.policyToken);
     EXPECT_EQ(first.overhead, second.overhead);
     EXPECT_EQ(first.trace.machineProcs, second.trace.machineProcs);
-    EXPECT_EQ(first.fedShards, second.fedShards);
-    EXPECT_EQ(first.fedRouter, second.fedRouter);
-    EXPECT_EQ(first.fedDelay, second.fedDelay);
     ASSERT_EQ(first.trace.jobs.size(), second.trace.jobs.size());
     for (std::size_t i = 0; i < first.trace.jobs.size(); ++i) {
       EXPECT_EQ(first.trace.jobs[i].submit, second.trace.jobs[i].submit);
@@ -96,7 +75,9 @@ TEST(FuzzCorpus, ReproFormatRoundTrips) {
 
 // Job records whose unsigned fields `istream >>` would wrap (procs
 // -4294967295 reads as 1, memoryMb -1 as 2^32-1) or half-parse are refused
-// with the usual message rather than replayed.
+// with the usual message rather than replayed. So are the shards / router /
+// delay directives of the retired multi-cluster lane: a repro carrying them
+// must fail loudly, not replay as a single-cluster case.
 TEST(FuzzCorpus, ReproRejectsWrappedOrJunkJobFields) {
   const std::string head =
       "sps-repro 1\npolicy ss:2\noverhead 0\nmachine 4\n";
@@ -111,6 +92,18 @@ TEST(FuzzCorpus, ReproRejectsWrappedOrJunkJobFields) {
       ADD_FAILURE() << "accepted";
     } catch (const InputError& e) {
       EXPECT_STREQ(e.what(), "repro line 6: bad job record");
+    }
+  }
+  for (const std::string key : {"shards", "router", "delay"}) {
+    SCOPED_TRACE(key);
+    std::istringstream is(head + key + (key == "router" ? " hash" : " 2") +
+                          "\njob 0 10 10 1 0\n");
+    try {
+      (void)check::readRepro(is);
+      ADD_FAILURE() << "accepted";
+    } catch (const InputError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "repro line 5: unknown directive '" + key + "'");
     }
   }
   std::istringstream wrappedMachine(

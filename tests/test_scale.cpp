@@ -46,8 +46,8 @@ TEST_P(ScalePolicy, HundredThousandProcsBothKernelModesChecked) {
 INSTANTIATE_TEST_SUITE_P(
     Tokens, ScalePolicy,
     ::testing::ValuesIn(sched::knownPolicyTokens()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
+    [](const ::testing::TestParamInfo<std::string>& param) {
+      std::string name = param.param;
       for (char& c : name)
         if (c == ':' || c == '-' || c == '.') c = '_';
       return name;

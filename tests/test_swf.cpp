@@ -97,6 +97,65 @@ TEST(Swf, ShortLineThrows) {
   EXPECT_THROW(readSwf(in, "bad", 64, nullptr), InputError);
 }
 
+// A token that is not a finite number, or a field too large for the Job
+// field it feeds, rejects the line with its number and the field; the
+// records around it are well formed.
+TEST(Swf, RejectsHostileFields) {
+  const struct {
+    const char* line;
+    const char* error;
+  } kHostile[] = {
+      {"2 10 -1 100 4294967300 -1 -1 4 200 -1 1 1 1 -1 1 -1 -1 -1",
+       "SWF line 2: field 5 (allocated processors) out of range"},
+      {"2 10 -1 100 4 junk -1 4 200 -1 1 1 1 -1 1 -1 -1 -1",
+       "SWF line 2: field 6 is not a finite number"},
+      {"2 10 -1 100 4 -1 -1 4 1e300 -1 1 1 1 -1 1 -1 -1 -1",
+       "SWF line 2: field 9 (requested time) out of range"},
+      {"2 10 -1 100 4 -1 1e20 4 200 -1 1 1 1 -1 1 -1 -1 -1",
+       "SWF line 2: field 7 (used memory) out of range"},
+      {"2 1e30 -1 100 4 -1 -1 4 200 -1 1 1 1 -1 1 -1 -1 -1",
+       "SWF line 2: field 2 (submit time) out of range"},
+      {"2 10 -1 1e400 4 -1 -1 4 200 -1 1 1 1 -1 1 -1 -1 -1",
+       "SWF line 2: field 4 is not a finite number"},
+      {"2 10 -1 100 -1 -1 -1 1e10 200 -1 1 1 1 -1 1 -1 -1 -1",
+       "SWF line 2: field 8 (requested processors) out of range"},
+      {"2 10 -1 100 4 -1 -1 4 200 -1 1 1 1 -1 1 -1 -1 nan",
+       "SWF line 2: field 18 is not a finite number"},
+      {"2 10 -1 100 4junk -1", "SWF line 2: field 5 is not a finite number"},
+  };
+  for (const auto& hostile : kHostile) {
+    SCOPED_TRACE(hostile.line);
+    std::istringstream in(
+        std::string("1 0 -1 100 4 -1 -1 4 200 -1 1 1 1 -1 1 -1 -1 -1\n") +
+        hostile.line + "\n3 20 -1 100 4 -1 -1 4 200 -1 1 1 1 -1 1 -1 -1 -1\n");
+    try {
+      (void)readSwf(in, "hostile", 8, nullptr);
+      ADD_FAILURE() << "accepted";
+    } catch (const InputError& e) {
+      EXPECT_STREQ(e.what(), hostile.error);
+    }
+  }
+}
+
+// Every spelling `>>` reads as a finite double still parses to the same
+// value: signs, fractions, exponents, leading zeros, an underflow to zero.
+TEST(Swf, AcceptsEveryFiniteNumberSpelling) {
+  std::istringstream in(
+      "+1 +1.0e1 -1 1E2 004.0 -1 2048.4 4 +2.0e+2 -1 1 1 1 -1 1 -1 -1 1e-400\n"
+      "2 .5e2 -1 99.5 4. -0 -1 4 -1 -1 1 1 1 -1 1 -1 -1 -1\n");
+  const Trace t = readSwf(in, "spellings", 8, nullptr);
+  ASSERT_EQ(t.jobs.size(), 2u);
+  EXPECT_EQ(t.jobs[0].submit, 0);
+  EXPECT_EQ(t.jobs[0].runtime, 100);
+  EXPECT_EQ(t.jobs[0].procs, 4u);
+  EXPECT_EQ(t.jobs[0].memoryMb, 3u);  // ceil(2048.4 / 1024)
+  EXPECT_EQ(t.jobs[0].estimate, 200);
+  EXPECT_EQ(t.jobs[1].submit, 40);
+  EXPECT_EQ(t.jobs[1].runtime, 100);  // 99.5 rounds half away from zero
+  EXPECT_EQ(t.jobs[1].procs, 4u);
+  EXPECT_EQ(t.jobs[1].estimate, 100);
+}
+
 TEST(Swf, MissingFileThrows) {
   EXPECT_THROW(readSwfFile("/nonexistent/file.swf", "x", 64, nullptr),
                InputError);

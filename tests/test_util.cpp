@@ -179,9 +179,9 @@ TEST(Accumulator, BasicMoments) {
 TEST(Accumulator, EmptyThrowsOnMean) {
   Accumulator acc;
   EXPECT_TRUE(acc.empty());
-  EXPECT_THROW(acc.mean(), InvariantError);
-  EXPECT_THROW(acc.min(), InvariantError);
-  EXPECT_THROW(acc.max(), InvariantError);
+  EXPECT_THROW((void)acc.mean(), InvariantError);
+  EXPECT_THROW((void)acc.min(), InvariantError);
+  EXPECT_THROW((void)acc.max(), InvariantError);
 }
 
 TEST(Accumulator, SingleSampleVarianceZero) {
@@ -238,15 +238,15 @@ TEST(Samples, SingleValue) {
 
 TEST(Samples, EmptyThrows) {
   Samples s;
-  EXPECT_THROW(s.mean(), InvariantError);
-  EXPECT_THROW(s.percentile(50), InvariantError);
+  EXPECT_THROW((void)s.mean(), InvariantError);
+  EXPECT_THROW((void)s.percentile(50), InvariantError);
 }
 
 TEST(Samples, PercentileRejectsOutOfRange) {
   Samples s;
   s.add(1.0);
-  EXPECT_THROW(s.percentile(-1), InvariantError);
-  EXPECT_THROW(s.percentile(101), InvariantError);
+  EXPECT_THROW((void)s.percentile(-1), InvariantError);
+  EXPECT_THROW((void)s.percentile(101), InvariantError);
 }
 
 TEST(Samples, AddAfterQueryResorts) {

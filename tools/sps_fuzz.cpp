@@ -7,12 +7,8 @@
 // shrunk with the greedy job-removal minimizer and written as a
 // self-contained .repro file that tests/test_fuzz_corpus.cpp replays.
 //
-// Three lanes per case: the kernel diff (Incremental vs Rebuild), the
-// ingest-boundary diff (batch vs seeded streamed replay), and the
-// federation diff (the case partitioned across a seeded shard count and
-// router must equal its per-shard single-cluster replays bit for bit —
-// fed::diffFederated). Repros carry the federated parameters (shards /
-// router / delay lines) and replay through the right lane automatically.
+// Two lanes per case: the kernel diff (Incremental vs Rebuild) and the
+// ingest-boundary diff (batch vs seeded streamed replay).
 //
 //   sps_fuzz --runs 200 --seed 1            # the acceptance sweep
 //   sps_fuzz --runs 50 --seed 1             # ctest fuzz-smoke
@@ -30,7 +26,6 @@
 #include "check/check_config.hpp"
 #include "check/diff_harness.hpp"
 #include "core/cli_config.hpp"
-#include "fed/fed_diff.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -149,23 +144,13 @@ int main(int argc, char** argv) {
       std::cerr << "sps_fuzz: " << opt.replayFile << ": " << e.what() << "\n";
       return 2;
     }
-    check::DiffOutcome outcome;
-    if (c.fedShards > 0) {
-      // Federated repros route through the federation differential.
-      outcome = fed::diffFederated(c, check::CheckConfig::all(opt.stride));
-    } else {
-      outcome = harness.diff(c);
-      // The streamed lane replays too, so ingest-boundary repros reproduce;
-      // the chop seed derives from --seed as in the fuzz loop.
-      if (outcome.ok()) outcome = harness.diffStreamed(c, opt.seed);
-    }
+    check::DiffOutcome outcome = harness.diff(c);
+    // The streamed lane replays too, so ingest-boundary repros reproduce;
+    // the chop seed derives from --seed as in the fuzz loop.
+    if (outcome.ok()) outcome = harness.diffStreamed(c, opt.seed);
     std::cout << opt.replayFile << ": " << c.trace.jobs.size() << " jobs, "
-              << c.policyToken
-              << (c.fedShards > 0
-                      ? ", fed " + std::to_string(c.fedShards) + "x" +
-                            c.fedRouter
-                      : "")
-              << ", " << (outcome.ok() ? "clean" : "FAILING") << "\n";
+              << c.policyToken << ", "
+              << (outcome.ok() ? "clean" : "FAILING") << "\n";
     if (!outcome.violation.empty())
       std::cerr << "  violation: " << outcome.violation << "\n";
     if (!outcome.divergence.empty())
@@ -212,40 +197,11 @@ int main(int argc, char** argv) {
       // runs this lane too, with the case seed derived from --seed.
       outcome = harness.diffStreamed(c, caseSeed);
       ++diffs;
-      if (!outcome.ok()) {
-        ++failures;
-        std::cerr << "FAIL (streamed) iter " << i << " seed " << caseSeed
-                  << " policy " << token << "\n";
-        emitRepro(opt, c, caseSeed, outcome);
-        continue;
-      }
-      // Federation lane: the same case partitioned across a seeded shard
-      // count and router must equal its per-shard single-cluster replays
-      // bit for bit (live run + conservation audit + recorded-router
-      // replay + batch comparison, both kernel modes). Failures shrink
-      // with the federation differential as the minimizer's oracle.
-      check::FuzzCase f = c;
-      SplitMix64 fedMix(caseSeed ^ 0x9e3779b97f4a7c15ull);
-      f.fedShards = 1 + static_cast<std::uint32_t>(fedMix.next() % 4);
-      f.fedRouter = (fedMix.next() & 1) != 0 ? "least-loaded" : "hash";
-      const std::uint64_t delayPick = fedMix.next() % 3;
-      f.fedDelay = delayPick == 0 ? 0 : delayPick == 1 ? 30 : 3600;
-      const check::CheckConfig checks = check::CheckConfig::all(opt.stride);
-      outcome = fed::diffFederated(f, checks);
-      ++diffs;
       if (outcome.ok()) continue;
       ++failures;
-      std::cerr << "FAIL (federated) iter " << i << " seed " << caseSeed
-                << " policy " << token << " shards " << f.fedShards
-                << " router " << f.fedRouter << " delay " << f.fedDelay
-                << "\n";
-      const check::FuzzCase small = check::DiffHarness::shrinkWith(
-          f,
-          [&checks](const check::FuzzCase& candidate) {
-            return !fed::diffFederated(candidate, checks).ok();
-          },
-          opt.shrinkRuns);
-      emitRepro(opt, small, caseSeed, fed::diffFederated(small, checks));
+      std::cerr << "FAIL (streamed) iter " << i << " seed " << caseSeed
+                << " policy " << token << "\n";
+      emitRepro(opt, c, caseSeed, outcome);
     }
     if (!opt.quiet && (i + 1) % 25 == 0)
       std::cout << "iter " << (i + 1) << "/" << opt.runs << ": " << diffs

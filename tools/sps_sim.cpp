@@ -9,7 +9,6 @@
 //   sps_sim compare --set classic --preset kth
 //   sps_sim sweep --preset ctc --factors 1.0,1.1,1.2,1.3
 //   sps_sim replicate --preset sdsc --seeds 5
-//   sps_sim fleet --shards 4 --router least-loaded --procs-per-shard 128
 //
 // Everything is deterministic in --seed (independent of --threads).
 //
@@ -25,10 +24,7 @@
 #include <vector>
 
 #include "check/check_config.hpp"
-#include "check/fleet_audit.hpp"
 #include "core/cli_config.hpp"
-#include "fed/federation.hpp"
-#include "fed/router.hpp"
 #include "core/experiment.hpp"
 #include "core/figures.hpp"
 #include "core/progress.hpp"
@@ -86,13 +82,6 @@ struct CliOptions {
   bool timeline = false;  ///< sample sim-clock series into RunStats/trace
   Time timelineStride = 0;  ///< 0 = auto (horizon-scaled default stride)
   bool progress = false;  ///< live batch progress line on stderr
-  // Federation (fleet)
-  std::uint32_t shards = 4;
-  std::string router = "hash";
-  std::uint32_t procsPerShard = 0;  ///< 0 = preset machine size
-  Time fleetDelay = 0;
-  Time epochLength = 0;
-  std::size_t jobsPerEpoch = 4096;
   // Output
   std::string metricsOut;  ///< OpenMetrics exposition file
   bool json = false;
@@ -242,48 +231,6 @@ core::CliCommands makeCli(CliOptions& opt) {
   serve.section("Output");
   serve.option("--metrics-out", &opt.metricsOut, "FILE",
                "write an OpenMetrics text exposition after drain");
-
-  core::CliConfig& fleet = cli.command(
-      "fleet", "federated multi-cluster simulation (conservative epochs)");
-  fleet.section("Fleet");
-  fleet.option("--shards", &opt.shards, "N",
-               "cluster count (default: 4)");
-  fleet.option("--router", &opt.router, "hash|least-loaded",
-               "job placement rule (default: hash — the home-shard rule)");
-  fleet.option("--procs-per-shard", &opt.procsPerShard, "P",
-               "processors per cluster (default: the preset's machine; "
-               "width bands scale proportionally when overridden)");
-  fleet.option("--delay", &opt.fleetDelay, "SEC",
-               "cross-cluster forwarding delay: a job routed off its home "
-               "shard arrives this late (default: 0)");
-  fleet.option("--epoch", &opt.epochLength, "SEC",
-               "fixed conservative-epoch length (default: 0 = size epochs "
-               "by job count instead)");
-  fleet.option("--jobs-per-epoch", &opt.jobsPerEpoch, "N",
-               "auto-epoch batch size (default: 4096)");
-  fleet.option("--threads", &opt.threads, "N",
-               "shard worker threads (0 = all hardware threads; results "
-               "are bit-identical for every value)");
-  fleet.section("Workload (synthetic fleet)");
-  fleet.option("--preset", &opt.preset, "ctc|sdsc|kth",
-               "per-cluster calibrated workload family (default: sdsc)");
-  fleet.option("--jobs", &opt.jobs, "N",
-               "TOTAL fleet job count (default: 10000)");
-  fleet.option("--seed", &opt.seed, "S", "RNG seed (default: 42)");
-  fleet.option("--load", &opt.load, "F",
-               "per-cluster offered load (default: preset)");
-  fleet.section("Scheduler (every cluster runs its own instance)");
-  fleet.option("--policy", &opt.policy, "NAME",
-               "fcfs | conservative | easy | sjf | ss | tss | tss-online | "
-               "is | gang | depth (default: ss)");
-  fleet.option("--sf", &opt.sf, "F",
-               "suspension factor for ss/tss (default: 2)");
-  fleet.option("--depth", &opt.depth, "K",
-               "reservation depth for depth (default: 2)");
-  fleet.flag("--overhead", &opt.overhead,
-             "2 MB/s disk-swap suspension cost on every shard");
-  addObsFlags(fleet, opt);
-  addOutputFlags(fleet, opt);
 
   core::CliConfig& replicate =
       cli.command("replicate", "scheme set over independently-seeded runs");
@@ -699,93 +646,6 @@ int runServe(const CliOptions& opt, const core::SimulationOptions& options) {
   return 0;
 }
 
-int runFleet(const CliOptions& opt, core::Runner& runner,
-             const core::SimulationOptions& options) {
-  if (!opt.swfFile.empty())
-    fail("fleet generates its synthetic workload; --swf is not supported");
-  if (opt.shards == 0) fail("--shards must be at least 1");
-
-  workload::SyntheticConfig cfg;
-  if (opt.preset == "ctc") cfg = workload::ctcConfig(opt.jobs, opt.seed);
-  else if (opt.preset == "sdsc")
-    cfg = workload::sdscConfig(opt.jobs, opt.seed);
-  else if (opt.preset == "kth") cfg = workload::kthConfig(opt.jobs, opt.seed);
-  else fail("unknown preset: " + opt.preset);
-  if (opt.load) cfg.offeredLoad = *opt.load;
-  if (opt.procsPerShard != 0 && opt.procsPerShard != cfg.machineProcs)
-    cfg = workload::scaledToMachine(cfg, opt.procsPerShard);
-  const workload::Trace fleetTrace =
-      workload::generateFleetTrace(cfg, opt.shards);
-
-  // Every shard runs its own instance of one spec; tss calibrates from the
-  // fleet trace (the same limits a single-cluster replay would resolve).
-  const core::PolicySpec spec = buildPolicy(opt, runner, fleetTrace);
-
-  std::unique_ptr<fed::JobRouter> router;
-  try {
-    router = fed::routerFromToken(opt.router);
-  } catch (const sps::InputError& e) {
-    fail(e.what());
-  }
-
-  fed::FederationConfig config;
-  config.shards = opt.shards;
-  config.routingDelay = opt.fleetDelay;
-  config.epochLength = opt.epochLength;
-  config.jobsPerEpoch = opt.jobsPerEpoch;
-  config.threads = opt.threads;
-  config.diskSwapOverhead = opt.overhead;
-  config.check = options.check;
-  config.timeline = options.timeline;
-
-  fed::Federation federation(fleetTrace, spec, *router, config);
-  const fed::FleetStats fleet = federation.run();
-  if (opt.check)
-    check::auditFleetConservation(fleetTrace, fleet.shards,
-                                  fleet.assignments, fleet.effectiveSubmits,
-                                  opt.shards, opt.fleetDelay);
-
-  if (!opt.metricsOut.empty()) {
-    std::ofstream os(opt.metricsOut);
-    if (!os) fail("cannot open --metrics-out file: " + opt.metricsOut);
-    std::vector<metrics::OpenMetricsEntry> entries;
-    for (std::size_t s = 0; s < fleet.shards.size(); ++s) {
-      metrics::OpenMetricsEntry entry;
-      entry.stats = &fleet.shards[s];
-      entry.run = s;
-      entry.label = fleet.shards[s].policyName + " shard" + std::to_string(s);
-      entry.seed = opt.seed;
-      entries.push_back(std::move(entry));
-    }
-    metrics::writeOpenMetrics(os, entries);
-    if (!os) fail("failed writing --metrics-out file: " + opt.metricsOut);
-    std::cerr << "wrote OpenMetrics exposition to " << opt.metricsOut << "\n";
-  }
-
-  std::cout << "fleet: " << opt.shards << " x " << fleetTrace.machineProcs
-            << " procs, router=" << router->name()
-            << ", delay=" << opt.fleetDelay << "s, epochs=" << fleet.epochs
-            << ", forwarded=" << fleet.forwarded << "/"
-            << fleetTrace.jobs.size() << "\n";
-  if (!opt.summaryOnly)
-    for (const metrics::RunStats& stats : fleet.shards)
-      std::cout << "  " << metrics::summaryLine(stats) << "\n";
-  std::cout << "fleet totals: jobs=" << fleet.jobCount()
-            << " events=" << fleet.eventsProcessed()
-            << " suspensions=" << fleet.suspensions()
-            << " util=" << formatFixed(fleet.utilization(), 4)
-            << " meanBoundedSlowdown="
-            << formatFixed(fleet.meanBoundedSlowdown(), 2)
-            << " span=" << fleet.span() << "s\n";
-  if (opt.counters) {
-    metrics::RunStats merged;
-    merged.policyName = "fleet";
-    merged.counters = fleet.counters();
-    printCountersTable(merged, opt.csv);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -829,8 +689,6 @@ int main(int argc, char** argv) {
     }
     // serve builds no workload: jobs arrive over the protocol.
     if (command == "serve") return runServe(opt, options);
-    // fleet builds its own fleet-scale workload and runs the federation.
-    if (command == "fleet") return runFleet(opt, runner, options);
 
     const workload::Trace trace = buildWorkload(opt);
     if (opt.overhead) {
