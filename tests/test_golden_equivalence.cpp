@@ -219,8 +219,12 @@ INSTANTIATE_TEST_SUITE_P(
 // job and every victim — this pins the two against each other where the
 // filters drop most of the idle set. TSS at static limits (calibrated from
 // an EASY run, as the experiments do) exercises the step function's TSS
-// cut, and SS at SF 1.5 a non-default suspension factor. IS has a single
-// dispatch path and rides along as the control.
+// cut, and SS at SF 1.5 a non-default suspension factor. Prefer and Squat
+// let an action raise the usable free count mid-pass (a widest-first victim
+// overshoots and nothing is owed-fenced), and the migratable model sends
+// suspended jobs down the fresh path, so those three pin the pass where
+// its pass-start bounds are not final. IS has a single dispatch path and
+// rides along as the control.
 TEST(GoldenEquivalenceDeepQueue, PreemptivePoliciesMatchRebuild) {
   workload::SyntheticConfig config = workload::sdscConfig(2000, 42);
   config.offeredLoad = 1.3;
@@ -239,6 +243,16 @@ TEST(GoldenEquivalenceDeepQueue, PreemptivePoliciesMatchRebuild) {
   spec.kind = core::PolicyKind::SelectiveSuspension;
   spec.ss.suspensionFactor = 1.5;
   preemptive.emplace_back("ss:1.5", spec);
+  spec = {};
+  spec.kind = core::PolicyKind::SelectiveSuspension;
+  spec.ss.owedProcs = sched::OwedProcsPolicy::Prefer;
+  preemptive.emplace_back("ss-prefer", spec);
+  spec.ss.owedProcs = sched::OwedProcsPolicy::Squat;
+  preemptive.emplace_back("ss-squat", spec);
+  spec = {};
+  spec.kind = core::PolicyKind::SelectiveSuspension;
+  spec.ss.migratableJobs = true;
+  preemptive.emplace_back("ss-migratable", spec);
   const std::size_t deepest =
       expectModesAgree(trace, preemptive, "sdsc/2000@1.3");
   EXPECT_GE(deepest, 150u) << "the trace no longer backs up the queue";
