@@ -1,11 +1,12 @@
 // Idle-job orders for the preemptive policies' walks (SS/TSS and IS).
 //
 // No order is kept between walks: each walk gathers the idle jobs it can
-// act on and sorts that list. Both comparators are strict total orders
-// (every tie broken by job id), so the result does not depend on gather
-// order — which makes the simulator's unordered (swap-and-pop) job lists
-// safe to gather from, and gives a filtered subset the same relative order
-// a sort of the whole idle set would.
+// act on and orders that list — sorted, or (SS/TSS dispatch) heapified and
+// popped only as far as the walk goes. Both comparators are strict total
+// orders (every tie broken by job id), so the result does not depend on
+// gather order — which makes unordered (swap-and-pop) job lists safe to
+// gather from, and gives a filtered subset the same relative order a sort
+// of the whole idle set would.
 #pragma once
 
 #include <algorithm>
@@ -26,14 +27,32 @@ struct IdleJob {
   return {s.xfactor(id), s.job(id).submit, id};
 }
 
-/// Eq. 2 priority order (SS/TSS): expansion factor descending, then submit
-/// time, then id.
+/// Eq. 2 priority order (SS/TSS): true when `a` walks before `b` —
+/// expansion factor descending, then submit time, then id.
+[[nodiscard]] inline bool walksBefore(const IdleJob& a, const IdleJob& b) {
+  if (a.priority != b.priority) return a.priority > b.priority;
+  if (a.submit != b.submit) return a.submit < b.submit;
+  return a.id < b.id;
+}
+
 inline void sortByPriority(std::vector<IdleJob>& jobs) {
-  std::sort(jobs.begin(), jobs.end(), [](const IdleJob& a, const IdleJob& b) {
-    if (a.priority != b.priority) return a.priority > b.priority;
-    if (a.submit != b.submit) return a.submit < b.submit;
-    return a.id < b.id;
-  });
+  std::sort(jobs.begin(), jobs.end(), walksBefore);
+}
+
+/// Heap whose top walks first under walksBefore: heapify once, then each
+/// popWalkHeap yields the next job in Eq. 2 order, so a walk that stops
+/// early never orders the rest.
+inline bool walksAfter(const IdleJob& a, const IdleJob& b) {
+  return walksBefore(b, a);
+}
+inline void makeWalkHeap(std::vector<IdleJob>& jobs) {
+  std::make_heap(jobs.begin(), jobs.end(), walksAfter);
+}
+inline IdleJob popWalkHeap(std::vector<IdleJob>& jobs) {
+  std::pop_heap(jobs.begin(), jobs.end(), walksAfter);
+  const IdleJob top = jobs.back();
+  jobs.pop_back();
+  return top;
 }
 
 /// Submission order (IS): submit time, then id.

@@ -152,4 +152,27 @@ VictimSteps::Cut VictimSteps::cut(double priority, double sf,
                                : std::numeric_limits<double>::infinity()};
 }
 
+double VictimSteps::threshold(std::uint32_t need, double sf,
+                              int reach) const {
+  // gain_[r] is nondecreasing and cut's eligible prefix grows with the
+  // priority, so the bound first reaches `need` once the prefix takes the
+  // step that lifts gain_[r] to it: the first e with gain_[r][e] >= need.
+  const std::vector<std::uint32_t>& gain =
+      gain_[static_cast<std::size_t>(reach)];
+  const auto e = static_cast<std::size_t>(
+      std::lower_bound(gain.begin(), gain.end(), need) - gain.begin());
+  if (e == 0) return -std::numeric_limits<double>::infinity();
+  if (e == gain.size()) return std::numeric_limits<double>::infinity();
+  return sf * steps_[e - 1].entry.xfactor;
+}
+
+int VictimSteps::reachOf(std::uint32_t width, bool halfWidthRule) {
+  if (!halfWidthRule) return 3;
+  const std::uint64_t w2 = 2 * std::uint64_t{width};
+  if (w2 >= workload::kWideMax + 1) return 3;
+  if (w2 >= workload::kNarrowMax + 1) return 2;
+  if (w2 >= workload::kSequentialMax + 1) return 1;
+  return 0;
+}
+
 }  // namespace sps::sched::kernel

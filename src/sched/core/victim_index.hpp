@@ -154,6 +154,21 @@ class VictimSteps {
 
   [[nodiscard]] Cut cut(double priority, double sf, int reach) const;
 
+  /// The inverse of cut's gain bound: the lowest priority whose reach
+  /// prefix gains at least `need` processors, as the product cut tests.
+  /// For every p, cut(p, sf, reach).bound >= need exactly when
+  /// !(p < threshold(need, sf, reach)); −infinity when need is 0, and
+  /// +infinity when even every reachable step falls short.
+  [[nodiscard]] double threshold(std::uint32_t need, double sf,
+                                 int reach) const;
+
+  /// Width-reach class of a fresh preemptor of `width`: the highest width
+  /// band (workload::WidthClass) whose band minimum its doubled width
+  /// covers. Under the half-width rule a victim of band q is out of reach
+  /// exactly when q > reach (2 x width < band minimum); without it every
+  /// band is in reach.
+  [[nodiscard]] static int reachOf(std::uint32_t width, bool halfWidthRule);
+
   [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
 
  private:

@@ -19,19 +19,6 @@ constexpr std::uint64_t kTickTag = 0;
 std::size_t estimateCategory(const workload::Job& j) {
   return workload::category16(j.estimate, j.procs);
 }
-
-/// Width-reach class of a fresh preemptor (kernel::VictimSteps): the
-/// highest width-band rank whose band.min its doubled width covers. Under
-/// the half-width rule a victim category of width class q is out of reach
-/// exactly when q > reach (2 x width < band.min); without it every band is.
-int reachOf(std::uint32_t width, bool halfWidthRule) {
-  if (!halfWidthRule) return 3;
-  const std::uint32_t w2 = 2 * width;
-  if (w2 >= workload::kWideMax + 1) return 3;
-  if (w2 >= workload::kNarrowMax + 1) return 2;
-  if (w2 >= workload::kSequentialMax + 1) return 1;
-  return 0;
-}
 }  // namespace
 
 SelectiveSuspension::SelectiveSuspension(SsConfig config)
@@ -178,36 +165,37 @@ bool SelectiveSuspension::tickPassSkippable(sim::Simulator& simulator) {
     return true;
   }
   // The pass can only act through a successful SF test, and the easiest
-  // victim is the weakest running job. If every idle candidate's priority
-  // is below SF x that minimum, every victimEligible call this pass could
-  // make returns false: reentry candidates block on their first occupant
-  // and fresh candidates collect nothing. Candidates at or above the
-  // threshold are collected for the pass — they are precisely the prefix
-  // its live break can reach (the threshold never falls mid-pass: fresh
-  // preemptors and reentrants enter the index at >= SF x a victim's
-  // priority, and removals only raise the minimum) — so the pass runs off
-  // this query alone.
+  // victim is the weakest running job, so no candidate below T = SF x its
+  // priority can act: reentry candidates block on their first occupant and
+  // fresh candidates collect nothing. A fresh candidate also needs its gain
+  // bound to cover its width, and the bound is a step function of its
+  // priority (VictimSteps), so each width class gets its own threshold
+  // (kernel::freshThresholds) at the fences and steps built here, which
+  // the pass then starts from. Reentry has no gain bound and stays at T;
+  // in the migratable model a suspended job takes the fresh path. The
+  // query reports each idle line against its own threshold — the pass's
+  // working set when nothing has acted yet.
   //
-  // Idle priorities grow linearly in wait while running priorities (hence
-  // the threshold) are frozen until the next transition, so each
-  // below-threshold candidate also yields the tick horizon up to which it
-  // stays below — their minimum caps how long the verdict may be cached.
-  const double threshold =
-      config_.suspensionFactor * victimIndex_.minPriority();
-  // The idle-line index reports exactly the candidates the verbatim
-  // per-job test puts at or above the threshold, and the earliest raw
-  // algebraic crossing among the rest. The exact re-verified
-  // crossingHorizon runs once, on that winner: the raw crossing is
-  // monotone in the verified one (floor is monotone and verification can
-  // only clamp to now), so the minimum is unchanged.
+  // Idle priorities grow linearly in wait while every threshold is frozen
+  // until the next transition, so each unreported line also yields the
+  // tick horizon up to which it stays below its threshold — their minimum
+  // caps how long the verdict may be cached.
+  refreshFreshPath(simulator);
+  kernel::IdleLineIndex::Thresholds thresholds{freshAt_, freshAt_};
+  if (!config_.migratableJobs)  // Suspended lines
+    thresholds[1].fill(config_.suspensionFactor * victimIndex_.minPriority());
+  // The exact re-verified crossingHorizon runs once, on the winning line:
+  // the raw crossing is monotone in the verified one (floor is monotone and
+  // verification can only clamp to now), so the minimum is unchanged.
   tickPrefix_.clear();
   const kernel::IdleLineIndex::Crossing first =
-      idleLines_.query(simulator.now(), threshold, tickPrefix_);
+      idleLines_.query(simulator.now(), thresholds, tickPrefix_);
+  simulator.counters().add(obs::Counter::GateReports, tickPrefix_.size());
   sweepHorizon_ = first.id == kInvalidJob
                       ? kTimeMax
                       : kernel::crossingHorizon(simulator, first.id,
                                                 simulator.xfactor(first.id),
-                                                threshold);
+                                                first.threshold);
   if (!tickPrefix_.empty()) return false;  // gateSkipUntil_ stays at now
   gateSkipUntil_ = sweepHorizon_;
   return true;
@@ -257,6 +245,33 @@ const sim::ProcSet& SelectiveSuspension::suspendedSets(
   // aggregate is exactly the union the old per-call suspended-list scan
   // rebuilt (sps::check audits the equality on every transition sweep).
   return config_.migratableJobs ? kNoneOwed : s.suspendedOwedSet();
+}
+
+std::uint32_t SelectiveSuspension::freshFreeCount(
+    const sim::Simulator& s) const {
+  // Under the lease discipline, processors owed to OTHER suspended jobs are
+  // not usable — a fresh preemptor runs on its victims' processors plus
+  // unowed free ones.
+  s.counters().inc(obs::Counter::FenceScans);
+  sim::ProcSet offLimits = claimedSet(s);
+  if (config_.owedProcs == OwedProcsPolicy::Lease) offLimits |= suspendedSets(s);
+  const std::uint32_t countFence = claimedCount(s);
+  const std::uint32_t usableFree = (s.freeSet() - offLimits).count();
+  return usableFree >= countFence ? usableFree - countFence : 0;
+}
+
+void SelectiveSuspension::refreshFreshPath(const sim::Simulator& s) {
+  freeNow_ = freshFreeCount(s);
+  // The TSS limits (static, or online averages that move only on
+  // completions) hold between transitions.
+  std::array<double, kernel::VictimIndex::kCategories> limits;
+  for (std::size_t cat = 0; cat < limits.size(); ++cat) {
+    const std::optional<double> limit = categoryLimit(cat);
+    limits[cat] = limit ? *limit : std::numeric_limits<double>::infinity();
+  }
+  victimSteps_.build(victimIndex_, limits);
+  kernel::freshThresholds(victimSteps_, idleLines_, config_.suspensionFactor,
+                          freeNow_, config_.halfWidthRule, freshAt_);
 }
 
 void SelectiveSuspension::startFreshPreferring(sim::Simulator& s, JobId id) {
@@ -395,31 +410,45 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
     usableCount = usable.count();
     usableDirty = false;
   };
-  // One walk: the `state` jobs of `source`, claimants excluded, highest
-  // priority first, acting on each that `fits`. The walk's own resumes and
-  // starts only shrink usable, so a job that fails `fits` against the
-  // walk's starting capacity fails it at every later step too: incremental
-  // mode gathers only the jobs that fit at the start — a short list even
-  // when thousands wait — and sorts that. Rebuild mode gathers and sorts
-  // every candidate, the unfiltered reference.
-  auto walk = [&](const std::vector<JobId>& source, sim::JobState state,
-                  const sim::ProcSet& fence, auto fits, auto act) {
+  // One walk: the `state` jobs, claimants excluded, highest priority
+  // first, acting on each that `fits`. The walk's own resumes and starts
+  // only shrink usable, so a job that fails `fits` against the walk's
+  // starting capacity fails it at every later step too: incremental mode
+  // gathers from the idle-line index only the jobs no wider than
+  // usableCount − countFence that fit at the start — a short list even
+  // when thousands wait — and pops them off a heap only as far as the walk
+  // goes. Rebuild mode gathers every candidate of `source`, the unfiltered
+  // reference.
+  using IdleState = kernel::IdleLineIndex::State;
+  auto walk = [&](IdleState idle, const sim::ProcSet& fence, auto fits,
+                  auto act) {
     usableDirty = true;
-    if (incremental) refreshUsable(fence);
     walkScratch_.clear();
-    for (const JobId id : source) {
-      if (simulator.state(id) != state || isClaimant(id)) continue;
-      if (incremental && !fits(id)) continue;
-      walkScratch_.push_back(kernel::idleJob(simulator, id));
+    if (incremental) {
+      refreshUsable(fence);
+      if (usableCount <= countFence) return;  // nothing fits
+      idleLines_.forEachFitting(idle, usableCount - countFence, [&](JobId id) {
+        if (!isClaimant(id) && fits(id))
+          walkScratch_.push_back(kernel::idleJob(simulator, id));
+      });
+    } else {
+      const bool queued = idle == IdleState::Queued;
+      for (const JobId id : queued ? simulator.queuedJobs()
+                                   : simulator.suspendedJobs())
+        if (simulator.state(id) == (queued ? sim::JobState::Queued
+                                           : sim::JobState::Suspended) &&
+            !isClaimant(id))
+          walkScratch_.push_back(kernel::idleJob(simulator, id));
     }
-    kernel::sortByPriority(walkScratch_);
-    for (const kernel::IdleJob& candidate : walkScratch_) {
+    kernel::makeWalkHeap(walkScratch_);
+    while (!walkScratch_.empty()) {
+      const JobId id = kernel::popWalkHeap(walkScratch_).id;
       refreshUsable(fence);
       // usable only shrinks as the walk acts, so once the fence eats all
       // of it no later candidate can fit either.
       if (incremental && usableCount <= countFence) break;
-      if (fits(candidate.id)) {
-        act(candidate.id);
+      if (fits(id)) {
+        act(id);
         usableDirty = true;
       }
     }
@@ -430,7 +459,7 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
   if (!incremental ||
       (!simulator.suspendedJobs().empty() && simulator.freeCount() != 0)) {
     walk(
-        simulator.suspendedJobs(), sim::JobState::Suspended, fenced,
+        IdleState::Suspended, fenced,
         [&](JobId id) {
           if (config_.migratableJobs)
             return usableCount >= simulator.job(id).procs + countFence;
@@ -459,7 +488,7 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
   if (!incremental ||
       (!simulator.queuedJobs().empty() && simulator.freeCount() != 0)) {
     walk(
-        simulator.queuedJobs(), sim::JobState::Queued, unusable,
+        IdleState::Queued, unusable,
         [&](JobId id) {
           return usableCount >= simulator.job(id).procs + countFence;
         },
@@ -536,21 +565,6 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
               return a < b;
             });
 
-  // The fresh-preemptor fences (claims, owed sets, usable free count) are
-  // recomputed per use — the reference per-candidate-reconstruction shape
-  // the golden suite compares the indexed pass against.
-  sim::ProcSet offLimits;
-  std::uint32_t freeNow = 0;
-  auto refreshFences = [&] {
-    simulator.counters().inc(obs::Counter::FenceScans);
-    offLimits = claimedSet(simulator);
-    if (config_.owedProcs == OwedProcsPolicy::Lease)
-      offLimits |= suspendedSets(simulator);
-    const std::uint32_t countFence = claimedCount(simulator);
-    const std::uint32_t usableFree = (simulator.freeSet() - offLimits).count();
-    freeNow = usableFree >= countFence ? usableFree - countFence : 0;
-  };
-
   // The idle jobs in priority order, as of the pass start. The snapshot goes
   // stale as this loop suspends and starts jobs; anything no longer idle is
   // skipped at use.
@@ -625,10 +639,9 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
     } else {
       // Fresh preemptor: collect the lowest-priority eligible victims until
       // free + gain covers the request (pseudocode label suspend_jobs_1).
-      // Under the lease discipline, processors owed to OTHER suspended jobs
-      // are not usable — the preemptor runs on its victims' processors plus
-      // unowed free ones.
-      refreshFences();
+      // The fences are recomputed per candidate — the reference
+      // per-candidate-reconstruction shape.
+      const std::uint32_t freeNow = freshFreeCount(simulator);
       if (freeNow >= width) continue;  // dispatch() handles the free case
 
       std::vector<JobId> candidates;
@@ -679,7 +692,6 @@ void SelectiveSuspension::preemptionPassIncremental(
   struct Tally {
     std::uint64_t victimTests = 0;
     std::uint64_t boundSkips = 0;
-    std::uint64_t fenceScans = 0;
     double minTc = std::numeric_limits<double>::infinity();
     JobId minId = kInvalidJob;
     double minX = 0.0;
@@ -706,35 +718,13 @@ void SelectiveSuspension::preemptionPassIncremental(
     tally.minTarget = target;
   };
 
-  // Fresh-preemptor fences, recomputed only after this pass changes them.
-  bool fencesDirty = true;
-  sim::ProcSet offLimits;
-  std::uint32_t freeNow = 0;
-  auto refreshFences = [&] {
-    if (!fencesDirty) return;
-    ++tally.fenceScans;
-    offLimits = claimedSet(simulator);
-    if (config_.owedProcs == OwedProcsPolicy::Lease)
-      offLimits |= suspendedSets(simulator);
-    const std::uint32_t countFence = claimedCount(simulator);
-    const std::uint32_t usableFree = (simulator.freeSet() - offLimits).count();
-    freeNow = usableFree >= countFence ? usableFree - countFence : 0;
-    fencesDirty = false;
-  };
-
-  // The victim step function, rebuilt lazily after this pass's actions.
-  // The TSS limits (static, or online averages that move only on
-  // completions) are pass-constant.
-  bool stepsDirty = true;
-  auto refreshSteps = [&] {
-    if (!stepsDirty) return;
-    std::array<double, kernel::VictimIndex::kCategories> limits;
-    for (std::size_t cat = 0; cat < limits.size(); ++cat) {
-      const std::optional<double> limit = categoryLimit(cat);
-      limits[cat] = limit ? *limit : std::numeric_limits<double>::infinity();
-    }
-    victimSteps_.build(victimIndex_, limits);
-    stepsDirty = false;
+  // The fresh path's state (freeNow_, victimSteps_, freshAt_) as the gate
+  // built it for the pass-start state; rebuilt lazily after each of this
+  // pass's actions.
+  bool dirty = false;
+  auto refresh = [&] {
+    if (dirty) refreshFreshPath(simulator);
+    dirty = false;
   };
 
   // One candidate against the current state: true when it can act, with
@@ -786,8 +776,8 @@ void SelectiveSuspension::preemptionPassIncremental(
       if (!(needed - covered).empty()) return false;
       return !occupantsScratch_.empty();  // free case: dispatch()
     }
-    refreshFences();
-    if (freeNow >= width) return false;  // dispatch() handles the free case
+    refresh();
+    if (freeNow_ >= width) return false;  // dispatch() handles the free case
 
     // The eligible victims are a prefix of the step function's (frozen
     // xfactor, id) order: the SF test and any TSS limit both reject
@@ -799,10 +789,10 @@ void SelectiveSuspension::preemptionPassIncremental(
     // that fails for lack of gain cannot go live before its priority
     // crosses SF x that — the earliest any eligible prefix can grow
     // without a transition.
-    refreshSteps();
-    const int reach = reachOf(width, config_.halfWidthRule);
+    const int reach =
+        kernel::VictimSteps::reachOf(width, config_.halfWidthRule);
     const kernel::VictimSteps::Cut cut = victimSteps_.cut(priority, sf, reach);
-    if (freeNow + cut.bound < width) {
+    if (freeNow_ + cut.bound < width) {
       ++tally.boundSkips;
       if (std::isfinite(cut.xNext))
         noteHorizon(id, priority, hit.est, sf * cut.xNext);
@@ -815,7 +805,7 @@ void SelectiveSuspension::preemptionPassIncremental(
     victimsScratch_.clear();
     std::uint32_t gain = 0;
     const auto& steps = victimSteps_.steps();
-    for (std::size_t i = 0; i < cut.end && freeNow + gain < width; ++i) {
+    for (std::size_t i = 0; i < cut.end && freeNow_ + gain < width; ++i) {
       const kernel::VictimSteps::Step& step = steps[i];
       if (step.widthClass > reach) continue;
       const kernel::VictimIndex::Entry& e = step.entry;
@@ -825,7 +815,7 @@ void SelectiveSuspension::preemptionPassIncremental(
       victimsScratch_.push_back(e.job);
       gain += e.procs;
     }
-    if (freeNow + gain < width) {
+    if (freeNow_ + gain < width) {
       // The collection exhausted the eligible prefix (the bound counts
       // serial-stamped and width-failing entries, so it can pass where the
       // exact collection falls short); more gain likewise needs an SF
@@ -844,7 +834,6 @@ void SelectiveSuspension::preemptionPassIncremental(
     obs::Counters& counters = simulator.counters();
     counters.add(obs::Counter::VictimTests, tally.victimTests);
     counters.add(obs::Counter::VictimBoundSkips, tally.boundSkips);
-    counters.add(obs::Counter::FenceScans, tally.fenceScans);
     if (tally.minId != kInvalidJob)
       passHorizon_ = kernel::crossingHorizon(simulator, tally.minId,
                                              tally.minX, tally.minTarget);
@@ -853,9 +842,10 @@ void SelectiveSuspension::preemptionPassIncremental(
   // Until its first action the pass reads only pass-start state, so which
   // candidates act, and what the others tally, does not depend on walk
   // order (no candidate is stale, and the live break below cannot fire:
-  // the gate reported exactly the candidates at or above SF x the minimum
-  // priority). Evaluate in gather order; if nobody can act, that is the
-  // whole pass — no sort.
+  // every reported candidate is at or above SF x the minimum priority).
+  // The gate reported every candidate at or above its own threshold, and
+  // no other can act. Evaluate in gather order; if nobody can act, that is
+  // the whole pass — no sort.
   bool acts = false;
   for (const kernel::IdleLineIndex::Hit& hit : tickPrefix_) {
     if (isClaimant(hit.id)) continue;
@@ -870,13 +860,19 @@ void SelectiveSuspension::preemptionPassIncremental(
   }
 
   // Some candidate acts: rerun the pass as the ordered walk, from a clean
-  // tally (the fences are recounted; the steps still hold pass-start
-  // state). Ordering the gate's candidates under the Eq. 2 comparator —
-  // xfactor descending, ties by submit then id — reproduces the reference
-  // walk exactly: idle priorities change only on the candidate's own
-  // transitions, and those drop it from the walk anyway.
+  // tally. An action can lower the fresh thresholds (an overshooting
+  // widest-first victim raises freeNow under Squat and Prefer), so the walk
+  // re-queries at the global threshold SF x the minimum priority, the
+  // reference walk's reachable prefix, and skips a fresh candidate only
+  // below its class's current threshold. Ordering the candidates under the
+  // Eq. 2 comparator — xfactor descending, ties by submit then id —
+  // reproduces the reference walk exactly: idle priorities change only on
+  // the candidate's own transitions, and those drop it from the walk
+  // anyway.
   tally = Tally{};
-  fencesDirty = true;
+  tickPrefix_.clear();
+  idleLines_.query(simulator.now(), sf * victimIndex_.minPriority(),
+                   tickPrefix_);
   std::sort(tickPrefix_.begin(), tickPrefix_.end(),
             [&simulator](const kernel::IdleLineIndex::Hit& a,
                          const kernel::IdleLineIndex::Hit& b) {
@@ -904,6 +900,11 @@ void SelectiveSuspension::preemptionPassIncremental(
     // fires, an equally decision-free tail.
     if (hit.x < sf * minPrio) break;
     const bool reentry = isReentry(id);
+    if (!reentry) {
+      refresh();
+      if (hit.x < freshAt_[kernel::IdleLineIndex::widthClassOf(hit.procs)])
+        continue;
+    }
     if (!evaluate(hit, reentry)) continue;
     if (reentry) {
       bool anyDraining = false;
@@ -924,11 +925,10 @@ void SelectiveSuspension::preemptionPassIncremental(
         simulator.resumeJob(id);
       }
     } else {
-      executeFreshPreemption(simulator, id, hit.procs, freeNow,
+      executeFreshPreemption(simulator, id, hit.procs, freeNow_,
                              victimsScratch_);
     }
-    fencesDirty = true;
-    stepsDirty = true;
+    dirty = true;
     minPrio = victimIndex_.minPriority();
   }
   finish();

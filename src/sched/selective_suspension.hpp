@@ -115,9 +115,10 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   void onJobCompletion(sim::Simulator& simulator, JobId job) override;
   void onSuspendDrained(sim::Simulator& simulator, JobId job) override;
   void onTimer(sim::Simulator& simulator, std::uint64_t tag) override;
-  /// Idle walks gather their candidates from the simulator's lists, which
-  /// drop a cancelled job like any other departure; the only policy-owned
-  /// reference to repair is a capacity claim held by the cancelled job.
+  /// Idle walks gather their candidates from the simulator's lists or the
+  /// idle-line index, which both drop a cancelled job like any other
+  /// departure; the only policy-owned reference to repair is a capacity
+  /// claim held by the cancelled job.
   [[nodiscard]] bool supportsCancel() const override { return true; }
   void onJobCancelled(sim::Simulator& simulator, JobId job) override;
   void onSimulationEnd(sim::Simulator& simulator) override;
@@ -165,6 +166,15 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   [[nodiscard]] const sim::ProcSet& suspendedSets(
       const sim::Simulator& s) const;
 
+  /// Free processors a fresh preemptor may use now: free, less the claim
+  /// fences (and, under Lease, the owed sets), less the count claims.
+  /// Counts one fence scan.
+  [[nodiscard]] std::uint32_t freshFreeCount(const sim::Simulator& s) const;
+
+  /// Rebuild the fresh path's state for the current machine: freeNow_,
+  /// victimSteps_ at the current TSS limits, and freshAt_ from both.
+  void refreshFreshPath(const sim::Simulator& s);
+
   /// Start a fresh job, preferring processors no suspended job is owed.
   void startFreshPreferring(sim::Simulator& s, JobId id);
 
@@ -189,17 +199,18 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   void preemptionPassRebuild(sim::Simulator& simulator);
   /// Indexed shape: the gate's reported candidates against VictimSteps'
   /// gain bound, sorted only when some candidate can act. Same decisions
-  /// as Rebuild (argued inline), a fraction of the work.
+  /// as Rebuild (argued inline), a fraction of the work. Starts from the
+  /// fences and steps the gate built.
   void preemptionPassIncremental(sim::Simulator& simulator);
 
   /// Tick gate (Incremental only): one idle-line query that both decides
   /// skippability and gathers the pass's working set. Returns true when
   /// this tick's pass is provably a no-op — every idle candidate's
-  /// priority is below SF x the weakest running priority, so every SF test
-  /// in the pass would fail. Otherwise tickPrefix_ holds the candidates at
-  /// or above that threshold — exactly the candidates the pass can reach
-  /// before its live break. Caches the verdict with a transition stamp and
-  /// an algebraic horizon so consecutive quiet ticks skip in O(1).
+  /// priority is below its own threshold: SF x the weakest running
+  /// priority for reentry, the gain bound's inverse at its width class for
+  /// the fresh path. Otherwise tickPrefix_ holds the candidates at or above
+  /// their thresholds. Caches the verdict with a transition stamp and an
+  /// algebraic horizon so consecutive quiet ticks skip in O(1).
   [[nodiscard]] bool tickPassSkippable(sim::Simulator& simulator);
 
   /// Suspend `victims` on behalf of preemptor `id` needing `width` procs
@@ -214,9 +225,13 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   SsConfig config_;
   kernel::VictimIndex victimIndex_;
   kernel::IdleLineIndex idleLines_;
-  /// The pass's victim step function; rebuilt at pass start and after
-  /// each of the pass's actions.
+  /// The fresh path's state: the victim step function, the fresh free
+  /// count and the fresh report threshold per idle width class. Built by
+  /// the tick gate for the pass-start state and rebuilt after each of the
+  /// pass's actions.
   kernel::VictimSteps victimSteps_;
+  std::uint32_t freeNow_ = 0;
+  std::array<double, kernel::IdleLineIndex::kWidthClasses> freshAt_{};
   std::vector<Claim> claims_;
   /// Claim-fence caches; claims_ mutations set claimsDirty_.
   mutable sim::ProcSet claimedSetCache_;
@@ -226,11 +241,11 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   /// now < gateSkipUntil_, the last gate verdict (skip) still holds.
   std::uint64_t gateStamp_ = ~std::uint64_t{0};
   Time gateSkipUntil_ = kNoTime;
-  /// Gate carryover into the pass: idle candidates at or above the SF
-  /// threshold, in the index's band order; the pass sorts them only when
-  /// one of them can act.
+  /// Gate carryover into the pass: idle candidates at or above their own
+  /// thresholds, in the index's band order. When one of them can act the
+  /// pass refills it at the global threshold and sorts it.
   std::vector<kernel::IdleLineIndex::Hit> tickPrefix_;
-  /// Earliest time a below-threshold candidate can cross SF x minPriority
+  /// Earliest time a below-threshold candidate can cross its threshold
   /// (from the gate query) / earliest time any examined candidate's failed
   /// arm can go live via an SF-boundary crossing (from a no-op pass). Their
   /// min extends gateSkipUntil_ past passes that ran but did nothing.
