@@ -181,8 +181,11 @@ bool SelectiveSuspension::tickPassSkippable(sim::Simulator& simulator) {
   // tick horizon up to which it stays below its threshold — their minimum
   // caps how long the verdict may be cached.
   refreshFreshPath(simulator);
-  kernel::IdleLineIndex::Thresholds thresholds{freshAt_, freshAt_};
-  if (!config_.migratableJobs)  // Suspended lines
+  kernel::IdleLineIndex::Thresholds thresholds;  // [Queued, Suspended]
+  kernel::freshThresholds(victimSteps_, idleLines_, config_.suspensionFactor,
+                          freeNow_, config_.halfWidthRule, thresholds[0]);
+  thresholds[1] = thresholds[0];
+  if (!config_.migratableJobs)
     thresholds[1].fill(config_.suspensionFactor * victimIndex_.minPriority());
   // The exact re-verified crossingHorizon runs once, on the winning line:
   // the raw crossing is monotone in the verified one (floor is monotone and
@@ -270,8 +273,6 @@ void SelectiveSuspension::refreshFreshPath(const sim::Simulator& s) {
     limits[cat] = limit ? *limit : std::numeric_limits<double>::infinity();
   }
   victimSteps_.build(victimIndex_, limits);
-  kernel::freshThresholds(victimSteps_, idleLines_, config_.suspensionFactor,
-                          freeNow_, config_.halfWidthRule, freshAt_);
 }
 
 void SelectiveSuspension::startFreshPreferring(sim::Simulator& s, JobId id) {
@@ -417,8 +418,8 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
   // gathers from the idle-line index only the jobs no wider than
   // usableCount − countFence that fit at the start — a short list even
   // when thousands wait — and pops them off a heap only as far as the walk
-  // goes. Rebuild mode gathers every candidate of `source`, the unfiltered
-  // reference.
+  // goes. Rebuild mode gathers every candidate from the simulator's lists
+  // and sorts them all, the unfiltered reference.
   using IdleState = kernel::IdleLineIndex::State;
   auto walk = [&](IdleState idle, const sim::ProcSet& fence, auto fits,
                   auto act) {
@@ -440,9 +441,13 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
             !isClaimant(id))
           walkScratch_.push_back(kernel::idleJob(simulator, id));
     }
-    kernel::makeWalkHeap(walkScratch_);
-    while (!walkScratch_.empty()) {
-      const JobId id = kernel::popWalkHeap(walkScratch_).id;
+    if (incremental)
+      kernel::makeWalkHeap(walkScratch_);
+    else
+      kernel::sortByPriority(walkScratch_);  // the reference order
+    for (std::size_t next = 0; next < walkScratch_.size();) {
+      const JobId id = incremental ? kernel::popWalkHeap(walkScratch_).id
+                                   : walkScratch_[next++].id;
       refreshUsable(fence);
       // usable only shrinks as the walk acts, so once the fence eats all
       // of it no later candidate can fit either.
@@ -718,7 +723,7 @@ void SelectiveSuspension::preemptionPassIncremental(
     tally.minTarget = target;
   };
 
-  // The fresh path's state (freeNow_, victimSteps_, freshAt_) as the gate
+  // The fresh path's state (freeNow_, victimSteps_) as the gate
   // built it for the pass-start state; rebuilt lazily after each of this
   // pass's actions.
   bool dirty = false;
@@ -863,12 +868,12 @@ void SelectiveSuspension::preemptionPassIncremental(
   // tally. An action can lower the fresh thresholds (an overshooting
   // widest-first victim raises freeNow under Squat and Prefer), so the walk
   // re-queries at the global threshold SF x the minimum priority, the
-  // reference walk's reachable prefix, and skips a fresh candidate only
-  // below its class's current threshold. Ordering the candidates under the
-  // Eq. 2 comparator — xfactor descending, ties by submit then id —
-  // reproduces the reference walk exactly: idle priorities change only on
-  // the candidate's own transitions, and those drop it from the walk
-  // anyway.
+  // reference walk's reachable prefix, and leaves each fresh candidate's
+  // verdict to evaluate()'s gain bound at the current fences and steps.
+  // Ordering the candidates under the Eq. 2 comparator — xfactor
+  // descending, ties by submit then id — reproduces the reference walk
+  // exactly: idle priorities change only on the candidate's own
+  // transitions, and those drop it from the walk anyway.
   tally = Tally{};
   tickPrefix_.clear();
   idleLines_.query(simulator.now(), sf * victimIndex_.minPriority(),
@@ -900,11 +905,6 @@ void SelectiveSuspension::preemptionPassIncremental(
     // fires, an equally decision-free tail.
     if (hit.x < sf * minPrio) break;
     const bool reentry = isReentry(id);
-    if (!reentry) {
-      refresh();
-      if (hit.x < freshAt_[kernel::IdleLineIndex::widthClassOf(hit.procs)])
-        continue;
-    }
     if (!evaluate(hit, reentry)) continue;
     if (reentry) {
       bool anyDraining = false;

@@ -171,8 +171,8 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   /// Counts one fence scan.
   [[nodiscard]] std::uint32_t freshFreeCount(const sim::Simulator& s) const;
 
-  /// Rebuild the fresh path's state for the current machine: freeNow_,
-  /// victimSteps_ at the current TSS limits, and freshAt_ from both.
+  /// Rebuild the fresh path's state for the current machine: freeNow_ and
+  /// victimSteps_ at the current TSS limits.
   void refreshFreshPath(const sim::Simulator& s);
 
   /// Start a fresh job, preferring processors no suspended job is owed.
@@ -225,13 +225,11 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   SsConfig config_;
   kernel::VictimIndex victimIndex_;
   kernel::IdleLineIndex idleLines_;
-  /// The fresh path's state: the victim step function, the fresh free
-  /// count and the fresh report threshold per idle width class. Built by
-  /// the tick gate for the pass-start state and rebuilt after each of the
-  /// pass's actions.
+  /// The fresh path's state: the victim step function and the fresh free
+  /// count. Built by the tick gate for the pass-start state and rebuilt
+  /// after each of the pass's actions.
   kernel::VictimSteps victimSteps_;
   std::uint32_t freeNow_ = 0;
-  std::array<double, kernel::IdleLineIndex::kWidthClasses> freshAt_{};
   std::vector<Claim> claims_;
   /// Claim-fence caches; claims_ mutations set claimsDirty_.
   mutable sim::ProcSet claimedSetCache_;

@@ -2,7 +2,8 @@
 // Every query is checked against a brute-force sweep over the same lines
 // that applies the same per-line float test (kernel::testLine): both must
 // report the same (priority, id) set and pick the same earliest crossing,
-// hence the same verified crossing horizon.
+// hence the same verified crossing horizon. Also the dispatch walks' heap
+// order against the reference sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,11 +11,13 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sched/core/idle_lines.hpp"
+#include "sched/core/idle_order.hpp"
 #include "sched/overhead.hpp"
 #include "sched/selective_suspension.hpp"
 #include "sim/simulator.hpp"
@@ -256,7 +259,8 @@ TEST(IdleLineIndex, EqualLinesTieOnId) {
 // b + (T − 1)·lo (lo == e here: every estimate sits on a band's low edge)
 // lands past now by up to half an ulp of x times e, far more than an ulp
 // of a small clock, and a just-arrived short job crosses T sooner still —
-// only the scan margin keeps the second such line in the scan.
+// only the scan margin keeps the second such line in the scan. Each state
+// keeps its own bands, so each state gets such a pair.
 TEST(IdleLineIndex, RoundedUpPrioritiesOnABandEdgeAreReported) {
   std::size_t roundedUp = 0;
   for (const Time e : {Time{3} << 38, Time{5} << 37, Time{7} << 36}) {
@@ -267,8 +271,10 @@ TEST(IdleLineIndex, RoundedUpPrioritiesOnABandEdgeAreReported) {
       ++roundedUp;
       IdleLineIndex index;
       LineMap lines = {{0, {0, State::Queued, 0, e, 1}},
-                       {1, {1, State::Suspended, 0, e, 1}},
-                       {2, {2, State::Queued, wait, 4, 1}}};
+                       {1, {1, State::Queued, 0, e, 1}},
+                       {2, {2, State::Queued, wait, 4, 1}},
+                       {3, {3, State::Suspended, 0, e, 1}},
+                       {4, {4, State::Suspended, 0, e, 1}}};
       for (const auto& [id, line] : lines)
         index.insert(id, line.state, line.b, line.estimate, line.procs);
       expectSameQuery(index, lines, wait, x);
@@ -469,6 +475,45 @@ TEST(VictimSteps, ThresholdInvertsCut) {
   }
   EXPECT_GT(checks, 1000u);
   EXPECT_GT(infinite, 0u);
+}
+
+// The SS/TSS dispatch walk's heap against the reference walk's sort: on
+// random idle lists dense in tied priorities and tied submit times,
+// repeatedly popping the heap yields exactly sortByPriority's order.
+TEST(IdleOrder, WalkHeapPopsInSortOrder) {
+  Rng rng(23);
+  std::size_t tiedPriorities = 0;
+  std::size_t tiedSubmits = 0;
+  for (int round = 0; round < 500; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniformInt(0, 60));
+    const auto distinct = rng.uniformInt(1, 6);
+    std::vector<JobId> ids(n);
+    std::iota(ids.begin(), ids.end(), JobId{0});
+    std::shuffle(ids.begin(), ids.end(), rng);
+    std::vector<kernel::IdleJob> jobs;
+    for (const JobId id : ids) {
+      const auto level = static_cast<double>(rng.uniformInt(0, distinct));
+      jobs.push_back({1.0 + 0.5 * level, rng.uniformInt(0, distinct), id});
+    }
+    std::vector<kernel::IdleJob> sorted = jobs;
+    kernel::sortByPriority(sorted);
+    for (std::size_t i = 1; i < sorted.size(); ++i) {
+      if (sorted[i].priority != sorted[i - 1].priority) continue;
+      ++tiedPriorities;
+      if (sorted[i].submit == sorted[i - 1].submit) ++tiedSubmits;
+    }
+    kernel::makeWalkHeap(jobs);
+    for (const kernel::IdleJob& want : sorted) {
+      ASSERT_FALSE(jobs.empty());
+      const kernel::IdleJob got = kernel::popWalkHeap(jobs);
+      ASSERT_EQ(got.id, want.id) << "round " << round;
+      ASSERT_EQ(got.priority, want.priority);
+      ASSERT_EQ(got.submit, want.submit);
+    }
+    EXPECT_TRUE(jobs.empty());
+  }
+  EXPECT_GT(tiedPriorities, 0u);
+  EXPECT_GT(tiedSubmits, 0u);
 }
 
 }  // namespace
