@@ -68,6 +68,19 @@ std::string diffRecords(const RunRecord& inc, const RunRecord& reb,
   return "";
 }
 
+/// "[<lane>] <text>": names the run a finding came from. Appends into one
+/// buffer; the `"[" + std::string(...)` form trips GCC 12's -Wrestrict
+/// false positive in Release builds.
+std::string inLane(std::string_view lane, std::string_view text) {
+  std::string out;
+  out.reserve(lane.size() + text.size() + 3);
+  out += '[';
+  out += lane;
+  out += "] ";
+  out += text;
+  return out;
+}
+
 // --- workload shapes -------------------------------------------------------
 
 workload::Job makeJob(Time submit, Time runtime, std::uint32_t procs,
@@ -332,22 +345,24 @@ DiffOutcome DiffHarness::diffStreamed(const FuzzCase& c,
   DiffOutcome out;
   for (const KernelMode mode :
        {KernelMode::Incremental, KernelMode::Rebuild}) {
-    const char* lane =
-        mode == KernelMode::Incremental ? "incremental" : "rebuild";
+    const bool inc = mode == KernelMode::Incremental;
+    const char* lane = inc ? "incremental" : "rebuild";
     std::string violation;
     const RunRecord batch = runOnce(c, mode, &violation);
     if (!violation.empty()) {
-      out.violation = "[batch/" + std::string(lane) + "] " + violation;
+      out.violation =
+          inLane(inc ? "batch/incremental" : "batch/rebuild", violation);
       return out;
     }
     const RunRecord streamed = runStreamed(c, mode, seed, &violation);
     if (!violation.empty()) {
-      out.violation = "[streamed/" + std::string(lane) + "] " + violation;
+      out.violation =
+          inLane(inc ? "streamed/incremental" : "streamed/rebuild", violation);
       return out;
     }
     out.divergence = diffRecords(streamed, batch, "streamed", "batch");
     if (!out.divergence.empty()) {
-      out.divergence = "[" + std::string(lane) + "] " + out.divergence;
+      out.divergence = inLane(lane, out.divergence);
       return out;
     }
   }

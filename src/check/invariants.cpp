@@ -7,6 +7,8 @@
 #include "sched/core/reservation_ledger.hpp"
 #include "sched/depth_backfill.hpp"
 #include "sched/easy.hpp"
+#include "sched/gang.hpp"
+#include "sched/immediate_service.hpp"
 #include "sched/selective_suspension.hpp"
 #include "util/check.hpp"
 
@@ -163,6 +165,23 @@ void CapacityAudit::verify(const sim::ProcSet& freeSet, Time now) const {
                     << freeSet.count() << " of " << total_ << ")");
 }
 
+void CapacityAudit::owe(JobId id, const sim::ProcSet& procs) {
+  owed_.insert_or_assign(id, procs);
+}
+
+void CapacityAudit::reclaim(JobId id, const sim::ProcSet& procs, Time now) {
+  const auto it = owed_.find(id);
+  SPS_CHECK_MSG(it != owed_.end(), "capacity: job " << id
+                                                    << " resumes unowed at t="
+                                                    << now);
+  SPS_CHECK_MSG(procs == it->second,
+                "capacity: job " << id << " resumes on " << procs.toString()
+                                 << " but was suspended on "
+                                 << it->second.toString() << " at t=" << now
+                                 << " (local preemption)");
+  owed_.erase(it);
+}
+
 // --- GuaranteeAudit --------------------------------------------------------
 
 void GuaranteeAudit::observe(JobId id, Time guarantee, Time now) {
@@ -202,7 +221,10 @@ void InvariantChecker::arm(sim::Simulator& simulator,
   // Probe discovery by policy type. The reservation-based policies expose
   // their kernel ledger and guarantee oracle; SS exposes its protection
   // limit. Policies outside these families still get the policy-agnostic
-  // checkers (capacity / conservation).
+  // checkers (capacity / conservation). The preemptive policies that resume
+  // jobs in place (SS without migratableJobs, IS, Gang) also get the
+  // capacity audit's exact-set resume check.
+  bool local = false;
   if (const auto* c = dynamic_cast<const sched::ConservativeBackfill*>(
           &policy)) {
     ledger_ = &c->ledger();
@@ -222,7 +244,13 @@ void InvariantChecker::arm(sim::Simulator& simulator,
       tssProbe_ = [ss](const sim::Simulator& s, JobId id) {
         return ss->victimProtectionLimit(s, id);
       };
+    local = !ss->config().migratableJobs;
+  } else if (dynamic_cast<const sched::ImmediateService*>(&policy) !=
+                 nullptr ||
+             dynamic_cast<const sched::GangScheduler*>(&policy) != nullptr) {
+    local = true;
   }
+  if (!localResume_) localResume_ = local;
 
   if (config_.capacity)
     capacity_.emplace(simulator.machine().totalProcs());
@@ -253,14 +281,23 @@ void InvariantChecker::onStateChange(const sim::Simulator& s, JobId id,
       checkTssBound(id, s.xfactor(id), *limit, now);
   }
   if (capacity_) {
+    const bool local = *localResume_;
     if (to == JobState::Running) {
-      capacity_->hold(id, s.exec(id).procs, now);
-    } else if ((from == JobState::Running &&
-                (to == JobState::Suspended || to == JobState::Finished)) ||
-               (from == JobState::Suspending && to == JobState::Suspended)) {
+      if (from == JobState::Suspended && local)
+        capacity_->reclaim(id, s.procSet(id), now);
+      capacity_->hold(id, s.procSet(id), now);
+    } else if (from == JobState::Running && to == JobState::Finished) {
       capacity_->release(id, now);
+    } else if (from == JobState::Running) {
+      // Preempted. Running -> Suspending keeps the processors for the
+      // write-out drain; either way the set is what a resume must reclaim.
+      if (to == JobState::Suspended) capacity_->release(id, now);
+      if (local) capacity_->owe(id, s.procSet(id));
+    } else if (from == JobState::Suspending) {
+      capacity_->release(id, now);
+    } else if (from == JobState::Suspended && local) {
+      capacity_->forgive(id);  // cancelled while owed its set
     }
-    // Running -> Suspending keeps the processors for the write-out drain.
     capacity_->verify(s.freeSet(), now);
   }
 }

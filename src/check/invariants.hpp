@@ -4,7 +4,9 @@
 // verify on every run, not just on golden seeds:
 //
 //   * capacity        — no processor oversubscription, ever (the 2D-chart
-//                       packing of Section II is physically realizable);
+//                       packing of Section II is physically realizable),
+//                       and under local preemption a resumed job takes
+//                       back exactly the set it was suspended on;
 //   * conservation    — every arrived job runs and finishes exactly once,
 //                       and suspensions balance resumes (nothing starves
 //                       forever or is lost mid-preemption);
@@ -100,6 +102,13 @@ class CapacityAudit {
   /// The held sets and `freeSet` must partition the machine exactly.
   void verify(const sim::ProcSet& freeSet, Time now) const;
 
+  /// Local preemption. `owe`: job was suspended on `procs`. `reclaim`: it
+  /// resumes on `procs`, which must equal the owed set (throws otherwise).
+  /// `forgive`: it was cancelled while Suspended and is owed nothing.
+  void owe(JobId id, const sim::ProcSet& procs);
+  void reclaim(JobId id, const sim::ProcSet& procs, Time now);
+  void forgive(JobId id) { owed_.erase(id); }
+
   [[nodiscard]] std::uint32_t heldCount() const { return held_.count(); }
 
  private:
@@ -107,6 +116,7 @@ class CapacityAudit {
   sim::ProcSet all_;   ///< {0 .. total-1}
   sim::ProcSet held_;  ///< union of every job's held set
   std::unordered_map<JobId, sim::ProcSet> byJob_;
+  std::unordered_map<JobId, sim::ProcSet> owed_;  ///< suspended jobs' sets
 };
 
 /// Start-time guarantee monotonicity: once a queued job is observed with a
@@ -160,6 +170,9 @@ class InvariantChecker {
     guaranteeProbe_ = std::move(probe);
   }
   void setTssProbe(TssProbe probe) { tssProbe_ = std::move(probe); }
+  /// Force the capacity audit's exact-set resume check on or off in place
+  /// of arm()'s discovery (on for SS without migratableJobs, IS and Gang).
+  void setLocalResumeCheck(bool on) { localResume_ = on; }
 
  private:
   void onStateChange(const sim::Simulator& s, JobId id, sim::JobState from,
@@ -172,6 +185,7 @@ class InvariantChecker {
   GuaranteeAudit guarantees_;
   GuaranteeProbe guaranteeProbe_;
   TssProbe tssProbe_;
+  std::optional<bool> localResume_;
   const sched::kernel::ReservationLedger* ledger_ = nullptr;
   std::uint64_t dispatches_ = 0;
   std::uint64_t epochAudits_ = 0;

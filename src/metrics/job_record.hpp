@@ -8,15 +8,16 @@
 
 namespace sps::metrics {
 
+/// Fields ordered so the three 32-bit ones pack together: 64 bytes.
 struct JobResult {
   JobId id = kInvalidJob;
+  std::uint32_t procs = 1;
+  std::uint32_t suspendCount = 0;
   Time submit = 0;
   Time runtime = 0;
   Time estimate = 0;
-  std::uint32_t procs = 1;
   Time firstStart = kNoTime;
   Time finish = kNoTime;
-  std::uint32_t suspendCount = 0;
   /// Seconds spent in suspension write-out + resume read-back phases.
   Time overheadTotal = 0;
 

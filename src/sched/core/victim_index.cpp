@@ -60,7 +60,7 @@ void VictimIndex::insert(const sim::Simulator& s, JobId id) {
   vec.insert(std::lower_bound(vec.begin(), vec.end(), e, entryLess), e);
   catOf_[id] = static_cast<std::uint8_t>(cat);
   ++count_;
-  s.exec(id).procs.forEach([this, id](std::uint32_t p) { owner_[p] = id; });
+  s.procSet(id).forEach([this, id](std::uint32_t p) { owner_[p] = id; });
   s.counters().inc(obs::Counter::VictimInserts);
 }
 
@@ -78,7 +78,7 @@ void VictimIndex::remove(const sim::Simulator& s, JobId id) {
                 "victim index missing running job " << id);
   vec.erase(it);
   --count_;
-  s.exec(id).procs.forEach([this](std::uint32_t p) {
+  s.procSet(id).forEach([this](std::uint32_t p) {
     owner_[p] = kInvalidJob;
   });
   s.counters().inc(obs::Counter::VictimRemoves);

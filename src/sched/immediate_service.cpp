@@ -48,13 +48,13 @@ void ImmediateService::onTimer(sim::Simulator& simulator, std::uint64_t tag) {
   const std::uint32_t wouldFree =
       simulator.freeCount() + simulator.job(job).procs;
   const sim::ProcSet wouldFreeSet =
-      simulator.freeSet() | simulator.exec(job).procs;
+      simulator.freeSet() | simulator.procSet(job);
   bool helpsSomeone = false;
   for (JobId w : simulator.queuedJobs())
     helpsSomeone |= simulator.job(w).procs <= wouldFree;
   for (JobId w : simulator.suspendedJobs())
     if (w != job && simulator.state(w) == sim::JobState::Suspended)
-      helpsSomeone |= simulator.exec(w).procs.isSubsetOf(wouldFreeSet);
+      helpsSomeone |= simulator.procSet(w).isSubsetOf(wouldFreeSet);
   if (helpsSomeone) {
     simulator.suspendJob(job);
     ++preemptions_;
@@ -139,7 +139,7 @@ void ImmediateService::dispatch(sim::Simulator& simulator) {
   // Suspended jobs need their exact processors back; queued ones any.
   auto fits = [&simulator](JobId id) {
     if (simulator.state(id) == sim::JobState::Suspended)
-      return simulator.exec(id).procs.isSubsetOf(simulator.freeSet());
+      return simulator.procSet(id).isSubsetOf(simulator.freeSet());
     return simulator.job(id).procs <= simulator.freeCount();
   };
   waiting_.clear();
@@ -156,7 +156,7 @@ void ImmediateService::dispatch(sim::Simulator& simulator) {
       // Never bounce a job suspended at this very instant straight back in
       // — the suspension was made to give its processors to someone else.
       if (x.waitSince == simulator.now()) continue;
-      owed -= x.procs;
+      owed -= simulator.procSet(id);
       simulator.resumeJob(id);
     } else {
       // Prefer processors no suspended job is owed, so suspended jobs are

@@ -222,7 +222,7 @@ void SelectiveSuspension::refreshClaims(const sim::Simulator& s) const {
   claimedCountCache_ = 0;
   for (const Claim& c : claims_) {
     if (c.exact)
-      claimedSetCache_ |= s.exec(c.job).procs;
+      claimedSetCache_ |= s.procSet(c.job);
     else
       claimedCountCache_ += s.job(c.job).procs;
   }
@@ -340,7 +340,7 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
     for (std::size_t i = 0; i < claims_.size(); ++i) {
       const Claim c = claims_[i];
       if (c.exact) {
-        if (simulator.exec(c.job).procs.isSubsetOf(simulator.freeSet())) {
+        if (simulator.procSet(c.job).isSubsetOf(simulator.freeSet())) {
           claims_.erase(claims_.begin() + static_cast<std::ptrdiff_t>(i));
           claimsDirty_ = true;
           simulator.resumeJob(c.job);
@@ -468,9 +468,9 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
         [&](JobId id) {
           if (config_.migratableJobs)
             return usableCount >= simulator.job(id).procs + countFence;
-          // x.procs subset of (freeSet - fenced) == subset of freeSet and
+          // procSet(id) subset of (freeSet - fenced) == subset of freeSet and
           // disjoint from the fence.
-          const sim::ProcSet& procs = simulator.exec(id).procs;
+          const sim::ProcSet& procs = simulator.procSet(id);
           return procs.isSubsetOf(usable) &&
                  usableCount >= procs.count() + countFence;
         },
@@ -525,7 +525,7 @@ void SelectiveSuspension::executeFreshPreemption(
   sim::ProcSet victimProcs;
   for (JobId r : victims) {
     if (freeNow + freed >= width) break;
-    victimProcs |= simulator.exec(r).procs;
+    victimProcs |= simulator.procSet(r);
     simulator.counters().inc(obs::Counter::Preemptions);
     SPS_TRACE(&simulator.recorder(),
               obs::instant("policy", "preempt", simulator.now(), r)
@@ -596,12 +596,12 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
     if (reentry) {
       // Must reclaim the exact saved set: every current occupant of those
       // processors has to be an eligible victim, and none may be mid-drain.
-      const sim::ProcSet needed = simulator.exec(id).procs;
+      const sim::ProcSet needed = simulator.procSet(id);
       if (needed.intersects(claimedSet(simulator))) continue;
       std::vector<JobId> occupants;
       bool blocked = false;
       for (JobId r : simulator.runningJobs())
-        if (simulator.exec(r).procs.intersects(needed)) occupants.push_back(r);
+        if (simulator.procSet(r).intersects(needed)) occupants.push_back(r);
       // Canonical suspension order: the running list is unordered (swap-
       // and-pop), and with an overhead model the occupants' drain events
       // tie-break by insertion sequence — so the schedule would otherwise
@@ -609,7 +609,7 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
       std::sort(occupants.begin(), occupants.end());
       for (JobId r : simulator.suspendedJobs())
         if (simulator.state(r) == sim::JobState::Suspending &&
-            simulator.exec(r).procs.intersects(needed))
+            simulator.procSet(r).intersects(needed))
           blocked = true;  // draining; try again next tick
       if (blocked) continue;
       sim::ProcSet covered = needed & simulator.freeSet();
@@ -620,7 +620,7 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
           blocked = true;
           break;
         }
-        covered |= simulator.exec(r).procs & needed;
+        covered |= simulator.procSet(r) & needed;
       }
       if (blocked || !(needed - covered).empty()) continue;
       if (occupants.empty()) continue;  // dispatch() handles the free case
@@ -744,7 +744,7 @@ void SelectiveSuspension::preemptionPassIncremental(
     if (reentry) {
       // Must reclaim the exact saved set: every current occupant of those
       // processors has to be an eligible victim, and none may be mid-drain.
-      const sim::ProcSet& needed = simulator.exec(id).procs;
+      const sim::ProcSet& needed = simulator.procSet(id);
       if (needed.intersects(claimedSet(simulator))) return false;
       // The reference's Suspending scan, as one aggregate intersection.
       if (needed.intersects(simulator.drainingSet())) return false;
@@ -776,7 +776,7 @@ void SelectiveSuspension::preemptionPassIncremental(
           if (priority < sf * xr) noteHorizon(id, priority, hit.est, sf * xr);
           return false;
         }
-        covered |= simulator.exec(r).procs & needed;
+        covered |= simulator.procSet(r) & needed;
       }
       if (!(needed - covered).empty()) return false;
       return !occupantsScratch_.empty();  // free case: dispatch()

@@ -46,6 +46,8 @@ const char* eventTypeName(EventType type) {
 
 }  // namespace
 
+const ProcSet Simulator::kNoProcs;
+
 const char* jobStateName(JobState state) {
   switch (state) {
     case JobState::NotArrived: return "NotArrived";
@@ -156,7 +158,7 @@ bool Simulator::cancelJob(JobId id) {
       break;
     case JobState::Suspended:
       if (!policy_.supportsCancel()) return false;
-      owedRemove(x.procs);
+      owedRemove(heldProcs(id));
       removeFrom(suspended_, id);
       break;
     case JobState::Running:
@@ -176,6 +178,7 @@ bool Simulator::cancelJob(JobId id) {
   SPS_CHECK(unfinished_ > 0);
   --unfinished_;
   notifyStateChange(id, from, JobState::Cancelled);
+  if (from == JobState::Suspended) releaseProcSlot(id);
   if (from != JobState::NotArrived) policy_.onJobCancelled(*this, id);
   return true;
 }
@@ -298,14 +301,17 @@ void Simulator::handleCompletion(JobId id, std::uint64_t generation) {
   SPS_CHECK_MSG(states_[id] == JobState::Running,
                 "completion of job " << id << " in state "
                                      << jobStateName(states_[id]));
-  machine_.release(x.procs, now_);
+  machine_.release(heldProcs(id), now_);
   states_[id] = JobState::Finished;
   x.remainingWork = 0;
   x.finish = now_;
   x.resumeOverheadElapsed += x.segOverhead;
   x.segStart = kNoTime;
   removeFrom(running_, id);
+  // Observers (the victim index, the capacity audit) read the finished
+  // job's set at this transition; only then does its slot go back.
   notifyStateChange(id, JobState::Running, JobState::Finished);
+  releaseProcSlot(id);
   lastFinish_ = std::max(lastFinish_, now_);
   SPS_CHECK(unfinished_ > 0);
   --unfinished_;
@@ -313,12 +319,12 @@ void Simulator::handleCompletion(JobId id, std::uint64_t generation) {
 }
 
 void Simulator::handleSuspendDrained(JobId id) {
-  JobExec& x = exec_[id];
   SPS_CHECK(states_[id] == JobState::Suspending);
-  machine_.release(x.procs, now_);
+  const ProcSet& procs = heldProcs(id);
+  machine_.release(procs, now_);
   states_[id] = JobState::Suspended;
-  draining_ -= x.procs;
-  owedAdd(x.procs);
+  draining_ -= procs;
+  owedAdd(procs);
   notifyStateChange(id, JobState::Suspending, JobState::Suspended);
   policy_.onSuspendDrained(*this, id);
 }
@@ -356,7 +362,7 @@ void Simulator::startJob(JobId id) {
   SPS_CHECK_MSG(want <= machine_.freeCount(),
                 "startJob(" << id << "): wants " << want << ", free "
                             << machine_.freeCount());
-  x.procs = machine_.allocate(want, now_);
+  takeProcSlot(id, machine_.allocate(want, now_));
   removeFrom(queued_, id);
   queuedWork_ -= queuedWorkOf(id);
   beginSegment(id);
@@ -370,7 +376,8 @@ void Simulator::startJobAvoiding(JobId id, const ProcSet& avoid) {
   SPS_CHECK_MSG(x.suspendCount == 0,
                 "startJobAvoiding(" << id << ") on a previously-suspended "
                                        "job; use resumeJob");
-  x.procs = machine_.allocateAvoiding(job(id).procs, avoid, now_);
+  // `avoid` may alias a pooled set: it is read before the slot is taken.
+  takeProcSlot(id, machine_.allocateAvoiding(job(id).procs, avoid, now_));
   removeFrom(queued_, id);
   queuedWork_ -= queuedWorkOf(id);
   beginSegment(id);
@@ -391,32 +398,32 @@ void Simulator::startJobPreferring(JobId id, const ProcSet& softAvoid,
   SPS_CHECK_MSG(pool.count() >= job(id).procs,
                 "startJobPreferring(" << id << "): insufficient unfenced "
                                          "processors");
-  x.procs = machine_.allocatePreferring(job(id).procs, softAvoid, hardAvoid,
-                                        now_);
-  SPS_CHECK(!x.procs.intersects(hardAvoid));
+  ProcSet procs = machine_.allocatePreferring(job(id).procs, softAvoid,
+                                              hardAvoid, now_);
+  SPS_CHECK(!procs.intersects(hardAvoid));
+  takeProcSlot(id, std::move(procs));
   removeFrom(queued_, id);
   queuedWork_ -= queuedWorkOf(id);
   beginSegment(id);
 }
 
 void Simulator::resumeJob(JobId id) {
-  JobExec& x = exec_[id];
   SPS_CHECK_MSG(states_[id] == JobState::Suspended,
                 "resumeJob(" << id << ") in state "
                              << jobStateName(states_[id]));
-  machine_.allocateExact(x.procs, now_);
-  owedRemove(x.procs);
+  const ProcSet& procs = heldProcs(id);
+  machine_.allocateExact(procs, now_);
+  owedRemove(procs);
   removeFrom(suspended_, id);
   beginSegment(id);
 }
 
 void Simulator::resumeJobMigrating(JobId id, const ProcSet& avoid) {
-  JobExec& x = exec_[id];
   SPS_CHECK_MSG(states_[id] == JobState::Suspended,
                 "resumeJobMigrating(" << id << ") in state "
                                       << jobStateName(states_[id]));
-  owedRemove(x.procs);  // before the saved set is replaced below
-  x.procs = machine_.allocateAvoiding(job(id).procs, avoid, now_);
+  owedRemove(heldProcs(id));  // before the saved set is replaced below
+  heldProcs(id) = machine_.allocateAvoiding(job(id).procs, avoid, now_);
   removeFrom(suspended_, id);
   beginSegment(id);
 }
@@ -446,15 +453,16 @@ void Simulator::suspendJob(JobId id) {
     SPS_CHECK(drain >= 0);
     x.drainOverhead += drain;
   }
+  const ProcSet& procs = heldProcs(id);
   if (drain > 0) {
     states_[id] = JobState::Suspending;
-    draining_ |= x.procs;
+    draining_ |= procs;
     events_.push(now_ + drain, EventType::SuspendDrained, id);
     notifyStateChange(id, JobState::Running, JobState::Suspending);
   } else {
     states_[id] = JobState::Suspended;
-    machine_.release(x.procs, now_);
-    owedAdd(x.procs);
+    machine_.release(procs, now_);
+    owedAdd(procs);
     notifyStateChange(id, JobState::Running, JobState::Suspended);
   }
 }
@@ -515,8 +523,28 @@ double Simulator::instantaneousXfactor(JobId id) const {
 }
 
 void Simulator::addTo(std::vector<JobId>& list, JobId id) {
-  listPos_[id] = list.size();
+  listPos_[id] = static_cast<std::uint32_t>(list.size());
   list.push_back(id);
+}
+
+void Simulator::takeProcSlot(JobId id, ProcSet procs) {
+  std::uint32_t& slot = exec_[id].procSlot;
+  SPS_DCHECK(slot == kNoProcSlot);
+  if (freeProcSlots_.empty()) {
+    slot = static_cast<std::uint32_t>(procPool_.size());
+    procPool_.push_back(std::move(procs));
+  } else {
+    slot = freeProcSlots_.back();
+    freeProcSlots_.pop_back();
+    procPool_[slot] = std::move(procs);
+  }
+}
+
+void Simulator::releaseProcSlot(JobId id) {
+  std::uint32_t& slot = exec_[id].procSlot;
+  SPS_DCHECK(slot != kNoProcSlot);
+  freeProcSlots_.push_back(slot);
+  slot = kNoProcSlot;
 }
 
 void Simulator::owedAdd(const ProcSet& procs) {
@@ -533,7 +561,7 @@ void Simulator::owedRemove(const ProcSet& procs) {
 }
 
 void Simulator::removeFrom(std::vector<JobId>& list, JobId id) {
-  const std::size_t pos = listPos_[id];
+  const std::uint32_t pos = listPos_[id];
   SPS_CHECK_MSG(pos < list.size() && list[pos] == id,
                 "job " << id << " missing from state list");
   // Swap-and-pop: O(1), at the cost of list order — which the accessors
@@ -550,39 +578,46 @@ void Simulator::auditState() const {
   std::uint32_t busyCount = 0;
   std::size_t nQueued = 0, nRunning = 0, nSusp = 0;
   for (JobId id = 0; id < exec_.size(); ++id) {
-    const JobExec& x = exec_[id];
+    const ProcSet& procs = procSet(id);
     switch (states_[id]) {
       case JobState::Running:
       case JobState::Suspending: {
-        SPS_CHECK_MSG(!busy.intersects(x.procs),
+        SPS_CHECK_MSG(!busy.intersects(procs),
                       "processor double-booked by job " << id);
-        SPS_CHECK_MSG(x.procs.count() == job(id).procs,
+        SPS_CHECK_MSG(procs.count() == job(id).procs,
                       "job " << id << " holds wrong processor count");
-        busy |= x.procs;
-        busyCount += x.procs.count();
+        busy |= procs;
+        busyCount += procs.count();
         if (states_[id] == JobState::Running) {
           ++nRunning;
         } else {
-          draining |= x.procs;
+          draining |= procs;
           ++nSusp;
         }
         break;
       }
       case JobState::Suspended:
-        SPS_CHECK_MSG(x.procs.count() == job(id).procs,
+        SPS_CHECK_MSG(procs.count() == job(id).procs,
                       "suspended job " << id << " lost its processor set");
-        owed |= x.procs;
+        owed |= procs;
         ++nSusp;
         break;
       case JobState::Queued:
         ++nQueued;
-        break;
+        [[fallthrough]];
       case JobState::NotArrived:
       case JobState::Finished:
       case JobState::Cancelled:
+        SPS_CHECK_MSG(exec_[id].procSlot == kNoProcSlot,
+                      "job " << id << " keeps a processor slot in state "
+                             << jobStateName(states_[id]));
         break;
     }
   }
+  SPS_CHECK_MSG(nRunning + nSusp + freeProcSlots_.size() == procPool_.size(),
+                "processor-set pool leaked: " << procPool_.size()
+                    << " slots, " << freeProcSlots_.size() << " free, "
+                    << nRunning + nSusp << " jobs holding one");
   SPS_CHECK_MSG(owed == suspendedOwed_,
                 "suspended-owed aggregate drifted: recomputed "
                     << owed.toString() << " vs maintained "

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "obs/recorder.hpp"
@@ -34,12 +35,16 @@ enum class JobState : std::uint8_t {
   Queued,      ///< waiting, never ran or mid-preemption bookkeeping done
   Running,     ///< computing (or in its resume-overhead read-back phase)
   Suspending,  ///< preempted, processors still held for the write-out
-  Suspended,   ///< preempted and drained; must resume on savedProcs
+  Suspended,   ///< preempted and drained; must resume on procSet()
   Finished,
   Cancelled,   ///< withdrawn via cancelJob before completing; terminal
 };
 
 [[nodiscard]] const char* jobStateName(JobState state);
+
+/// JobExec::procSlot of a job with no pooled processor set.
+inline constexpr std::uint32_t kNoProcSlot =
+    std::numeric_limits<std::uint32_t>::max();
 
 /// Dynamic execution state of one job. Readable by policies and by the
 /// metrics layer after the run.
@@ -48,11 +53,10 @@ enum class JobState : std::uint8_t {
 /// Simulator (SoA layout: one byte per job, read via Simulator::state()).
 /// The hot paths — index reconciliation, skip-on-stale walks, dispatch
 /// scans — touch only the state byte of many jobs at once, and keeping
-/// those reads out of this ~200-byte record keeps them in cache.
+/// those reads out of this 88-byte record keeps them in cache. The job's
+/// processor set is not here either: it lives in a simulator-owned pool
+/// only while the job holds or is owed processors (Simulator::procSet).
 struct JobExec {
-  /// Processors currently held (Running/Suspending) or to reclaim
-  /// (Suspended). Empty before first start.
-  ProcSet procs;
   /// Compute seconds still required.
   Time remainingWork = 0;
   /// Start of the current running segment (kNoTime unless Running).
@@ -67,6 +71,9 @@ struct JobExec {
   /// is ignored.
   std::uint64_t completionGen = 0;
   std::uint32_t suspendCount = 0;
+  /// Index of the job's set in the simulator's ProcSet pool; kNoProcSlot
+  /// before the first start and once Finished or Cancelled.
+  std::uint32_t procSlot = kNoProcSlot;
   Time firstStart = kNoTime;
   Time finish = kNoTime;
   /// Seconds spent writing the memory image out on suspensions (drains run
@@ -238,6 +245,18 @@ class Simulator {
     return trace_.jobs[id];
   }
   [[nodiscard]] const JobExec& exec(JobId id) const { return exec_[id]; }
+  /// The processors job `id` holds (Running, Suspending) or is owed
+  /// (Suspended: local preemption resumes it on exactly this set). Empty
+  /// before the first start and once the job is Finished or Cancelled: the
+  /// set lives in a pool slot the job takes at its first start and gives
+  /// back after the observers have seen Running -> Finished or
+  /// Suspended -> Cancelled. The reference is valid until the next
+  /// mutating call: a fresh start may grow the pool and a freed slot is
+  /// reused, so copy the set to keep it across startJob and friends.
+  [[nodiscard]] const ProcSet& procSet(JobId id) const {
+    const std::uint32_t slot = exec_[id].procSlot;
+    return slot == kNoProcSlot ? kNoProcs : procPool_[slot];
+  }
   /// Lifecycle state, from the dense SoA side array (see JobExec).
   [[nodiscard]] JobState state(JobId id) const { return states_[id]; }
   [[nodiscard]] const Machine& machine() const { return machine_; }
@@ -406,6 +425,12 @@ class Simulator {
   void removeFrom(std::vector<JobId>& list, JobId id);
   void owedAdd(const ProcSet& procs);
   void owedRemove(const ProcSet& procs);
+  /// Pool slot of a job that holds one (Running, Suspending, Suspended).
+  ProcSet& heldProcs(JobId id) { return procPool_[exec_[id].procSlot]; }
+  /// First start: give `id` a pool slot holding `procs`. May grow the pool.
+  void takeProcSlot(JobId id, ProcSet procs);
+  /// Finished or Cancelled: return the job's slot to the free list.
+  void releaseProcSlot(JobId id);
   [[nodiscard]] double queuedWorkOf(JobId id) const {
     const workload::Job& j = job(id);
     return static_cast<double>(j.procs) * static_cast<double>(j.estimate);
@@ -423,6 +448,13 @@ class Simulator {
   EventQueue events_;
   std::size_t nextArrival_ = 0;
   std::vector<JobExec> exec_;
+  /// Processor sets of the jobs that hold or are owed processors, indexed
+  /// by JobExec::procSlot, so memory follows the live jobs rather than the
+  /// trace. A plain vector: only a fresh start grows it.
+  std::vector<ProcSet> procPool_;
+  std::vector<std::uint32_t> freeProcSlots_;
+  /// procSet() of a job with no slot.
+  static const ProcSet kNoProcs;
   /// SoA: per-job lifecycle state, one byte per job (see JobExec).
   std::vector<JobState> states_;
   std::vector<JobId> queued_;
@@ -435,7 +467,7 @@ class Simulator {
   /// Position of each job in whichever of the three lists holds it (a job
   /// is in at most one at a time). Lets removeFrom swap-and-pop in O(1) —
   /// which is why the lists are documented as unordered.
-  std::vector<std::size_t> listPos_;
+  std::vector<std::uint32_t> listPos_;
   Time now_ = 0;
   Time firstSubmit_ = 0;
   Time lastSubmit_ = 0;

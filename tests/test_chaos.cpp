@@ -4,105 +4,16 @@
 // well-behaved scheduler exercises.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "check/invariants.hpp"
 #include "helpers.hpp"
 #include "metrics/collector.hpp"
 #include "sched/overhead.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
 
 namespace sps {
 namespace {
 
-using test::J;
-using test::makeTrace;
-
-/// Acts randomly on every event: maybe start queued jobs, maybe suspend a
-/// running job, maybe resume (locally or migrating). Guarantees progress so
-/// the run terminates: with no running jobs it always starts/resumes
-/// something startable.
-class ChaosPolicy final : public sim::SchedulingPolicy {
- public:
-  explicit ChaosPolicy(std::uint64_t seed, bool allowMigration)
-      : rng_(seed), allowMigration_(allowMigration) {}
-
-  [[nodiscard]] std::string name() const override { return "chaos"; }
-
-  void onJobArrival(sim::Simulator& s, JobId) override { act(s); }
-  void onJobCompletion(sim::Simulator& s, JobId) override { act(s); }
-  void onSuspendDrained(sim::Simulator& s, JobId) override { act(s); }
-  void onTimer(sim::Simulator& s, std::uint64_t) override { act(s); }
-
- private:
-  void act(sim::Simulator& s) {
-    s.auditState();
-    // Random suspensions (bounded so work still progresses).
-    if (!s.runningJobs().empty() && rng_.bernoulli(0.3)) {
-      const auto& running = s.runningJobs();
-      const JobId victim = running[static_cast<std::size_t>(
-          rng_.uniformInt(0, static_cast<std::int64_t>(running.size()) - 1))];
-      // Cap per-job suspensions so the chaos converges.
-      if (s.exec(victim).suspendCount < 8) s.suspendJob(victim);
-    }
-    // Random resumes.
-    std::vector<JobId> suspended(s.suspendedJobs());
-    for (JobId id : suspended) {
-      if (s.state(id) != sim::JobState::Suspended) continue;
-      if (!rng_.bernoulli(0.5)) continue;
-      if (allowMigration_ && rng_.bernoulli(0.5)) {
-        if (s.freeCount() >= s.job(id).procs)
-          s.resumeJobMigrating(id, sim::ProcSet{});
-      } else if (s.exec(id).procs.isSubsetOf(s.freeSet())) {
-        s.resumeJob(id);
-      }
-    }
-    // Random starts.
-    std::vector<JobId> queued(s.queuedJobs());
-    for (JobId id : queued) {
-      if (s.job(id).procs <= s.freeCount() && rng_.bernoulli(0.7))
-        s.startJob(id);
-    }
-    ensureProgress(s);
-    s.auditState();
-  }
-
-  /// If nothing runs and nothing drains, force something in so the event
-  /// queue cannot empty with unfinished jobs.
-  void ensureProgress(sim::Simulator& s) {
-    if (!s.runningJobs().empty()) return;
-    bool draining = false;
-    for (JobId id : s.suspendedJobs())
-      draining |= s.state(id) == sim::JobState::Suspending;
-    if (draining) return;
-    for (JobId id : std::vector<JobId>(s.suspendedJobs())) {
-      if (s.state(id) == sim::JobState::Suspended &&
-          s.exec(id).procs.isSubsetOf(s.freeSet())) {
-        s.resumeJob(id);
-        return;
-      }
-    }
-    for (JobId id : std::vector<JobId>(s.queuedJobs())) {
-      if (s.job(id).procs <= s.freeCount()) {
-        s.startJob(id);
-        return;
-      }
-    }
-    // Everything left is suspended with occupied processors — impossible
-    // here because nothing is running; free the logjam by migrating.
-    for (JobId id : std::vector<JobId>(s.suspendedJobs())) {
-      if (s.state(id) == sim::JobState::Suspended &&
-          s.job(id).procs <= s.freeCount()) {
-        s.resumeJobMigrating(id, sim::ProcSet{});
-        return;
-      }
-    }
-  }
-
-  Rng rng_;
-  bool allowMigration_;
-};
+using test::ChaosPolicy;
 
 struct ChaosCase {
   std::uint64_t seed;
@@ -114,16 +25,7 @@ class ChaosFuzz : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(ChaosFuzz, KernelInvariantsSurviveRandomActions) {
   const auto& param = GetParam();
-  Rng traceRng(param.seed * 1000003);
-  std::vector<J> jobs;
-  Time t = 0;
-  for (int i = 0; i < 80; ++i) {
-    t += traceRng.uniformInt(0, 200);
-    jobs.push_back({t, traceRng.uniformInt(1, 1500),
-                    static_cast<std::uint32_t>(traceRng.uniformInt(1, 12)),
-                    0, static_cast<std::uint32_t>(traceRng.uniformInt(1, 32))});
-  }
-  const auto trace = makeTrace(12, jobs);
+  const auto trace = test::chaosTrace(param.seed);
 
   ChaosPolicy policy(param.seed, param.migration);
   sched::DiskSwapOverhead overhead(trace, 32.0);

@@ -162,6 +162,18 @@ TEST(CapacityAudit, GoldenHoldReleaseVerifies) {
   EXPECT_EQ(audit.heldCount(), 0u);
 }
 
+TEST(CapacityAudit, ResumeOffTheSuspendedSetFires) {
+  CapacityAudit audit(8);
+  audit.owe(0, sim::ProcSet::firstN(4));
+  EXPECT_THROW(audit.reclaim(0, sim::ProcSet::firstN(3), 10), InvariantError);
+  audit.owe(1, sim::ProcSet::firstN(2));
+  EXPECT_NO_THROW(audit.reclaim(1, sim::ProcSet::firstN(2), 10));
+  EXPECT_THROW(audit.reclaim(1, sim::ProcSet::firstN(2), 20), InvariantError);
+  audit.owe(2, sim::ProcSet::firstN(2));
+  audit.forgive(2);
+  EXPECT_THROW(audit.reclaim(2, sim::ProcSet::firstN(2), 30), InvariantError);
+}
+
 // --- GuaranteeAudit (corrupted streams) -----------------------------------
 
 TEST(GuaranteeAudit, RegressionFires) {
@@ -251,6 +263,26 @@ TEST(InvariantChecker, SuspensionsHappenWithoutTheLyingProbe) {
   EXPECT_NO_THROW(s.run());
   EXPECT_NO_THROW(checker.finalize(s));
   EXPECT_GT(s.totalSuspensions(), 0u);
+}
+
+TEST(InvariantChecker, ForcedLocalResumeCheckFiresOnMigration) {
+  // The chaos policy resumes half its suspended jobs on any free
+  // processors. arm() finds it is not a local-preemption policy, so the
+  // run is clean; forced on, the exact-set resume check must fire.
+  const auto trace = test::chaosTrace(4);
+  for (const bool forced : {false, true}) {
+    test::ChaosPolicy policy(4, /*allowMigration=*/true);
+    sim::Simulator s(trace, policy);
+    InvariantChecker checker(CheckConfig::all(1));
+    if (forced) checker.setLocalResumeCheck(true);
+    checker.arm(s, policy);
+    if (forced) {
+      EXPECT_THROW(s.run(), InvariantError);
+    } else {
+      EXPECT_NO_THROW(s.run());
+      EXPECT_NO_THROW(checker.finalize(s));
+    }
+  }
 }
 
 TEST(InvariantChecker, CorruptedLedgerProfileFires) {

@@ -73,9 +73,12 @@ TEST(Gang, SlicedJobResumesOnSameProcessors) {
   GangScheduler policy(cfg(600));
   const auto trace = makeTrace(8, {{0, 3600, 8}, {0, 3600, 8}});
   sim::Simulator s(trace, policy);
+  test::ResumeWatch watch(s);  // checks the set at every resume
   s.run();
-  EXPECT_EQ(s.exec(0).procs, sim::ProcSet::firstN(8));
-  EXPECT_EQ(s.exec(1).procs, sim::ProcSet::firstN(8));
+  for (const JobId id : {JobId{0}, JobId{1}}) {
+    EXPECT_GE(watch.resumes(id), 1u);
+    EXPECT_EQ(watch.suspendedOn(id), sim::ProcSet::firstN(8));
+  }
 }
 
 TEST(Gang, ShortJobGetsServiceDespiteLongRunner) {

@@ -115,8 +115,10 @@ TEST(IS, SuspendedJobResumesOnItsProcessors) {
   ImmediateService policy;
   const auto trace = makeTrace(4, {{0, 7200, 4}, {1000, 60, 4}});
   sim::Simulator s(trace, policy);
+  test::ResumeWatch watch(s);  // checks the set at every resume
   s.run();
-  EXPECT_EQ(s.exec(0).procs, sim::ProcSet::firstN(4));
+  EXPECT_GE(watch.resumes(0), 1u);
+  EXPECT_EQ(watch.suspendedOn(0), sim::ProcSet::firstN(4));
   EXPECT_EQ(s.state(0), sim::JobState::Finished);
 }
 

@@ -149,9 +149,9 @@ TEST(ResumeMigrating, MovesToFreeProcessors) {
     // {0,1} with a hard avoid set to force job 0 onto new processors.
     s.suspendJob(0);
     s.resumeJobMigrating(0, sim::ProcSet::firstN(2));
-    EXPECT_FALSE(s.exec(0).procs.contains(0));
-    EXPECT_FALSE(s.exec(0).procs.contains(1));
-    EXPECT_EQ(s.exec(0).procs.count(), 4u);
+    EXPECT_FALSE(s.procSet(0).contains(0));
+    EXPECT_FALSE(s.procSet(0).contains(1));
+    EXPECT_EQ(s.procSet(0).count(), 4u);
   };
   sim::Simulator s(trace, policy);
   s.run();

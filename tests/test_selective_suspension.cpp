@@ -79,9 +79,10 @@ TEST(SS, SuspendedJobResumesOnSameProcessors) {
   SelectiveSuspension policy(ssConfig(2.0));
   const auto trace = makeTrace(4, {{0, 36000, 4}, {10, 60, 4}});
   sim::Simulator s(trace, policy);
-  // Track the victim's processors across suspension.
+  test::ResumeWatch watch(s);  // checks the set at every resume
   s.run();
-  EXPECT_EQ(s.exec(0).procs.count(), 4u);  // final set recorded
+  EXPECT_GE(watch.resumes(0), 1u);
+  EXPECT_EQ(watch.suspendedOn(0), sim::ProcSet::firstN(4));
   EXPECT_EQ(s.state(0), sim::JobState::Finished);
 }
 
@@ -258,13 +259,20 @@ TEST(SSReentry, SuspendedJobPreemptsOccupantOfItsProcessors) {
 }
 
 TEST(SSReentry, ExactProcessorSetReclaimed) {
+  // Victim 0 holds {0-3}, job 1 holds {4-7}. Job 2 suspends job 0 (the
+  // lower id of two equal-priority victims) at the 120 s tick and runs on
+  // {0-3} until 180. Job 1 finishes at 150, so {4-7} sits free while job 0
+  // waits: local preemption must still bring it back on {0-3}, at 180.
   SelectiveSuspension policy(ssConfig(2.0));
-  const auto trace = makeTrace(8, {{0, 36000, 4}, {10, 60, 4}});
+  const auto trace =
+      makeTrace(8, {{0, 36000, 4}, {0, 150, 4}, {10, 60, 4}});
   sim::Simulator s(trace, policy);
+  test::ResumeWatch watch(s);  // checks the set at every resume
   s.run();
-  // Victim held processors {0-3}; after resume and completion its recorded
-  // set must still be {0-3}.
-  EXPECT_EQ(s.exec(0).procs, sim::ProcSet::firstN(4));
+  EXPECT_EQ(watch.resumes(0), 1u);
+  EXPECT_EQ(watch.suspendedOn(0), sim::ProcSet::firstN(4));
+  EXPECT_EQ(watch.lastResume(0), s.exec(2).finish);
+  EXPECT_LT(s.exec(1).finish, s.exec(2).finish);
 }
 
 // --- Claims under an overhead model ------------------------------------------

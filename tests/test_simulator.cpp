@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "helpers.hpp"
+#include "metrics/job_record.hpp"
 #include "obs/counters.hpp"
 #include "sched/overhead.hpp"
 #include "sim/simulator.hpp"
@@ -101,16 +103,16 @@ TEST(Simulator, SuspendedJobKeepsSavedProcs) {
   ProcSet saved;
   policy.arrival = [&](Simulator& s, JobId j) {
     s.startJob(j);
-    saved = s.exec(j).procs;
+    saved = s.procSet(j);
     s.scheduleTimer(10, 1);
   };
   policy.timer = [&](Simulator& s, std::uint64_t) {
     s.suspendJob(0);
     EXPECT_EQ(s.state(0), JobState::Suspended);
-    EXPECT_EQ(s.exec(0).procs, saved);
+    EXPECT_EQ(s.procSet(0), saved);
     EXPECT_EQ(s.exec(0).remainingWork, 90);
     s.resumeJob(0);
-    EXPECT_EQ(s.exec(0).procs, saved);
+    EXPECT_EQ(s.procSet(0), saved);
   };
   Simulator s(trace, policy);
   s.run();
@@ -517,6 +519,85 @@ TEST(SimulatorArrivalCursor, SubmitAfterCursorRanOffTheEnd) {
     EXPECT_EQ(s->exec(id).finish, 2100);
     EXPECT_EQ(s->eventsProcessed(), 4u);
   }
+}
+
+// --- processor-set pool -----------------------------------------------------
+
+// Per-job rows stay small: a job's ProcSet lives in the simulator's pool
+// only while it holds or is owed processors.
+static_assert(sizeof(JobExec) <= 88);
+static_assert(sizeof(metrics::JobResult) <= 64);
+
+/// Greedy dispatch that also accepts cancellation of Queued and Suspended
+/// jobs.
+class CancellablePolicy final : public SchedulingPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "cancellable"; }
+  [[nodiscard]] bool supportsCancel() const override { return true; }
+  void onJobArrival(Simulator& s, JobId) override { ScriptedPolicy::greedy(s); }
+  void onJobCompletion(Simulator& s, JobId) override {
+    ScriptedPolicy::greedy(s);
+  }
+  void onSuspendDrained(Simulator& s, JobId) override {
+    ScriptedPolicy::greedy(s);
+  }
+};
+
+TEST(SimulatorProcPool, TerminalJobsHoldNoSet) {
+  const auto trace = makeTrace(
+      4, {{0, 1000, 4}, {10, 100, 4}, {20, 100, 2}, {30, 100, 2}, {40, 5, 1}});
+  CancellablePolicy policy;
+  Simulator s(trace, policy);
+  EXPECT_TRUE(s.procSet(0).empty());  // not started yet
+  s.runUntil(10);
+  ASSERT_EQ(s.state(0), JobState::Running);
+  EXPECT_EQ(s.procSet(0), ProcSet::firstN(4));
+  // Preempt job 0 for job 1, then withdraw it while it is owed {0-3}.
+  s.suspendJob(0);
+  ScriptedPolicy::greedy(s);
+  ASSERT_EQ(s.state(1), JobState::Running);
+  EXPECT_EQ(s.procSet(0), ProcSet::firstN(4));
+  ASSERT_TRUE(s.cancelJob(0));
+  EXPECT_TRUE(s.procSet(0).empty());
+  EXPECT_TRUE(s.suspendedOwedSet().empty());
+  s.runUntil(30);
+  ASSERT_EQ(s.state(3), JobState::Queued);
+  ASSERT_TRUE(s.cancelJob(3));  // never started: never had a set
+  ASSERT_TRUE(s.cancelJob(4));  // not yet arrived
+  s.auditState();
+  s.run();
+  s.auditState();
+  for (JobId id = 0; id < trace.jobs.size(); ++id) {
+    EXPECT_TRUE(s.state(id) == JobState::Finished ||
+                s.state(id) == JobState::Cancelled);
+    EXPECT_TRUE(s.procSet(id).empty()) << "job " << id;
+    EXPECT_EQ(s.exec(id).procSlot, kNoProcSlot) << "job " << id;
+  }
+  EXPECT_EQ(s.state(0), JobState::Cancelled);
+  EXPECT_EQ(s.state(2), JobState::Finished);
+}
+
+TEST(SimulatorProcPool, FinishObserverSeesFullSet) {
+  // Two jobs share an 8-processor machine; a slot freed by the first
+  // finisher is reused by the job that starts after it.
+  const auto trace = makeTrace(8, {{0, 100, 3}, {0, 50, 5}, {60, 10, 5}});
+  ScriptedPolicy policy;
+  Simulator s(trace, policy);
+  std::vector<ProcSet> atStart(trace.jobs.size());
+  std::vector<ProcSet> atFinish(trace.jobs.size());
+  s.observers().onStateChange(
+      [&](const Simulator& sim, JobId id, JobState from, JobState to) {
+        if (to == JobState::Running) atStart[id] = sim.procSet(id);
+        if (from == JobState::Running && to == JobState::Finished)
+          atFinish[id] = sim.procSet(id);
+      });
+  s.run();
+  for (JobId id = 0; id < trace.jobs.size(); ++id) {
+    EXPECT_EQ(atFinish[id].count(), trace.jobs[id].procs) << "job " << id;
+    EXPECT_EQ(atFinish[id], atStart[id]) << "job " << id;
+    EXPECT_TRUE(s.procSet(id).empty()) << "job " << id;
+  }
+  EXPECT_EQ(atFinish[1], atFinish[2]);  // {3-7} both times
 }
 
 }  // namespace
