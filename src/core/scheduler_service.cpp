@@ -109,6 +109,7 @@ std::string SchedulerService::doQuery(util::FieldCursor& args) {
   if (*id >= s.trace().jobs.size())
     return err("query", "no such job " + std::to_string(*id));
   std::string reply = "ok job ";
+  reply.reserve(96);  // the whole reply in one allocation
   util::appendInt(reply, *id);
   reply += " state ";
   reply += sim::jobStateName(s.state(*id));
@@ -125,6 +126,7 @@ std::string SchedulerService::doStats(util::FieldCursor& args) {
   if (!args.atEnd()) return err("stats", "expected: stats");
   const sim::Simulator& s = harness_.simulator();
   std::string reply = "ok now ";
+  reply.reserve(96);  // the whole reply in one allocation
   util::appendInt(reply, s.now());
   reply += " events ";
   util::appendInt(reply, s.eventsProcessed());

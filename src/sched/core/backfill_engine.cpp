@@ -17,21 +17,18 @@ BackfillEngine::Anchor BackfillEngine::anchorOf(
 }
 
 BackfillEngine::Shadow BackfillEngine::shadowOf(const sim::Simulator& simulator,
-                                                JobId head) {
+                                                JobId head) const {
   simulator.counters().inc(obs::Counter::ShadowQueries);
   const auto& j = simulator.job(head);
-  const Time now = simulator.now();
-  // Zombie overlay: jobs whose estimated end has passed still hold their
-  // processors until their completion events fire later in this batch. Pin
-  // them busy for one second so the shadow cannot land at `now` (the head
-  // does not physically fit — that is why it is still queued).
-  const std::uint32_t zombies = ledger_.zombieProcsAt(now);
-  AvailabilityProfile& profile = ledger_.mutableProfile();
-  profile.addBusy(now, now + 1, zombies);
-  const Time shadow = profile.findAnchor(now, j.estimate, j.procs);
-  SPS_CHECK_MSG(shadow > now, "head fits now but was left queued");
+  // The head does not physically fit, so it cannot start at now even where
+  // the profile counts zombies free; every window from now + 1 on lies
+  // clear of them.
+  SPS_CHECK_MSG(j.procs > simulator.freeCount(),
+                "head fits now but was left queued");
+  const AvailabilityProfile& profile = ledger_.profile();
+  const Time shadow =
+      profile.findAnchor(simulator.now() + 1, j.estimate, j.procs);
   const std::uint32_t freeAtShadow = profile.freeAt(shadow);
-  profile.removeBusy(now, now + 1, zombies);
   SPS_CHECK(freeAtShadow >= j.procs);
   return {shadow, freeAtShadow - j.procs};
 }

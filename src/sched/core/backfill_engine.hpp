@@ -13,10 +13,11 @@
 //     batch makes the profile optimistic — the deferred-start edge
 //     documented in conservative.cpp);
 //   * shadow rule — EASY's head reservation: the shadow time and the extra
-//     processors left beside the head once it starts. Computed under a
-//     zombie overlay: running jobs whose estimated end has already passed
-//     (completion pending this batch) are pinned busy over [now, now+1), as
-//     the seed EASY's max(end, now+1) clamp did;
+//     processors left beside the head once it starts, searched from
+//     now + 1. The head does not fit now, and running jobs whose estimated
+//     end has already passed (zombies: completion pending this batch) hold
+//     processors the profile counts free only at now — the seed EASY
+//     pinned them busy over [now, now+1) with its max(end, now+1) clamp;
 //   * backfill rule — a candidate may start iff it fits now and either ends
 //     by the shadow time or needs no more than the extra processors.
 #pragma once
@@ -34,7 +35,8 @@ namespace sps::sched::kernel {
 
 class BackfillEngine {
  public:
-  explicit BackfillEngine(ReservationLedger& ledger) : ledger_(ledger) {}
+  explicit BackfillEngine(const ReservationLedger& ledger)
+      : ledger_(ledger) {}
 
   struct Anchor {
     Time start;
@@ -54,15 +56,15 @@ class BackfillEngine {
                                 JobId job) const;
 
   /// Shadow time and extra processors for a head job that does NOT fit now.
-  /// Applies the zombie overlay for the duration of the query only.
-  [[nodiscard]] Shadow shadowOf(const sim::Simulator& simulator, JobId head);
+  [[nodiscard]] Shadow shadowOf(const sim::Simulator& simulator,
+                                JobId head) const;
 
   /// EASY backfill admission for `job` under the head's shadow.
   [[nodiscard]] bool canBackfill(const sim::Simulator& simulator, JobId job,
                                  const Shadow& shadow) const;
 
  private:
-  ReservationLedger& ledger_;
+  const ReservationLedger& ledger_;
 };
 
 /// True when `job`'s just-fired completion left the availability function

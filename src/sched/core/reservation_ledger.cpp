@@ -7,21 +7,24 @@
 namespace sps::sched::kernel {
 
 namespace {
-/// The scheduler's belief about a running segment: it occupies the machine
-/// for the full user estimate from segment start. Uniform across fresh and
-/// resumed segments (both frozen at segment start, so Incremental and
-/// Rebuild agree exactly); the profile-driven policies are non-preemptive,
-/// so the resumed case is never exercised.
-Time beliefEnd(const sim::Simulator& simulator, JobId id) {
-  return simulator.exec(id).segStart + simulator.job(id).estimate;
+/// The scheduler's belief about a running segment (see the header): the
+/// full user estimate from segment start. Also read at the transition out
+/// of Running, where the simulator still shows the ending segment.
+struct Belief {
+  Time start, end;
+  std::uint32_t procs;
+};
+
+Belief beliefOf(const sim::Simulator& simulator, JobId id) {
+  const Time start = simulator.exec(id).segStart;
+  return {start, start + simulator.job(id).estimate, simulator.job(id).procs};
 }
 }  // namespace
 
 void ReservationLedger::attach(sim::Simulator& simulator) {
   totalProcs_ = simulator.machine().totalProcs();
   profile_ = AvailabilityProfile(simulator.now(), totalProcs_);
-  running_.clear();
-  byEnd_.clear();
+  ++version_;
   reservations_.clear();
   const bool firstAttach = attached_ == nullptr;
   attached_ = &simulator;
@@ -51,57 +54,46 @@ void ReservationLedger::refresh(const sim::Simulator& simulator) {
     simulator.counters().inc(obs::Counter::LedgerRebuilds);
     SPS_TRACE(&simulator.recorder(),
               obs::instant("kernel", "ledger.rebuild", simulator.now()));
-    rebuild(simulator);
+    profile_ = fromScratch(simulator, simulator.now());
+    ++version_;
   }
 }
 
-void ReservationLedger::rebuild(const sim::Simulator& simulator) {
-  profile_ = AvailabilityProfile(simulator.now(), totalProcs_);
-  running_.clear();
-  byEnd_.clear();
+AvailabilityProfile ReservationLedger::fromScratch(
+    const sim::Simulator& simulator, Time origin) const {
+  AvailabilityProfile profile(origin, totalProcs_);
   for (const JobId id : simulator.runningJobs()) {
-    const Time start = simulator.exec(id).segStart;
-    const Time end = beliefEnd(simulator, id);
-    const std::uint32_t procs = simulator.job(id).procs;
-    profile_.addBusy(start, end, procs);
-    const auto endIt = byEnd_.emplace(end, procs);
-    running_.emplace(id, RunningEntry{start, end, procs, endIt});
+    const Belief b = beliefOf(simulator, id);
+    profile.addBusy(b.start, b.end, b.procs);
   }
-  for (const auto& [id, entry] : reservations_) {
-    (void)id;
-    profile_.addBusy(entry.start, entry.end, entry.procs);
-  }
+  for (const auto& [id, r] : reservations_)
+    profile.addBusy(r.start, r.end, r.procs);
+  return profile;
 }
 
 void ReservationLedger::onTransition(const sim::Simulator& simulator, JobId id,
                                      sim::JobState from, sim::JobState to) {
   if (to == sim::JobState::Running) {
-    const Time start = simulator.exec(id).segStart;
-    const Time end = beliefEnd(simulator, id);
-    const std::uint32_t procs = simulator.job(id).procs;
+    const Belief b = beliefOf(simulator, id);
     simulator.counters().inc(obs::Counter::LedgerAddBusy);
     SPS_TRACE(&simulator.recorder(),
               obs::instant("kernel", "ledger.addBusy", simulator.now(), id)
-                  .arg("end", end)
-                  .arg("procs", procs));
-    profile_.addBusy(start, end, procs);
-    const auto endIt = byEnd_.emplace(end, procs);
-    const bool inserted =
-        running_.emplace(id, RunningEntry{start, end, procs, endIt}).second;
-    SPS_CHECK_MSG(inserted, "job " << id << " started while already in ledger");
+                  .arg("end", b.end)
+                  .arg("procs", b.procs));
+    profile_.addBusy(b.start, b.end, b.procs);
+    ++version_;
   } else if (from == sim::JobState::Running) {
-    const auto it = running_.find(id);
-    SPS_CHECK_MSG(it != running_.end(),
-                  "job " << id << " left Running without a ledger entry");
+    const Belief b = beliefOf(simulator, id);
+    SPS_CHECK_MSG(b.start != kNoTime,
+                  "job " << id << " left Running without its segment start");
     // removeBusy clamps to the current origin; any part of the belief that
     // already elapsed (or a zombie interval entirely in the past) is gone
     // from the profile and needs no return.
     simulator.counters().inc(obs::Counter::LedgerRemoveBusy);
     SPS_TRACE(&simulator.recorder(),
               obs::instant("kernel", "ledger.removeBusy", simulator.now(), id));
-    profile_.removeBusy(it->second.start, it->second.end, it->second.procs);
-    byEnd_.erase(it->second.endIt);
-    running_.erase(it);
+    profile_.removeBusy(b.start, b.end, b.procs);
+    ++version_;
   }
 }
 
@@ -119,6 +111,7 @@ void ReservationLedger::addReservation(JobId job, Time start, Time duration,
   }
   reservations_.emplace(job, ReservationEntry{start, end, procs});
   profile_.addBusy(start, end, procs);
+  ++version_;
 }
 
 void ReservationLedger::removeReservation(JobId job) {
@@ -133,56 +126,32 @@ void ReservationLedger::removeReservation(JobId job) {
   }
   profile_.removeBusy(it->second.start, it->second.end, it->second.procs);
   reservations_.erase(it);
+  ++version_;
 }
 
 void ReservationLedger::audit(const sim::Simulator& simulator) const {
   SPS_CHECK_MSG(attached_ == &simulator,
                 "ledger audit against a simulator it is not attached to");
-  SPS_CHECK_MSG(running_.size() == simulator.runningJobs().size(),
-                "ledger audit: " << running_.size() << " running entries, "
-                                 << simulator.runningJobs().size()
-                                 << " running jobs");
-  for (const JobId id : simulator.runningJobs()) {
-    const auto it = running_.find(id);
-    SPS_CHECK_MSG(it != running_.end(),
-                  "ledger audit: running job " << id << " has no entry");
-    SPS_CHECK_MSG(it->second.start == simulator.exec(id).segStart,
-                  "ledger audit: job " << id << " entry start "
-                                       << it->second.start << " != segStart "
-                                       << simulator.exec(id).segStart);
-    SPS_CHECK_MSG(it->second.end == beliefEnd(simulator, id),
-                  "ledger audit: job " << id << " entry end "
-                                       << it->second.end << " != believed end "
-                                       << beliefEnd(simulator, id));
-    SPS_CHECK_MSG(it->second.procs == simulator.job(id).procs,
-                  "ledger audit: job " << id << " entry width "
-                                       << it->second.procs << " != "
-                                       << simulator.job(id).procs);
-  }
-  // From-scratch rebuild of the ledger's own layers at the profile's
-  // current origin — exactly what rebuild() would produce — compared as a
-  // step function, so incremental-maintenance drift (a bad addBusy /
-  // removeBusy / shiftOrigin) cannot hide behind breakpoint layout.
-  AvailabilityProfile scratch(profile_.origin(), totalProcs_);
-  for (const auto& [id, entry] : running_) {
-    (void)id;
-    scratch.addBusy(entry.start, entry.end, entry.procs);
-  }
-  for (const auto& [id, entry] : reservations_) {
-    (void)id;
-    scratch.addBusy(entry.start, entry.end, entry.procs);
-  }
-  SPS_CHECK_MSG(profile_.sameFunctionAs(scratch),
-                "ledger audit: maintained profile diverged from a "
-                "from-scratch rebuild at origin "
-                    << profile_.origin());
+  // Compared as a step function, so incremental-maintenance drift (a bad
+  // addBusy / removeBusy / shiftOrigin) cannot hide behind breakpoint
+  // layout.
+  SPS_CHECK_MSG(
+      profile_.sameFunctionAs(fromScratch(simulator, profile_.origin())),
+      "ledger audit: maintained profile diverged from a from-scratch "
+      "rebuild at origin "
+          << profile_.origin());
 }
 
-std::uint32_t ReservationLedger::zombieProcsAt(Time now) const {
-  std::uint32_t procs = 0;
-  for (auto it = byEnd_.begin(); it != byEnd_.end() && it->first <= now; ++it)
-    procs += it->second;
-  return procs;
+std::uint32_t ReservationLedger::zombieProcsAt(
+    const sim::Simulator& simulator) const {
+  const Time now = simulator.now();
+  for (const auto& [id, entry] : reservations_)
+    SPS_CHECK_MSG(now < entry.start || entry.end <= now,
+                  "zombieProcsAt: the reservation of job "
+                      << id << " covers now " << now);
+  const std::uint32_t believedFree = profile_.freeAt(now);
+  SPS_CHECK(believedFree >= simulator.freeCount());
+  return believedFree - simulator.freeCount();
 }
 
 }  // namespace sps::sched::kernel

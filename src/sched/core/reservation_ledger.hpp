@@ -5,18 +5,20 @@
 // The ledger owns one AvailabilityProfile holding two kinds of busy
 // intervals:
 //
-//   * running jobs' estimated remainders — [segStart, segStart + estimate),
-//     entered automatically when a job starts and released when it leaves
-//     the Running state, via a Simulator state-change observer;
+//   * running jobs' believed remainders — [segStart, segStart + estimate),
+//     entered and returned by a Simulator state-change observer as a job
+//     enters and leaves Running (the simulator still shows the ending
+//     segment then, so the ledger keeps no per-job copy);
 //   * reservations — future start-time guarantees a backfilling policy has
 //     handed out, entered and released explicitly through addReservation /
 //     removeReservation.
 //
-// Policies call refresh() once at the top of every decision point; in
+// Policies call refresh() at the top of every decision point; in
 // incremental mode that only advances the profile origin to now()
 // (dropping elapsed steps), so the amortized maintenance cost per event is
 // the handful of addBusy/removeBusy calls its transitions actually cause —
-// not a rebuild over every active job.
+// not a rebuild over every active job. version() counts profile mutations,
+// so a policy can key a derived answer (EASY's head shadow) on it.
 //
 // KernelMode::Rebuild keeps the seed behaviour: refresh() reconstructs the
 // profile from the simulator's running set plus the recorded reservations,
@@ -35,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 
 #include "sched/availability_profile.hpp"
@@ -57,8 +58,6 @@ class ReservationLedger {
  public:
   explicit ReservationLedger(KernelMode mode = KernelMode::Incremental)
       : mode_(mode) {}
-
-  [[nodiscard]] KernelMode mode() const { return mode_; }
 
   /// Bind to a simulator: resets all state, sizes the profile to the
   /// machine, and registers the state-change observer that keeps the
@@ -90,35 +89,34 @@ class ReservationLedger {
 
   // --- queries ----------------------------------------------------------
   /// The profile of running remainders + reservations, valid as of the
-  /// last refresh(). Do not mutate; BackfillEngine owns scan overlays.
+  /// last refresh(). Do not mutate (mutableProfile is a test seam).
   [[nodiscard]] const AvailabilityProfile& profile() const {
     return profile_;
   }
   [[nodiscard]] AvailabilityProfile& mutableProfile() { return profile_; }
 
-  /// Invariant audit (sps::check): the running layer must mirror the
-  /// simulator's Running set exactly (same jobs, segment starts, widths,
-  /// believed ends), and the profile must equal a from-scratch rebuild of
-  /// running entries + reservations at the profile's current origin
-  /// (AvailabilityProfile::sameFunctionAs). Read-only; callable between
-  /// events in either kernel mode. Throws InvariantError on divergence.
+  /// Count of profile mutations: every running-layer addBusy/removeBusy,
+  /// reservation add/remove, rebuild and attach, but not the origin shift.
+  /// Equal versions: the same availability function from the later now().
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
+  /// Invariant audit (sps::check): the profile must equal a from-scratch
+  /// rebuild of the simulator's running segments + the reservations at the
+  /// profile's current origin (AvailabilityProfile::sameFunctionAs).
+  /// Read-only; callable between events in either kernel mode. Throws
+  /// InvariantError on divergence.
   void audit(const sim::Simulator& simulator) const;
 
-  /// Total processors held by running jobs whose *estimated* end is <= now
-  /// — their completion events are pending in the current timestamp batch,
-  /// so the profile already counts them free, but the machine has not
-  /// released them yet. EASY's shadow computation re-occupies them for
-  /// [now, now + 1).
-  [[nodiscard]] std::uint32_t zombieProcsAt(Time now) const;
+  /// Total processors held by running jobs whose *estimated* end is <=
+  /// now() — their completion events are pending in the current timestamp
+  /// batch, so the profile already counts them free, but the machine has
+  /// not released them yet: profile().freeAt(now) - freeCount(). EASY's
+  /// arrival fast path needs none. Requires a refresh at now() and no
+  /// reservation covering now().
+  [[nodiscard]] std::uint32_t zombieProcsAt(
+      const sim::Simulator& simulator) const;
 
  private:
-  struct RunningEntry {
-    Time start;
-    Time end;
-    std::uint32_t procs;
-    /// Position in byEnd_ for O(log n) removal.
-    std::multimap<Time, std::uint32_t>::iterator endIt;
-  };
   struct ReservationEntry {
     Time start;
     Time end;
@@ -127,14 +125,14 @@ class ReservationLedger {
 
   void onTransition(const sim::Simulator& simulator, JobId id,
                     sim::JobState from, sim::JobState to);
-  void rebuild(const sim::Simulator& simulator);
+  /// The profile of running segments + reservations at `origin`.
+  [[nodiscard]] AvailabilityProfile fromScratch(
+      const sim::Simulator& simulator, Time origin) const;
 
   KernelMode mode_;
   std::uint32_t totalProcs_ = 0;
+  std::uint64_t version_ = 0;
   AvailabilityProfile profile_{0, 0};
-  std::unordered_map<JobId, RunningEntry> running_;
-  /// Running entries keyed by estimated end, for the zombie query.
-  std::multimap<Time, std::uint32_t> byEnd_;
   std::unordered_map<JobId, ReservationEntry> reservations_;
   /// Distinguishes the simulator currently served from a stale one still
   /// holding our observer (a policy may be re-attached across runs).

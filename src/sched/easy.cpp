@@ -35,26 +35,21 @@ void EasyBackfill::onJobArrival(sim::Simulator& simulator, JobId job) {
   // Arrival fast path: an arrival changes neither the availability function
   // nor free capacity, so when the pivot is unchanged the previous pass's
   // verdicts stand — the pivot still cannot start, and every older
-  // candidate still fails its backfill test (its estimated finish only
-  // moved later against the same absolute shadow; a believed completion
-  // strictly between two events is impossible, so the shadow is the same
-  // absolute instant the last pass saw). Only the newcomer needs a test,
-  // and its start can only shrink capacity/extra, enabling nobody else.
-  // A zombie (running job whose believed end is exactly now) invalidates
-  // the argument — the shadow overlay can push the pivot's anchor later and
-  // un-fail older candidates — so that case takes the full pass, as does a
-  // newcomer that becomes the pivot (ShortestFirst insert at the head).
+  // candidate still fails against the same kept shadow (its estimated
+  // finish only moved later). Only the newcomer needs a test, and its start
+  // can only shrink capacity/extra, enabling nobody else. A zombie (running
+  // job whose believed end is exactly now) may be the kept shadow's release,
+  // leaving it due; a fresh one can un-fail older candidates, so that case
+  // takes the full pass, as does a newcomer that becomes the pivot.
   if (config_.kernelMode == kernel::KernelMode::Incremental &&
       queue_.size() > 1 && queue_.front() != job) {
     ledger_.refresh(simulator);
-    if (ledger_.zombieProcsAt(simulator.now()) == 0) {
+    if (ledger_.zombieProcsAt(simulator) == 0) {
       simulator.counters().inc(obs::Counter::ArrivalFastPaths);
-      const auto shadow = engine_.shadowOf(simulator, queue_.front());
-      if (engine_.canBackfill(simulator, job, shadow)) {
+      headShadow(simulator);
+      if (engine_.canBackfill(simulator, job, shadow_)) {
         queue_.erase(std::find(queue_.begin(), queue_.end(), job));
-        simulator.counters().inc(obs::Counter::BackfillStarts);
-        simulator.startJob(job);
-        ++backfills_;
+        backfill(simulator, job);
       } else {
         simulator.counters().inc(obs::Counter::BackfillRejects);
       }
@@ -89,40 +84,63 @@ void EasyBackfill::schedulePass(sim::Simulator& simulator) {
   }
   if (queue_.empty()) return;
 
-  // Phase 2: the head does not fit. Compute its shadow time and the extra
-  // processors, then backfill; the ledger follows each start through its
-  // observer (and an incremental refresh at an unchanged clock is a
-  // no-op), so the shadow query always sees the current machine. A
-  // backfill start neither moves the shadow earlier nor grows `extra` (the
-  // ledger holds only running jobs, and the started job either ends by the
-  // shadow or fits inside `extra`), and it only shrinks the free
+  // Phase 2: the head does not fit. Take its shadow time and the extra
+  // processors, then backfill. A backfill start neither moves the shadow
+  // nor grows `extra` (see backfill), and it only shrinks the free
   // processors — so every job rejected before it stays rejected, and
-  // KernelMode::Incremental refreshes the shadow and carries on from the
-  // same index. Rebuild restarts the scan after each start, as the seed did.
+  // KernelMode::Incremental carries on from the same index. Rebuild
+  // recomputes the shadow and restarts the scan after each start, as the
+  // seed did.
   const bool rescan = config_.kernelMode == kernel::KernelMode::Rebuild;
   bool progress = true;
   while (progress && !queue_.empty()) {
     progress = false;
     ledger_.refresh(simulator);
-    auto shadow = engine_.shadowOf(simulator, queue_.front());
+    headShadow(simulator);
     for (std::size_t i = 1; i < queue_.size();) {
       const JobId id = queue_[i];
-      if (!engine_.canBackfill(simulator, id, shadow)) {
+      if (!engine_.canBackfill(simulator, id, shadow_)) {
         simulator.counters().inc(obs::Counter::BackfillRejects);
         ++i;
         continue;
       }
-      simulator.counters().inc(obs::Counter::BackfillStarts);
-      simulator.startJob(id);
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-      ++backfills_;
+      backfill(simulator, id);
       if (rescan) {
         progress = true;
         break;  // recompute shadow/extra and restart from index 1
       }
-      shadow = engine_.shadowOf(simulator, queue_.front());
     }
   }
+}
+
+void EasyBackfill::headShadow(const sim::Simulator& simulator) {
+  // Incremental keeps the head's shadow while the head and the ledger
+  // version stand: the availability function from now on is then the one
+  // it was taken against, so a fresh search from now + 1 finds the same
+  // shadow as long as that lies after now.
+  const JobId head = queue_.front();
+  if (config_.kernelMode == kernel::KernelMode::Incremental &&
+      head == shadowHead_ && ledger_.version() == shadowVersion_ &&
+      shadow_.time > simulator.now())
+    return;
+  shadow_ = engine_.shadowOf(simulator, head);
+  shadowHead_ = head;
+  shadowVersion_ = ledger_.version();
+}
+
+void EasyBackfill::backfill(sim::Simulator& simulator, JobId job) {
+  simulator.counters().inc(obs::Counter::BackfillStarts);
+  simulator.startJob(job);
+  ++backfills_;
+  // The ledger holds only running jobs, so its profile never falls after
+  // now; the start lowers it by `procs` over [now, now + estimate). A job
+  // ending by the shadow leaves the head's window untouched; one running
+  // past it fits in `extra`, so the head still fits at the same shadow
+  // with `procs` fewer beside it.
+  const auto& j = simulator.job(job);
+  if (simulator.now() + j.estimate > shadow_.time) shadow_.extra -= j.procs;
+  shadowVersion_ = ledger_.version();
 }
 
 void EasyBackfill::onSimulationEnd(sim::Simulator& /*simulator*/) {

@@ -10,9 +10,11 @@
 //       once the head job starts (the "extra" processors).
 //
 // This is the paper's "No Suspension (NS)" baseline for every evaluation.
-// The shadow/extra computation lives in sched/core's BackfillEngine over a
-// ReservationLedger; this file keeps only the queue discipline and the
-// scan-restart loop.
+// The shadow/extra query lives in sched/core's BackfillEngine over a
+// ReservationLedger; this file keeps the queue discipline, the scan loop
+// and, in KernelMode::Incremental, the head's shadow between decisions (it
+// is queried again only when the head or the ledger changes other than by
+// EASY's own backfill starts, which update it in O(1)).
 #pragma once
 
 #include <vector>
@@ -54,8 +56,8 @@ class EasyBackfill final : public sim::SchedulingPolicy {
   void onJobArrival(sim::Simulator& simulator, JobId job) override;
   void onJobCompletion(sim::Simulator& simulator, JobId job) override;
   /// Cancellation only ever removes a queue entry — the ledger tracks
-  /// running jobs and the head's reservation is recomputed per pass, so
-  /// there is no bound future state to repair.
+  /// running jobs, and the kept shadow is keyed on the head, so there is
+  /// no bound future state to repair.
   [[nodiscard]] bool supportsCancel() const override { return true; }
   void onJobCancelled(sim::Simulator& simulator, JobId job) override;
   void onSimulationEnd(sim::Simulator& simulator) override;
@@ -73,11 +75,20 @@ class EasyBackfill final : public sim::SchedulingPolicy {
  private:
   void schedulePass(sim::Simulator& simulator);
   void enqueue(const sim::Simulator& simulator, JobId job);
+  /// Bring shadow_ up to date for the queue head (the ledger refreshed).
+  void headShadow(const sim::Simulator& simulator);
+  /// Start a backfill candidate that passed canBackfill against shadow_.
+  void backfill(sim::Simulator& simulator, JobId job);
 
   EasyConfig config_;
   kernel::ReservationLedger ledger_;
   kernel::BackfillEngine engine_{ledger_};
   std::vector<JobId> queue_;  ///< FCFS or shortest-first, per config
+  /// The head's reservation, valid for shadowHead_ at ledger version
+  /// shadowVersion_ (a fresh attach bumps the version past any stale key).
+  kernel::BackfillEngine::Shadow shadow_{};
+  JobId shadowHead_ = 0;
+  std::uint64_t shadowVersion_ = 0;
   std::uint64_t backfills_ = 0;
 };
 

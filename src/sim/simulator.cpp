@@ -306,11 +306,11 @@ void Simulator::handleCompletion(JobId id, std::uint64_t generation) {
   x.remainingWork = 0;
   x.finish = now_;
   x.resumeOverheadElapsed += x.segOverhead;
-  x.segStart = kNoTime;
   removeFrom(running_, id);
-  // Observers (the victim index, the capacity audit) read the finished
-  // job's set at this transition; only then does its slot go back.
+  // Observers (victim index, capacity audit, ledger) read the finished
+  // job's set and segment at this transition; only then do they go.
   notifyStateChange(id, JobState::Running, JobState::Finished);
+  x.segStart = kNoTime;
   releaseProcSlot(id);
   lastFinish_ = std::max(lastFinish_, now_);
   SPS_CHECK(unfinished_ > 0);
@@ -443,7 +443,6 @@ void Simulator::suspendJob(JobId id) {
   ++x.completionGen;  // invalidate the scheduled completion
   ++x.suspendCount;
   ++totalSuspensions_;
-  x.segStart = kNoTime;
   x.waitSince = now_;  // wait (and thus xfactor) accrues while suspended
   removeFrom(running_, id);
   addTo(suspended_, id);
@@ -465,6 +464,8 @@ void Simulator::suspendJob(JobId id) {
     owedAdd(procs);
     notifyStateChange(id, JobState::Running, JobState::Suspended);
   }
+  // Cleared after the observers, who read the ending segment.
+  x.segStart = kNoTime;
 }
 
 void Simulator::notifyStateChange(JobId id, JobState from, JobState to) {

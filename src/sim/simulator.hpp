@@ -59,7 +59,8 @@ inline constexpr std::uint32_t kNoProcSlot =
 struct JobExec {
   /// Compute seconds still required.
   Time remainingWork = 0;
-  /// Start of the current running segment (kNoTime unless Running).
+  /// Start of the current running segment (kNoTime unless Running; the
+  /// observers of a transition out of Running still read the ending one).
   Time segStart = kNoTime;
   /// Resume-overhead at the front of the current segment.
   Time segOverhead = 0;
@@ -109,7 +110,8 @@ class ObserverRegistry {
       std::function<void(const Simulator&, Time /*from*/, Time /*to*/)>;
 
   /// Fires after every job state transition (the kernel's ReservationLedger
-  /// and the timeline/debug tooling subscribe here).
+  /// and the timeline/debug tooling subscribe here). A job leaving Running
+  /// still shows its processor set and its ending segment's segStart.
   void onStateChange(StateChangeFn fn) {
     stateChange_.push_back(std::move(fn));
   }

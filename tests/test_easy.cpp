@@ -2,6 +2,9 @@
 // No-Suspension baseline.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "helpers.hpp"
 #include "sched/easy.hpp"
 #include "sim/simulator.hpp"
@@ -114,6 +117,48 @@ TEST(Easy, FifoAmongEqualJobs) {
   EXPECT_EQ(s.exec(1).firstStart, 100);
   EXPECT_EQ(s.exec(2).firstStart, 200);
   EXPECT_EQ(s.exec(3).firstStart, 300);
+}
+
+TEST(Easy, ExtraIsSpentByEachBackfill) {
+  // Machine 10. A 6-wide job runs to t=100; the head needs 8, so its shadow
+  // is 100 and extra = 10 - 8 = 2. Two long 2-wide jobs both fit now and
+  // both run past the shadow: the first takes the 2 extra processors, the
+  // second must wait, or the head would find only 6 free at t=100.
+  struct Variant {
+    const char* name;
+    workload::Trace trace;
+    JobId head, first, second;
+    Time firstStart;
+  };
+  const std::vector<Variant> variants = {
+      // A 4-wide job fills the machine until t=5, so both candidates are
+      // rejected on arrival and then tested in one pass at its completion.
+      {"one pass",
+       makeTrace(10, {{0, 100, 6}, {0, 5, 4}, {1, 100, 8}, {2, 500, 2},
+                      {3, 500, 2}}),
+       2, 3, 4, 5},
+      // The first backfills on arrival; the second arrives later and is
+      // tested through the arrival fast path against the kept shadow.
+      {"arrival fast path",
+       makeTrace(10, {{0, 100, 6}, {1, 100, 8}, {2, 500, 2}, {3, 500, 2}}),
+       1, 2, 3, 2},
+  };
+  for (const Variant& v : variants) {
+    for (const auto mode :
+         {kernel::KernelMode::Incremental, kernel::KernelMode::Rebuild}) {
+      SCOPED_TRACE(std::string(v.name) +
+                   (mode == kernel::KernelMode::Rebuild ? " / rebuild"
+                                                        : " / incremental"));
+      EasyBackfill policy(EasyConfig{QueueOrder::Fcfs, mode});
+      sim::Simulator s(v.trace, policy);
+      s.run();
+      EXPECT_EQ(s.exec(v.first).firstStart, v.firstStart);
+      EXPECT_EQ(s.exec(v.head).firstStart, 100);
+      // The second becomes the head at t=100 and starts when it ends.
+      EXPECT_EQ(s.exec(v.second).firstStart, 200);
+      EXPECT_EQ(policy.backfillCount(), 1u);
+    }
+  }
 }
 
 TEST(Easy, NoSuspensionsEver) {

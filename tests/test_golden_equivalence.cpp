@@ -296,5 +296,27 @@ TEST(PerfSmokeSweep, AllPoliciesCompleteWithSaneStats) {
   }
 }
 
+// Work-counter guard: in KernelMode::Incremental EASY keeps its head's
+// shadow between decisions and spends `extra` in O(1) on each backfill
+// start, so it queries the shadow at most once per full pass — never once
+// per arrival or per backfill start.
+TEST(PerfSmokeWorkCounters, EasyQueriesTheShadowAtMostOncePerPass) {
+  workload::SyntheticConfig config = workload::sdscConfig(4000, 5);
+  config.offeredLoad = 0.9;
+  const workload::Trace trace = generateTrace(config);
+  for (const char* token : {"easy", "sjf"}) {
+    const metrics::RunStats stats =
+        core::runSimulation(trace, sched::specFromToken(token));
+    const obs::Counters& c = stats.counters;
+    // The guard means something only where both the arrival fast path and
+    // backfill starts actually run.
+    ASSERT_GT(c.value(obs::Counter::ArrivalFastPaths), 0u) << token;
+    ASSERT_GT(c.value(obs::Counter::BackfillStarts), 0u) << token;
+    EXPECT_LE(c.value(obs::Counter::ShadowQueries),
+              c.value(obs::Counter::FullPasses))
+        << token;
+  }
+}
+
 }  // namespace
 }  // namespace sps

@@ -192,7 +192,7 @@ TEST(ReservationLedgerTest, IncrementalAgreesWithRebuildOverARun) {
       ASSERT_EQ(inc.profile().freeAt(s.now() + dt),
                 reb.profile().freeAt(s.now() + dt))
           << "t=" << s.now() << " dt=" << dt;
-    ASSERT_EQ(inc.zombieProcsAt(s.now()), reb.zombieProcsAt(s.now()));
+    ASSERT_EQ(inc.zombieProcsAt(s), reb.zombieProcsAt(s));
   };
   policy.arrival = [&](sim::Simulator& s, JobId) {
     crosscheck(s);
@@ -214,13 +214,98 @@ TEST(ReservationLedgerTest, ZombieProcsCountPendingCompletions) {
   std::vector<std::uint32_t> zombiesSeen;
   policy.completion = [&](sim::Simulator& s, JobId) {
     ledger.refresh(s);
-    zombiesSeen.push_back(ledger.zombieProcsAt(s.now()));
+    zombiesSeen.push_back(ledger.zombieProcsAt(s));
     test::ScriptedPolicy::greedy(s);
   };
   simulator.run();
   ASSERT_EQ(zombiesSeen.size(), 2u);
   EXPECT_EQ(zombiesSeen[0], 2u);  // the sibling still holds its processors
   EXPECT_EQ(zombiesSeen[1], 0u);
+}
+
+TEST(ReservationLedgerTest, EarlyCompletionReturnsTheUnexpiredBelief) {
+  // Job 0 estimates 50 but finishes at 10; job 1 runs [0, 100) on 2 of 8.
+  // Job 2 arrives at t=10, ahead of the completion in the same instant,
+  // and refreshes the ledger there. The completion must hand back exactly
+  // job 0's belief beyond the origin: 4 processors over [10, 50).
+  const auto trace =
+      makeTrace(8, {{0, 10, 4, 50}, {0, 100, 2}, {10, 5, 1}});
+  test::ScriptedPolicy policy;
+  sim::Simulator simulator(trace, policy);
+  ReservationLedger ledger(KernelMode::Incremental);
+  ledger.attach(simulator);
+  std::vector<std::uint32_t> before;
+  std::uint64_t versionBefore = 0;
+  policy.arrival = [&](sim::Simulator& s, JobId id) {
+    if (id == 2) {
+      ledger.refresh(s);
+      for (Time t = 10; t < 120; ++t)
+        before.push_back(ledger.profile().freeAt(t));
+      versionBefore = ledger.version();
+      return;  // job 2 waits for the completion hook
+    }
+    test::ScriptedPolicy::greedy(s);
+  };
+  bool checked = false;
+  policy.completion = [&](sim::Simulator& s, JobId id) {
+    if (id == 0) {
+      ledger.refresh(s);
+      ASSERT_EQ(before.size(), 110u);
+      EXPECT_EQ(ledger.version(), versionBefore + 1);
+      for (Time t = 10; t < 120; ++t) {
+        const auto i = static_cast<std::size_t>(t - 10);
+        EXPECT_EQ(ledger.profile().freeAt(t) - before[i], t < 50 ? 4u : 0u)
+            << "t=" << t;
+      }
+      EXPECT_TRUE(ledger.profile().sameFunctionAs(
+          naiveProfile({{0, 100, 2}}, s.now(), 8)));
+      ledger.audit(s);
+      checked = true;
+    }
+    test::ScriptedPolicy::greedy(s);
+  };
+  simulator.run();
+  EXPECT_TRUE(checked);
+}
+
+TEST(ReservationLedgerTest, SuspendResumeKeepsIncrementalEqualToRebuild) {
+  // Job 0 is suspended when job 2 arrives and resumes when job 2 ends (the
+  // resumed segment re-enters with the full estimate from its new start);
+  // job 1 runs throughout and finishes early. At every event, before and
+  // after the policy acts, the Incremental ledger must equal a Rebuild one.
+  const auto trace = makeTrace(
+      8, {{0, 100, 6, 150}, {0, 60, 2, 80}, {10, 20, 4}, {15, 5, 1}});
+  test::ScriptedPolicy policy;
+  sim::Simulator simulator(trace, policy);
+  ReservationLedger inc(KernelMode::Incremental);
+  ReservationLedger reb(KernelMode::Rebuild);
+  inc.attach(simulator);
+  reb.attach(simulator);
+  int crosschecks = 0;
+  auto crosscheck = [&](sim::Simulator& s) {
+    inc.refresh(s);
+    reb.refresh(s);
+    ASSERT_TRUE(inc.profile().sameFunctionAs(reb.profile()))
+        << "t=" << s.now();
+    inc.audit(s);
+    ++crosschecks;
+  };
+  policy.arrival = [&](sim::Simulator& s, JobId id) {
+    crosscheck(s);
+    if (id == 2) s.suspendJob(0);
+    crosscheck(s);
+    test::ScriptedPolicy::greedy(s);
+    crosscheck(s);
+  };
+  policy.completion = [&](sim::Simulator& s, JobId) {
+    crosscheck(s);
+    test::ScriptedPolicy::greedy(s);
+    crosscheck(s);
+  };
+  simulator.run();
+  EXPECT_EQ(simulator.exec(0).suspendCount, 1u);
+  EXPECT_EQ(simulator.exec(0).finish, 30 + 90);  // resumed at job 2's end
+  EXPECT_EQ(crosschecks, 4 * 3 + 4 * 2);
 }
 
 TEST(ReservationLedgerTest, ReservationsLayerOnRunningJobs) {

@@ -97,6 +97,37 @@ TEST(Simulator, SuspensionSplitsWork) {
   EXPECT_EQ(s.totalSuspensions(), 1u);
 }
 
+TEST(Simulator, LeavingRunningObserversReadTheEndingSegment) {
+  // Job 0 runs [0, 10), is suspended for job 1 ([10, 40)), resumes at 40
+  // and finishes at 130. Every observer of a transition out of Running
+  // reads the start of the segment that ends; afterwards it is cleared.
+  const auto trace = makeTrace(4, {{0, 100, 4}, {10, 30, 4}});
+  ScriptedPolicy policy;
+  policy.arrival = [](Simulator& s, JobId j) {
+    if (j == 1) {
+      s.suspendJob(0);
+      EXPECT_EQ(s.exec(0).segStart, kNoTime);
+    }
+    ScriptedPolicy::greedy(s);
+  };
+  Simulator s(trace, policy);
+  std::vector<std::tuple<JobId, JobState, Time>> ending;
+  s.observers().onStateChange(
+      [&ending](const Simulator& sim, JobId id, JobState from, JobState to) {
+        if (from == JobState::Running)
+          ending.emplace_back(id, to, sim.exec(id).segStart);
+      });
+  s.run();
+  const std::vector<std::tuple<JobId, JobState, Time>> expected = {
+      {0, JobState::Suspended, 0},
+      {1, JobState::Finished, 10},
+      {0, JobState::Finished, 40}};
+  EXPECT_EQ(ending, expected);
+  EXPECT_EQ(s.exec(0).finish, 130);
+  for (JobId id = 0; id < trace.jobs.size(); ++id)
+    EXPECT_EQ(s.exec(id).segStart, kNoTime) << "job " << id;
+}
+
 TEST(Simulator, SuspendedJobKeepsSavedProcs) {
   const auto trace = makeTrace(8, {{0, 100, 4}});
   ScriptedPolicy policy;
