@@ -20,7 +20,6 @@ const char* counterName(Counter counter) {
       return "kernel.ledger.reservationsRemoved";
     case Counter::VictimInserts: return "kernel.victim.inserts";
     case Counter::VictimRemoves: return "kernel.victim.removes";
-    case Counter::VictimRangeQueries: return "kernel.victim.rangeQueries";
     case Counter::VictimBoundSkips: return "kernel.victim.boundSkips";
     case Counter::AnchorQueries: return "kernel.engine.anchorQueries";
     case Counter::ShadowQueries: return "kernel.engine.shadowQueries";

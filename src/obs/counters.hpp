@@ -42,7 +42,6 @@ enum class Counter : std::uint8_t {
   // --- scheduling kernel: victim index ------------------------------------
   VictimInserts,       ///< running jobs entered into the VictimIndex
   VictimRemoves,       ///< running jobs dropped from the VictimIndex
-  VictimRangeQueries,  ///< TSS-limit boundary searches over a category
   VictimBoundSkips,    ///< candidates rejected by the gain upper bound alone
   // --- scheduling kernel: backfill engine --------------------------------
   AnchorQueries,       ///< earliest-anchor scans over the profile

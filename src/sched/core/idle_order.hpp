@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "sched/core/idle_lines.hpp"
 #include "sim/simulator.hpp"
 
 namespace sps::sched::kernel {
@@ -38,6 +39,20 @@ struct IdleJob {
 inline void sortByPriority(std::vector<IdleJob>& jobs) {
   std::sort(jobs.begin(), jobs.end(), walksBefore);
 }
+
+/// walksBefore over the SS/TSS tick gate's reported lines, which carry
+/// their priority but not their submit time (read only on priority ties).
+struct HitOrder {
+  const sim::Simulator& s;
+  bool operator()(const IdleLineIndex::Hit& a,
+                  const IdleLineIndex::Hit& b) const {
+    if (a.x != b.x) return a.x > b.x;
+    const Time sa = s.job(a.id).submit;
+    const Time sb = s.job(b.id).submit;
+    if (sa != sb) return sa < sb;
+    return a.id < b.id;
+  }
+};
 
 /// Heap whose top walks first under walksBefore: heapify once, then each
 /// popWalkHeap yields the next job in Eq. 2 order, so a walk that stops

@@ -1,7 +1,6 @@
 #include "sched/core/victim_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "obs/counters.hpp"
@@ -22,11 +21,9 @@ bool entryLess(const VictimIndex::Entry& a, const VictimIndex::Entry& b) {
 }  // namespace
 
 void VictimIndex::attach(sim::Simulator& simulator) {
-  for (std::vector<Entry>& vec : cats_) vec.clear();
+  entries_.clear();
   serial_ = 0;
-  count_ = 0;
   owner_.assign(simulator.machine().totalProcs(), kInvalidJob);
-  catOf_.assign(simulator.trace().jobs.size(), 0);
   const bool firstAttach = attached_ == nullptr;
   attached_ = &simulator;
   if (firstAttach) {
@@ -45,8 +42,6 @@ void VictimIndex::attach(sim::Simulator& simulator) {
 }
 
 void VictimIndex::insert(const sim::Simulator& s, JobId id) {
-  // Streamed submits grow the job table after attach.
-  if (catOf_.size() <= id) catOf_.resize(s.trace().jobs.size(), 0);
   const workload::Job& j = s.job(id);
   // Scheduler-visible categorization (estimate, not actual runtime) — the
   // same classification the TSS limits are keyed by.
@@ -56,28 +51,27 @@ void VictimIndex::insert(const sim::Simulator& s, JobId id) {
   e.job = id;
   e.procs = j.procs;
   e.serial = serial_++;
-  std::vector<Entry>& vec = cats_[cat];
-  vec.insert(std::lower_bound(vec.begin(), vec.end(), e, entryLess), e);
-  catOf_[id] = static_cast<std::uint8_t>(cat);
-  ++count_;
+  e.category = static_cast<std::uint8_t>(cat);
+  e.widthClass =
+      static_cast<std::uint8_t>(workload::widthClassOfCategory(cat));
+  entries_.insert(
+      std::lower_bound(entries_.begin(), entries_.end(), e, entryLess), e);
   s.procSet(id).forEach([this, id](std::uint32_t p) { owner_[p] = id; });
   s.counters().inc(obs::Counter::VictimInserts);
 }
 
 void VictimIndex::remove(const sim::Simulator& s, JobId id) {
-  const std::size_t cat = catOf_[id];
-  std::vector<Entry>& vec = cats_[cat];
   // The frozen priority is bit-identical to the insertion value (wait is
   // frozen while running and the formula is the same), so the entry is
   // found by binary search, not a scan.
   Entry probe;
   probe.xfactor = s.xfactor(id);
   probe.job = id;
-  const auto it = std::lower_bound(vec.begin(), vec.end(), probe, entryLess);
-  SPS_CHECK_MSG(it != vec.end() && it->job == id,
+  const auto it =
+      std::lower_bound(entries_.begin(), entries_.end(), probe, entryLess);
+  SPS_CHECK_MSG(it != entries_.end() && it->job == id,
                 "victim index missing running job " << id);
-  vec.erase(it);
-  --count_;
+  entries_.erase(it);
   s.procSet(id).forEach([this](std::uint32_t p) {
     owner_[p] = kInvalidJob;
   });
@@ -85,39 +79,18 @@ void VictimIndex::remove(const sim::Simulator& s, JobId id) {
 }
 
 double VictimIndex::minPriority() const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const std::vector<Entry>& vec : cats_)
-    if (!vec.empty()) best = std::min(best, vec.front().xfactor);
-  return best;
-}
-
-std::size_t VictimIndex::limitBoundary(std::size_t cat, double limit) const {
-  const std::vector<Entry>& vec = cats_[cat];
-  attached_->counters().inc(obs::Counter::VictimRangeQueries);
-  const auto it = std::partition_point(
-      vec.begin(), vec.end(),
-      [limit](const Entry& e) { return e.xfactor < limit; });
-  return static_cast<std::size_t>(it - vec.begin());
+  return entries_.empty() ? std::numeric_limits<double>::infinity()
+                          : entries_.front().xfactor;
 }
 
 void VictimSteps::build(
     const VictimIndex& index,
     const std::array<double, VictimIndex::kCategories>& limits) {
+  // A TSS limit protects a suffix of its category, so filtering the
+  // index's order keeps it sorted.
   steps_.clear();
-  for (std::size_t cat = 0; cat < VictimIndex::kCategories; ++cat) {
-    const std::vector<VictimIndex::Entry>& vec = index.category(cat);
-    if (vec.empty()) continue;
-    const std::size_t end = std::isinf(limits[cat])
-                                ? vec.size()
-                                : index.limitBoundary(cat, limits[cat]);
-    const auto widthClass =
-        static_cast<std::uint8_t>(workload::widthClassOfCategory(cat));
-    for (std::size_t i = 0; i < end; ++i)
-      steps_.push_back({vec[i], widthClass});
-  }
-  std::sort(steps_.begin(), steps_.end(), [](const Step& a, const Step& b) {
-    return entryLess(a.entry, b.entry);
-  });
+  for (const VictimIndex::Entry& e : index.entries())
+    if (e.xfactor < limits[e.category]) steps_.push_back(e);
   const std::size_t n = steps_.size();
   for (std::size_t r = 0; r < kReaches; ++r) {
     std::vector<std::uint32_t>& gain = gain_[r];
@@ -126,9 +99,8 @@ void VictimSteps::build(
     next.resize(n + 1);
     gain[0] = 0;
     for (std::size_t i = 0; i < n; ++i)
-      gain[i + 1] = gain[i] + (steps_[i].widthClass <= r
-                                   ? steps_[i].entry.procs
-                                   : 0);
+      gain[i + 1] =
+          gain[i] + (steps_[i].widthClass <= r ? steps_[i].procs : 0);
     next[n] = static_cast<std::uint32_t>(n);
     for (std::size_t i = n; i-- > 0;)
       next[i] = steps_[i].widthClass <= r ? static_cast<std::uint32_t>(i)
@@ -141,14 +113,15 @@ VictimSteps::Cut VictimSteps::cut(double priority, double sf,
   // Eligible prefix: exactly the entries the reference's per-victim SF test
   // `priority < sf * xfactor` would NOT reject.
   const auto it = std::partition_point(
-      steps_.begin(), steps_.end(), [priority, sf](const Step& s) {
-        return !(priority < sf * s.entry.xfactor);
+      steps_.begin(), steps_.end(),
+      [priority, sf](const VictimIndex::Entry& e) {
+        return !(priority < sf * e.xfactor);
       });
   const auto end = static_cast<std::size_t>(it - steps_.begin());
   const auto r = static_cast<std::size_t>(reach);
   const std::size_t next = next_[r][end];
   return {end, gain_[r][end],
-          next < steps_.size() ? steps_[next].entry.xfactor
+          next < steps_.size() ? steps_[next].xfactor
                                : std::numeric_limits<double>::infinity()};
 }
 
@@ -163,7 +136,7 @@ double VictimSteps::threshold(std::uint32_t need, double sf,
       std::lower_bound(gain.begin(), gain.end(), need) - gain.begin());
   if (e == 0) return -std::numeric_limits<double>::infinity();
   if (e == gain.size()) return std::numeric_limits<double>::infinity();
-  return sf * steps_[e - 1].entry.xfactor;
+  return sf * steps_[e - 1].xfactor;
 }
 
 int VictimSteps::reachOf(std::uint32_t width, bool halfWidthRule) {

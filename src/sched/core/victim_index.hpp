@@ -1,5 +1,5 @@
-// VictimIndex — maintained per-category ordering of the *running* jobs,
-// the fourth piece of the scheduling kernel.
+// VictimIndex — the *running* jobs in one maintained order, the fourth
+// piece of the scheduling kernel.
 //
 // The SS/TSS preemption pass asks, for every idle candidate, "which running
 // jobs could it preempt?" — and the paper's Section IV eligibility rules
@@ -11,24 +11,26 @@
 // The pivotal property making an index possible: a job's suspension
 // priority (xfactor, Eq. 2) *freezes while it runs* — wait does not accrue
 // on-processor — so the running set's priority order never drifts between
-// transitions. Each Table-I category (by the scheduler-visible estimate x
-// width classification) keeps its members sorted by (frozen xfactor, id),
-// maintained by a state-change observer. The pass's per-victim tests then
-// collapse into cuts of a sorted order:
+// transitions. The index keeps every running job in one vector sorted by
+// (frozen xfactor, id), each entry tagged with its Table-I category (by the
+// scheduler-visible estimate x width classification), maintained by a
+// state-change observer. The pass's per-victim tests then collapse into
+// cuts of that order:
 //
 //   * SF ratio  — victims failing `priority < SF * xfactor` form a suffix
 //     of the (frozen xfactor, id) order.
-//   * TSS limit — protected victims (`xfactor >= limit`) are likewise a
-//     suffix of each category; limitBoundary() finds it.
-//   * half-width — width bands are constant within a category, so whole
-//     categories pass or fail wholesale; only the unbounded Very-Wide band
-//     (and the preemptor's own boundary band) needs per-entry width checks.
+//   * TSS limit — protected victims (`xfactor >= limit[category]`) are a
+//     suffix of each category, so dropping them keeps the order.
+//   * half-width — width bands are constant within a category, so each
+//     entry's width class decides it wholesale; only the unbounded
+//     Very-Wide band (and the preemptor's own boundary band) needs
+//     per-entry width checks.
 //
-// VictimSteps (below) merges the categories inside their TSS cuts into one
-// order and keeps prefix sums of widths per width-reach class, which bound
-// the processors a candidate could free — candidates whose bound cannot
-// cover their shortfall are dismissed with zero per-victim work (the
-// dominant case at high load).
+// VictimSteps (below) filters the order by the TSS limits in one pass and
+// keeps prefix sums of widths per width-reach class, which bound the
+// processors a candidate could free — candidates whose bound cannot cover
+// their shortfall are dismissed with zero per-victim work (the dominant
+// case at high load).
 //
 // Pass-start snapshot semantics: the reference implementation sorts the
 // running set once at the top of the pass, so jobs *started mid-pass* are
@@ -59,22 +61,24 @@ class VictimIndex {
     JobId job = 0;
     std::uint32_t procs = 0;  ///< width, for gain sums and width checks
     std::uint64_t serial = 0; ///< insertion stamp; pass-visibility filter
+    std::uint8_t category = 0;    ///< Category16 index, keys the TSS limit
+    std::uint8_t widthClass = 0;  ///< the category's workload::WidthClass
   };
 
   static constexpr std::size_t kCategories = 16;
 
   /// Bind to a simulator: clears all state, sizes the owner map to the
   /// machine, and registers the state-change observer that keeps the
-  /// per-category orders current. Call from onSimulationStart. An index
-  /// serves one simulator at a time and must outlive it.
+  /// order current. Call from onSimulationStart. An index serves one
+  /// simulator at a time and must outlive it.
   void attach(sim::Simulator& simulator);
 
-  [[nodiscard]] bool empty() const { return count_ == 0; }
-  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   /// Minimum frozen priority over ALL running jobs (every category, no
-  /// serial filter); +infinity when empty. O(categories). This is the basis
-  /// of the pass gate: an idle candidate below SF x this value can preempt
+  /// serial filter); +infinity when empty. O(1). This is the basis of the
+  /// pass gate: an idle candidate below SF x this value can preempt
   /// nothing at all.
   [[nodiscard]] double minPriority() const;
 
@@ -84,15 +88,8 @@ class VictimIndex {
   /// contain them).
   [[nodiscard]] std::uint64_t beginPass() const { return serial_; }
 
-  /// The category's members, ascending (frozen xfactor, id).
-  [[nodiscard]] const std::vector<Entry>& category(std::size_t cat) const {
-    return cats_[cat];
-  }
-
-  /// Length of the category prefix below a TSS protection limit: the first
-  /// index with xfactor >= limit.
-  [[nodiscard]] std::size_t limitBoundary(std::size_t cat,
-                                          double limit) const;
+  /// Every running job, ascending (frozen xfactor, id).
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
 
   /// The running job holding processor `proc`, or kInvalidJob if it is
   /// free or held by a Suspending job. Live (not pass-snapshotted) —
@@ -102,16 +99,12 @@ class VictimIndex {
   }
 
  private:
-  void onTransition(const sim::Simulator& s, JobId id, sim::JobState from,
-                    sim::JobState to);
   void insert(const sim::Simulator& s, JobId id);
   void remove(const sim::Simulator& s, JobId id);
 
-  std::array<std::vector<Entry>, kCategories> cats_;
+  std::vector<Entry> entries_;
   std::vector<JobId> owner_;       ///< per processor; kInvalidJob if free
-  std::vector<std::uint8_t> catOf_;  ///< per job: category at insertion
   std::uint64_t serial_ = 0;
-  std::size_t count_ = 0;
   /// Distinguishes the simulator currently served from a stale one still
   /// holding our observer (a policy may be re-attached across runs).
   const sim::Simulator* attached_ = nullptr;
@@ -119,7 +112,7 @@ class VictimIndex {
 
 /// The victims one preemption pass may draw on, as a step function of the
 /// preemptor's priority. Every running job inside its category's TSS cut,
-/// merged into one array ascending by (frozen xfactor, id) — the
+/// in the index's order, ascending by (frozen xfactor, id) — the
 /// reference pass's runningAsc order. The SF test `p < sf * xfactor`
 /// rejects a suffix of it, so a preemptor of priority p may draw on a
 /// prefix; alongside the array sit, per width-reach class, prefix sums of
@@ -134,11 +127,6 @@ class VictimSteps {
   /// class (workload::WidthClass) is at most r.
   static constexpr std::size_t kReaches = 4;
 
-  struct Step {
-    VictimIndex::Entry entry;
-    std::uint8_t widthClass;
-  };
-
   struct Cut {
     std::size_t end;      ///< entries passing !(p < sf * xfactor)
     std::uint32_t bound;  ///< summed widths of reachable entries in [0, end)
@@ -148,7 +136,8 @@ class VictimSteps {
   };
 
   /// Rebuild from `index`, keeping the members of category `cat` below
-  /// the TSS protection limit `limits[cat]` (+infinity: no limit).
+  /// the TSS protection limit `limits[cat]` (+infinity: no limit): one
+  /// filtered pass over the index's order, no sort.
   void build(const VictimIndex& index,
              const std::array<double, VictimIndex::kCategories>& limits);
 
@@ -169,10 +158,12 @@ class VictimSteps {
   /// band is in reach.
   [[nodiscard]] static int reachOf(std::uint32_t width, bool halfWidthRule);
 
-  [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
+  [[nodiscard]] const std::vector<VictimIndex::Entry>& steps() const {
+    return steps_;
+  }
 
  private:
-  std::vector<Step> steps_;
+  std::vector<VictimIndex::Entry> steps_;
   /// gain_[r][i]: widths of the entries of class <= r in steps_[0, i).
   std::array<std::vector<std::uint32_t>, kReaches> gain_;
   /// next_[r][i]: first index >= i holding an entry of class <= r.

@@ -13,21 +13,22 @@ void EasyBackfill::onSimulationStart(sim::Simulator& simulator) {
 }
 
 void EasyBackfill::enqueue(const sim::Simulator& simulator, JobId job) {
+  const Queued entry{job, simulator.job(job).procs};
   if (config_.order == QueueOrder::Fcfs) {
-    queue_.push_back(job);
+    queue_.push_back(entry);
     return;
   }
   // ShortestFirst: keep the queue sorted by (estimate, submit, id).
   auto pos = std::upper_bound(
-      queue_.begin(), queue_.end(), job,
-      [&simulator](JobId a, JobId b) {
-        const auto& ja = simulator.job(a);
-        const auto& jb = simulator.job(b);
+      queue_.begin(), queue_.end(), entry,
+      [&simulator](const Queued& a, const Queued& b) {
+        const auto& ja = simulator.job(a.id);
+        const auto& jb = simulator.job(b.id);
         if (ja.estimate != jb.estimate) return ja.estimate < jb.estimate;
         if (ja.submit != jb.submit) return ja.submit < jb.submit;
-        return a < b;
+        return a.id < b.id;
       });
-  queue_.insert(pos, job);
+  queue_.insert(pos, entry);
 }
 
 void EasyBackfill::onJobArrival(sim::Simulator& simulator, JobId job) {
@@ -42,13 +43,15 @@ void EasyBackfill::onJobArrival(sim::Simulator& simulator, JobId job) {
   // leaving it due; a fresh one can un-fail older candidates, so that case
   // takes the full pass, as does a newcomer that becomes the pivot.
   if (config_.kernelMode == kernel::KernelMode::Incremental &&
-      queue_.size() > 1 && queue_.front() != job) {
+      queue_.size() > 1 && queue_.front().id != job) {
     ledger_.refresh(simulator);
     if (ledger_.zombieProcsAt(simulator) == 0) {
       simulator.counters().inc(obs::Counter::ArrivalFastPaths);
       headShadow(simulator);
       if (engine_.canBackfill(simulator, job, shadow_)) {
-        queue_.erase(std::find(queue_.begin(), queue_.end(), job));
+        queue_.erase(std::find_if(
+            queue_.begin(), queue_.end(),
+            [job](const Queued& q) { return q.id == job; }));
         backfill(simulator, job);
       } else {
         simulator.counters().inc(obs::Counter::BackfillRejects);
@@ -64,7 +67,8 @@ void EasyBackfill::onJobCompletion(sim::Simulator& simulator, JobId /*job*/) {
 }
 
 void EasyBackfill::onJobCancelled(sim::Simulator& simulator, JobId job) {
-  const auto it = std::find(queue_.begin(), queue_.end(), job);
+  const auto it = std::find_if(queue_.begin(), queue_.end(),
+                               [job](const Queued& q) { return q.id == job; });
   SPS_CHECK_MSG(it != queue_.end(), "cancelled job " << job << " not queued");
   queue_.erase(it);
   // A cancelled pivot releases its shadow fence; rescan for newly-feasible
@@ -77,9 +81,8 @@ void EasyBackfill::schedulePass(sim::Simulator& simulator) {
   SPS_TRACE(&simulator.recorder(),
             obs::instant("policy", "easy.pass", simulator.now()));
   // Phase 1: start jobs from the head while they fit.
-  while (!queue_.empty() &&
-         simulator.job(queue_.front()).procs <= simulator.freeCount()) {
-    simulator.startJob(queue_.front());
+  while (!queue_.empty() && queue_.front().procs <= simulator.freeCount()) {
+    simulator.startJob(queue_.front().id);
     queue_.erase(queue_.begin());
   }
   if (queue_.empty()) return;
@@ -88,9 +91,11 @@ void EasyBackfill::schedulePass(sim::Simulator& simulator) {
   // processors, then backfill. A backfill start neither moves the shadow
   // nor grows `extra` (see backfill), and it only shrinks the free
   // processors — so every job rejected before it stays rejected, and
-  // KernelMode::Incremental carries on from the same index. Rebuild
-  // recomputes the shadow and restarts the scan after each start, as the
-  // seed did.
+  // KernelMode::Incremental carries on from the same index. It also passes
+  // over every job wider than the free processors, whose backfill test
+  // fails on its first comparison, and stops once none are free. Rebuild
+  // tests every job, and recomputes the shadow and restarts the scan after
+  // each start, as the seed did.
   const bool rescan = config_.kernelMode == kernel::KernelMode::Rebuild;
   bool progress = true;
   while (progress && !queue_.empty()) {
@@ -98,7 +103,14 @@ void EasyBackfill::schedulePass(sim::Simulator& simulator) {
     ledger_.refresh(simulator);
     headShadow(simulator);
     for (std::size_t i = 1; i < queue_.size();) {
-      const JobId id = queue_[i];
+      if (!rescan) {
+        if (simulator.freeCount() == 0) break;
+        if (queue_[i].procs > simulator.freeCount()) {
+          ++i;
+          continue;
+        }
+      }
+      const JobId id = queue_[i].id;
       if (!engine_.canBackfill(simulator, id, shadow_)) {
         simulator.counters().inc(obs::Counter::BackfillRejects);
         ++i;
@@ -119,7 +131,7 @@ void EasyBackfill::headShadow(const sim::Simulator& simulator) {
   // version stand: the availability function from now on is then the one
   // it was taken against, so a fresh search from now + 1 finds the same
   // shadow as long as that lies after now.
-  const JobId head = queue_.front();
+  const JobId head = queue_.front().id;
   if (config_.kernelMode == kernel::KernelMode::Incremental &&
       head == shadowHead_ && ledger_.version() == shadowVersion_ &&
       shadow_.time > simulator.now())

@@ -83,7 +83,13 @@ class EasyBackfill final : public sim::SchedulingPolicy {
   EasyConfig config_;
   kernel::ReservationLedger ledger_;
   kernel::BackfillEngine engine_{ledger_};
-  std::vector<JobId> queue_;  ///< FCFS or shortest-first, per config
+  /// A queued job with its width, so the Incremental scan can pass over
+  /// jobs wider than the free processors without reading their records.
+  struct Queued {
+    JobId id;
+    std::uint32_t procs;
+  };
+  std::vector<Queued> queue_;  ///< FCFS or shortest-first, per config
   /// The head's reservation, valid for shadowHead_ at ledger version
   /// shadowVersion_ (a fresh attach bumps the version past any stale key).
   kernel::BackfillEngine::Shadow shadow_{};

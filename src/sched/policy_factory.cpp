@@ -1,5 +1,6 @@
 #include "sched/policy_factory.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,11 +11,25 @@ namespace sps::sched {
 
 namespace {
 
-/// "name" / "name:param" split.
-std::pair<std::string, std::string> splitToken(const std::string& token) {
+/// "name" / "name:param" split; `param` is empty without a colon.
+struct Token {
+  std::string name;
+  std::string param;
+  bool hasParam;
+};
+
+Token splitToken(const std::string& token) {
   const std::size_t colon = token.find(':');
-  if (colon == std::string::npos) return {token, ""};
-  return {token.substr(0, colon), token.substr(colon + 1)};
+  if (colon == std::string::npos) return {token, "", false};
+  return {token.substr(0, colon), token.substr(colon + 1), true};
+}
+
+/// A parameterised name given bare ("ss" for "ss:2") is refused with the
+/// form it takes.
+void requireParam(const Token& t, const char* form) {
+  if (!t.hasParam)
+    throw std::invalid_argument("policy token '" + t.name +
+                                "' needs a parameter: " + form);
 }
 
 double parseFactor(const std::string& token, const std::string& param) {
@@ -23,6 +38,18 @@ double parseFactor(const std::string& token, const std::string& param) {
   if (!(is >> value) || !is.eof() || value <= 0.0)
     throw std::invalid_argument("bad parameter in policy token '" + token +
                                 "'");
+  return value;
+}
+
+/// A reservation depth: a whole positive number, as `--depth K` reads it
+/// ("2.5" is refused, not truncated).
+std::size_t parseDepth(const std::string& token, const std::string& param) {
+  std::size_t value = 0;
+  const char* const end = param.data() + param.size();
+  const auto [ptr, ec] = std::from_chars(param.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value == 0)
+    throw std::invalid_argument("bad parameter in policy token '" + token +
+                                "': expected depth:K (K >= 1) or depth:inf");
   return value;
 }
 
@@ -68,7 +95,9 @@ std::string policyLabel(const PolicySpec& spec) {
 }
 
 PolicySpec specFromToken(const std::string& token) {
-  const auto [name, param] = splitToken(token);
+  const Token t = splitToken(token);
+  const std::string& name = t.name;
+  const std::string& param = t.param;
   PolicySpec spec;
   spec.label = token;
   if (name == "conservative") {
@@ -85,25 +114,31 @@ PolicySpec specFromToken(const std::string& token) {
   } else if (name == "is") {
     spec.kind = PolicyKind::ImmediateService;
   } else if (name == "depth") {
+    requireParam(t, "depth:K or depth:inf");
     spec.kind = PolicyKind::DepthBackfill;
-    if (param == "inf")
-      spec.depth.depth = kUnlimitedDepth;
-    else
-      spec.depth.depth = static_cast<std::size_t>(parseFactor(token, param));
+    spec.depth.depth =
+        param == "inf" ? kUnlimitedDepth : parseDepth(token, param);
   } else if (name == "ss") {
+    requireParam(t, "ss:SF");
     spec.kind = PolicyKind::SelectiveSuspension;
     spec.ss.suspensionFactor = parseFactor(token, param);
   } else if (name == "tss") {
     // Per-category limits are supplied by the caller (calibrated against
     // the target trace); the token only fixes the suspension factor.
+    requireParam(t, "tss:SF");
     spec.kind = PolicyKind::SelectiveSuspension;
     spec.ss.suspensionFactor = parseFactor(token, param);
   } else if (name == "tss-online") {
+    requireParam(t, "tss-online:M");
     spec.kind = PolicyKind::SelectiveSuspension;
     spec.ss.tssOnlineMultiplier = parseFactor(token, param);
   } else {
     throw std::invalid_argument("unknown policy token: '" + token + "'");
   }
+  if (t.hasParam && spec.kind != PolicyKind::DepthBackfill &&
+      spec.kind != PolicyKind::SelectiveSuspension)
+    throw std::invalid_argument("policy token '" + token + "': " + name +
+                                " takes no parameter");
   return spec;
 }
 

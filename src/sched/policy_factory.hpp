@@ -70,7 +70,8 @@ struct PolicySpec {
 /// returned spec's label is the token itself. "tss:SF" sets the suspension
 /// factor only — the caller supplies the per-category limits (they are
 /// derived from a calibration run of the target trace). Throws
-/// std::invalid_argument on an unknown name or a malformed parameter.
+/// std::invalid_argument on an unknown name, a malformed or missing
+/// parameter, or a parameter on a name that takes none.
 [[nodiscard]] PolicySpec specFromToken(const std::string& token);
 
 /// One representative token per registry entry (parameterized names carry

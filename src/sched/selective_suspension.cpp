@@ -181,18 +181,13 @@ bool SelectiveSuspension::tickPassSkippable(sim::Simulator& simulator) {
   // tick horizon up to which it stays below its threshold — their minimum
   // caps how long the verdict may be cached.
   refreshFreshPath(simulator);
-  kernel::IdleLineIndex::Thresholds thresholds;  // [Queued, Suspended]
-  kernel::freshThresholds(victimSteps_, idleLines_, config_.suspensionFactor,
-                          freeNow_, config_.halfWidthRule, thresholds[0]);
-  thresholds[1] = thresholds[0];
-  if (!config_.migratableJobs)
-    thresholds[1].fill(config_.suspensionFactor * victimIndex_.minPriority());
+  currentThresholds(listedAt_);
   // The exact re-verified crossingHorizon runs once, on the winning line:
   // the raw crossing is monotone in the verified one (floor is monotone and
   // verification can only clamp to now), so the minimum is unchanged.
   tickPrefix_.clear();
   const kernel::IdleLineIndex::Crossing first =
-      idleLines_.query(simulator.now(), thresholds, tickPrefix_);
+      idleLines_.query(simulator.now(), listedAt_, tickPrefix_);
   simulator.counters().add(obs::Counter::GateReports, tickPrefix_.size());
   sweepHorizon_ = first.id == kInvalidJob
                       ? kTimeMax
@@ -510,6 +505,26 @@ void SelectiveSuspension::preemptionPass(sim::Simulator& simulator) {
     preemptionPassIncremental(simulator);
 }
 
+void SelectiveSuspension::executeReentryPreemption(
+    sim::Simulator& simulator, JobId id, const std::vector<JobId>& occupants) {
+  bool anyDraining = false;
+  for (JobId r : occupants) {
+    simulator.counters().inc(obs::Counter::Preemptions);
+    SPS_TRACE(&simulator.recorder(),
+              obs::instant("policy", "preempt", simulator.now(), r)
+                  .arg("for", id));
+    simulator.suspendJob(r);
+    ++preemptions_;
+    if (simulator.state(r) == sim::JobState::Suspending) anyDraining = true;
+  }
+  if (anyDraining) {
+    claims_.push_back({id, /*exact=*/true});
+    claimsDirty_ = true;
+  } else {
+    simulator.resumeJob(id);
+  }
+}
+
 void SelectiveSuspension::executeFreshPreemption(
     sim::Simulator& simulator, JobId id, std::uint32_t width,
     std::uint32_t freeNow, std::vector<JobId>& victims) {
@@ -624,23 +639,7 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
       }
       if (blocked || !(needed - covered).empty()) continue;
       if (occupants.empty()) continue;  // dispatch() handles the free case
-      bool anyDraining = false;
-      for (JobId r : occupants) {
-        simulator.counters().inc(obs::Counter::Preemptions);
-        SPS_TRACE(&simulator.recorder(),
-                  obs::instant("policy", "preempt", simulator.now(), r)
-                      .arg("for", id));
-        simulator.suspendJob(r);
-        ++preemptions_;
-        if (simulator.state(r) == sim::JobState::Suspending)
-          anyDraining = true;
-      }
-      if (anyDraining) {
-        claims_.push_back({id, /*exact=*/true});
-        claimsDirty_ = true;
-      } else {
-        simulator.resumeJob(id);
-      }
+      executeReentryPreemption(simulator, id, occupants);
     } else {
       // Fresh preemptor: collect the lowest-priority eligible victims until
       // free + gain covers the request (pseudocode label suspend_jobs_1).
@@ -723,19 +722,12 @@ void SelectiveSuspension::preemptionPassIncremental(
     tally.minTarget = target;
   };
 
-  // The fresh path's state (freeNow_, victimSteps_) as the gate
-  // built it for the pass-start state; rebuilt lazily after each of this
-  // pass's actions.
-  bool dirty = false;
-  auto refresh = [&] {
-    if (dirty) refreshFreshPath(simulator);
-    dirty = false;
-  };
-
   // One candidate against the current state: true when it can act, with
   // its occupants (reentry) or victims (fresh) left in the scratch lists.
   // Until the pass first acts, the verdict and every tally increment depend
-  // only on the pass-start state and the candidate itself.
+  // only on the pass-start state and the candidate itself. The fresh path's
+  // state (freeNow_, victimSteps_) is the gate's until the first action and
+  // is rebuilt after each.
   auto evaluate = [&](const kernel::IdleLineIndex::Hit& hit,
                       bool reentry) -> bool {
     const double priority = hit.x;
@@ -781,7 +773,6 @@ void SelectiveSuspension::preemptionPassIncremental(
       if (!(needed - covered).empty()) return false;
       return !occupantsScratch_.empty();  // free case: dispatch()
     }
-    refresh();
     if (freeNow_ >= width) return false;  // dispatch() handles the free case
 
     // The eligible victims are a prefix of the step function's (frozen
@@ -811,9 +802,8 @@ void SelectiveSuspension::preemptionPassIncremental(
     std::uint32_t gain = 0;
     const auto& steps = victimSteps_.steps();
     for (std::size_t i = 0; i < cut.end && freeNow_ + gain < width; ++i) {
-      const kernel::VictimSteps::Step& step = steps[i];
-      if (step.widthClass > reach) continue;
-      const kernel::VictimIndex::Entry& e = step.entry;
+      const kernel::VictimIndex::Entry& e = steps[i];
+      if (e.widthClass > reach) continue;
       if (e.serial >= passStamp) continue;  // started mid-pass: invisible
       ++tally.victimTests;
       if (config_.halfWidthRule && 2 * width < e.procs) continue;
@@ -831,64 +821,22 @@ void SelectiveSuspension::preemptionPassIncremental(
     }
     return true;
   };
-  auto isReentry = [&](JobId id) {
-    return simulator.state(id) == sim::JobState::Suspended &&
-           !config_.migratableJobs;
-  };
-  auto finish = [&] {
-    obs::Counters& counters = simulator.counters();
-    counters.add(obs::Counter::VictimTests, tally.victimTests);
-    counters.add(obs::Counter::VictimBoundSkips, tally.boundSkips);
-    if (tally.minId != kInvalidJob)
-      passHorizon_ = kernel::crossingHorizon(simulator, tally.minId,
-                                             tally.minX, tally.minTarget);
-  };
 
-  // Until its first action the pass reads only pass-start state, so which
-  // candidates act, and what the others tally, does not depend on walk
-  // order (no candidate is stale, and the live break below cannot fire:
-  // every reported candidate is at or above SF x the minimum priority).
-  // The gate reported every candidate at or above its own threshold, and
-  // no other can act. Evaluate in gather order; if nobody can act, that is
-  // the whole pass — no sort.
-  bool acts = false;
-  for (const kernel::IdleLineIndex::Hit& hit : tickPrefix_) {
-    if (isClaimant(hit.id)) continue;
-    if (evaluate(hit, isReentry(hit.id))) {
-      acts = true;
-      break;
-    }
-  }
-  if (!acts) {
-    finish();
-    return;
-  }
-
-  // Some candidate acts: rerun the pass as the ordered walk, from a clean
-  // tally. An action can lower the fresh thresholds (an overshooting
-  // widest-first victim raises freeNow under Squat and Prefer), so the walk
-  // re-queries at the global threshold SF x the minimum priority, the
-  // reference walk's reachable prefix, and leaves each fresh candidate's
-  // verdict to evaluate()'s gain bound at the current fences and steps.
-  // Ordering the candidates under the Eq. 2 comparator — xfactor
-  // descending, ties by submit then id — reproduces the reference walk
-  // exactly: idle priorities change only on the candidate's own
-  // transitions, and those drop it from the walk anyway.
-  tally = Tally{};
-  tickPrefix_.clear();
-  idleLines_.query(simulator.now(), sf * victimIndex_.minPriority(),
-                   tickPrefix_);
-  std::sort(tickPrefix_.begin(), tickPrefix_.end(),
-            [&simulator](const kernel::IdleLineIndex::Hit& a,
-                         const kernel::IdleLineIndex::Hit& b) {
-              if (a.x != b.x) return a.x > b.x;
-              const Time sa = simulator.job(a.id).submit;
-              const Time sb = simulator.job(b.id).submit;
-              if (sa != sb) return sa < sb;
-              return a.id < b.id;
-            });
+  // One ordered walk over the gate's report. Ordering it under the Eq. 2
+  // comparator reproduces the reference walk: idle priorities change only
+  // on the candidate's own transitions, and those drop it from the walk
+  // anyway. The report holds every idle line at or above the threshold of
+  // its state and width class, and no other line can act while those
+  // thresholds stand; until the first action the pass reads only
+  // pass-start state, so a pass that never acts tallies exactly what any
+  // other order would.
+  const kernel::HitOrder walksBefore{simulator};
+  std::sort(tickPrefix_.begin(), tickPrefix_.end(), walksBefore);
+  passVictims_.clear();
   double minPrio = victimIndex_.minPriority();
-  for (const kernel::IdleLineIndex::Hit& hit : tickPrefix_) {
+  for (std::size_t i = 0; i < tickPrefix_.size(); ++i) {
+    // A copy: an action's merge may grow the list.
+    const kernel::IdleLineIndex::Hit hit = tickPrefix_[i];
     const JobId id = hit.id;
     // Same skip-on-stale semantics as the reference walk: jobs this pass
     // started or resumed are no longer idle.
@@ -904,34 +852,83 @@ void SelectiveSuspension::preemptionPassIncremental(
     // if the index empties mid-pass it returns +infinity and the break
     // fires, an equally decision-free tail.
     if (hit.x < sf * minPrio) break;
-    const bool reentry = isReentry(id);
+    const bool reentry =
+        st == sim::JobState::Suspended && !config_.migratableJobs;
     if (!evaluate(hit, reentry)) continue;
-    if (reentry) {
-      bool anyDraining = false;
-      for (JobId r : occupantsScratch_) {
-        simulator.counters().inc(obs::Counter::Preemptions);
-        SPS_TRACE(&simulator.recorder(),
-                  obs::instant("policy", "preempt", simulator.now(), r)
-                      .arg("for", id));
-        simulator.suspendJob(r);
-        ++preemptions_;
-        if (simulator.state(r) == sim::JobState::Suspending)
-          anyDraining = true;
-      }
-      if (anyDraining) {
-        claims_.push_back({id, /*exact=*/true});
-        claimsDirty_ = true;
-      } else {
-        simulator.resumeJob(id);
-      }
-    } else {
-      executeFreshPreemption(simulator, id, hit.procs, freeNow_,
-                             victimsScratch_);
-    }
-    dirty = true;
+    std::vector<JobId>& victims = reentry ? occupantsScratch_ : victimsScratch_;
+    if (reentry)
+      executeReentryPreemption(simulator, id, victims);
+    else
+      executeFreshPreemption(simulator, id, hit.procs, freeNow_, victims);
+    for (const JobId r : victims)
+      if (simulator.state(r) != sim::JobState::Running)
+        passVictims_.push_back(r);
+    refreshFreshPath(simulator);
     minPrio = victimIndex_.minPriority();
+    mergeFallenThresholds(simulator, i);
   }
-  finish();
+  obs::Counters& counters = simulator.counters();
+  counters.add(obs::Counter::VictimTests, tally.victimTests);
+  counters.add(obs::Counter::VictimBoundSkips, tally.boundSkips);
+  if (tally.minId != kInvalidJob)
+    passHorizon_ = kernel::crossingHorizon(simulator, tally.minId,
+                                           tally.minX, tally.minTarget);
+}
+
+void SelectiveSuspension::currentThresholds(
+    kernel::IdleLineIndex::Thresholds& out) const {
+  kernel::freshThresholds(victimSteps_, idleLines_, config_.suspensionFactor,
+                          freeNow_, config_.halfWidthRule, out[0]);
+  out[1] = out[0];
+  if (!config_.migratableJobs)
+    out[1].fill(config_.suspensionFactor * victimIndex_.minPriority());
+}
+
+void SelectiveSuspension::mergeFallenThresholds(
+    const sim::Simulator& simulator, std::size_t acted) {
+  // The walk's list stays complete while no class threshold has dropped
+  // below the one its lines were gathered at. An action can lower one: an
+  // overshooting widest-first victim raises freeNow_ under Squat and
+  // Prefer, the job it started joins the steps, and in the migratable model
+  // suspended lines take the fresh thresholds too. Where one fell, query at
+  // it and merge in the lines the list lacks: those below their old
+  // threshold that sort after the candidate that just acted (the walk
+  // passed the others while the old thresholds stood) and were idle at pass
+  // start (not this pass's victims).
+  kernel::IdleLineIndex::Thresholds fallen;
+  currentThresholds(fallen);
+  bool anyFell = false;
+  for (std::size_t st = 0; st < fallen.size(); ++st)
+    for (std::size_t c = 0; c < fallen[st].size(); ++c) {
+      if (fallen[st][c] < listedAt_[st][c])
+        anyFell = true;
+      else
+        fallen[st][c] = std::numeric_limits<double>::infinity();
+    }
+  if (!anyFell) return;
+  const kernel::HitOrder walksBefore{simulator};
+  const kernel::IdleLineIndex::Hit at = tickPrefix_[acted];
+  const auto keep = static_cast<std::ptrdiff_t>(tickPrefix_.size());
+  (void)idleLines_.query(simulator.now(), fallen, tickPrefix_);
+  const auto drop = [&](const kernel::IdleLineIndex::Hit& hit) {
+    const std::size_t st =
+        simulator.state(hit.id) == sim::JobState::Queued ? 0 : 1;
+    const std::size_t c = kernel::IdleLineIndex::widthClassOf(hit.procs);
+    return !(hit.x < listedAt_[st][c]) || !walksBefore(at, hit) ||
+           std::find(passVictims_.begin(), passVictims_.end(), hit.id) !=
+               passVictims_.end();
+  };
+  tickPrefix_.erase(
+      std::remove_if(tickPrefix_.begin() + keep, tickPrefix_.end(), drop),
+      tickPrefix_.end());
+  for (std::size_t st = 0; st < fallen.size(); ++st)
+    for (std::size_t c = 0; c < fallen[st].size(); ++c)
+      listedAt_[st][c] = std::min(listedAt_[st][c], fallen[st][c]);
+  // The unwalked rest of the list and every merged line sort after `at`.
+  std::sort(tickPrefix_.begin() + keep, tickPrefix_.end(), walksBefore);
+  std::inplace_merge(
+      tickPrefix_.begin() + static_cast<std::ptrdiff_t>(acted + 1),
+      tickPrefix_.begin() + keep, tickPrefix_.end(), walksBefore);
 }
 
 void SelectiveSuspension::onSimulationEnd(sim::Simulator& simulator) {

@@ -197,21 +197,38 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   /// Reference shape: sort the whole running set, test every victim per
   /// candidate. The bit-identical baseline the golden suite pins.
   void preemptionPassRebuild(sim::Simulator& simulator);
-  /// Indexed shape: the gate's reported candidates against VictimSteps'
-  /// gain bound, sorted only when some candidate can act. Same decisions
-  /// as Rebuild (argued inline), a fraction of the work. Starts from the
-  /// fences and steps the gate built.
+  /// Indexed shape: one walk over the gate's report in Eq. 2 order, each
+  /// candidate evaluated once against VictimSteps' gain bound. Same
+  /// decisions as Rebuild (argued inline), a fraction of the work. Starts
+  /// from the fences and steps the gate built.
   void preemptionPassIncremental(sim::Simulator& simulator);
 
   /// Tick gate (Incremental only): one idle-line query that both decides
   /// skippability and gathers the pass's working set. Returns true when
   /// this tick's pass is provably a no-op — every idle candidate's
-  /// priority is below its own threshold: SF x the weakest running
-  /// priority for reentry, the gain bound's inverse at its width class for
-  /// the fresh path. Otherwise tickPrefix_ holds the candidates at or above
-  /// their thresholds. Caches the verdict with a transition stamp and an
-  /// algebraic horizon so consecutive quiet ticks skip in O(1).
+  /// priority is below its own threshold (currentThresholds). Otherwise
+  /// tickPrefix_ holds the candidates at or above their thresholds. Caches
+  /// the verdict with a transition stamp and an algebraic horizon so
+  /// consecutive quiet ticks skip in O(1).
   [[nodiscard]] bool tickPassSkippable(sim::Simulator& simulator);
+
+  /// The report thresholds for the current fresh-path state, by idle state
+  /// and width class: SF x the weakest running priority for reentry, the
+  /// gain bound's inverse at its width class for the fresh path (which
+  /// suspended jobs take in the migratable model).
+  void currentThresholds(kernel::IdleLineIndex::Thresholds& out) const;
+
+  /// After the walk's candidate at tickPrefix_[acted] acted: where a class
+  /// threshold fell below listedAt_, merge into the unwalked rest of
+  /// tickPrefix_ the newly reported lines that sort after that candidate
+  /// and were idle at pass start, and lower listedAt_.
+  void mergeFallenThresholds(const sim::Simulator& simulator,
+                             std::size_t acted);
+
+  /// Suspend every occupant of reentry candidate `id`'s processors, then
+  /// claim them (some still drain) or resume it. Shared by both pass shapes.
+  void executeReentryPreemption(sim::Simulator& simulator, JobId id,
+                                const std::vector<JobId>& occupants);
 
   /// Suspend `victims` on behalf of preemptor `id` needing `width` procs
   /// beyond `freeNow`: widest-first until covered, then claim or place the
@@ -240,9 +257,15 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   std::uint64_t gateStamp_ = ~std::uint64_t{0};
   Time gateSkipUntil_ = kNoTime;
   /// Gate carryover into the pass: idle candidates at or above their own
-  /// thresholds, in the index's band order. When one of them can act the
-  /// pass refills it at the global threshold and sorts it.
+  /// thresholds. The pass sorts it in Eq. 2 order and walks it, merging in
+  /// lines whose class threshold one of its actions lowered.
   std::vector<kernel::IdleLineIndex::Hit> tickPrefix_;
+  /// The thresholds tickPrefix_ is complete at: the gate's, lowered by the
+  /// pass's merges.
+  kernel::IdleLineIndex::Thresholds listedAt_{};
+  /// The victims the pass suspended (a merge skips them: they were running
+  /// at pass start).
+  std::vector<JobId> passVictims_;
   /// Earliest time a below-threshold candidate can cross its threshold
   /// (from the gate query) / earliest time any examined candidate's failed
   /// arm can go live via an SF-boundary crossing (from a no-op pass). Their

@@ -11,6 +11,9 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace sps::core {
 namespace {
@@ -42,6 +45,48 @@ TEST(PolicyFactory, LabelOverride) {
   EXPECT_EQ(policyLabel(spec), "EASY (NS)");
   spec.label = "custom";
   EXPECT_EQ(policyLabel(spec), "custom");
+}
+
+// A parameterised name given bare is refused with the form it takes, not
+// a generic "bad parameter".
+TEST(PolicyFactory, BareParameterisedTokensNameTheirForm) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"depth", "depth:K or depth:inf"},
+      {"ss", "ss:SF"},
+      {"tss", "tss:SF"},
+      {"tss-online", "tss-online:M"}};
+  for (const auto& [token, form] : cases) {
+    try {
+      (void)sched::specFromToken(token);
+      ADD_FAILURE() << token << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(form), std::string::npos)
+          << token << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(sched::specFromToken("ss:1.5").ss.suspensionFactor, 1.5);
+  EXPECT_EQ(sched::specFromToken("tss-online:2").ss.tssOnlineMultiplier, 2.0);
+}
+
+// A name that takes no parameter refuses one instead of ignoring it.
+TEST(PolicyFactory, ParameterlessNamesRefuseAParameter) {
+  for (const char* token :
+       {"easy:3", "sjf:1", "fcfs:2", "gang:1", "is:1", "conservative:1"})
+    EXPECT_THROW((void)sched::specFromToken(token), std::invalid_argument)
+        << token;
+  EXPECT_THROW((void)sched::specFromToken("nope:1"), std::invalid_argument);
+}
+
+// A depth is a whole positive number, as `sps_sim --depth K` reads it:
+// "depth:2.5" is refused instead of truncated to 2.
+TEST(PolicyFactory, DepthTokenTakesWholePositiveDepths) {
+  EXPECT_EQ(sched::specFromToken("depth:3").depth.depth, 3u);
+  EXPECT_EQ(sched::specFromToken("depth:inf").depth.depth,
+            sched::kUnlimitedDepth);
+  for (const char* token : {"depth:2.5", "depth:0", "depth:-1", "depth:2x",
+                            "depth:", "depth:+2", "depth:1e3"})
+    EXPECT_THROW((void)sched::specFromToken(token), std::invalid_argument)
+        << token;
 }
 
 TEST(RunSimulation, EndToEndSmallTrace) {

@@ -258,6 +258,27 @@ TEST(GoldenEquivalenceDeepQueue, PreemptivePoliciesMatchRebuild) {
   EXPECT_GE(deepest, 150u) << "the trace no longer backs up the queue";
 }
 
+// In the migratable model a victim the pass suspends becomes a suspended
+// line on the fresh path, in a width class whose threshold may then fall
+// below the gate's. The pass's merge must leave such victims out, and the
+// lines the walk already passed, as the reference's pass-start snapshot
+// and its single ordered walk do. The trace above misses both; a merge
+// that lets either back into the walk diverges on this one.
+TEST(GoldenEquivalenceDeepQueue,
+     MigratableMergeLeavesOutVictimsAndPassedLines) {
+  workload::SyntheticConfig config = workload::sdscConfig(1500, 1);
+  config.offeredLoad = 1.3;
+  const workload::Trace trace = generateTrace(config);
+  core::PolicySpec spec;
+  spec.kind = core::PolicyKind::SelectiveSuspension;
+  spec.ss.migratableJobs = true;
+  const Schedule inc =
+      runSchedule(trace, spec, KernelMode::Incremental, nullptr);
+  const Schedule reb = runSchedule(trace, spec, KernelMode::Rebuild, nullptr);
+  expectIdentical(inc, reb, "ss-migratable on sdsc/1500@1.3 seed 1");
+  EXPECT_GE(maxIdle(reb), 50u) << "the trace no longer backs up the queue";
+}
+
 // The deferred-start edge both kernel modes must agree on: C's anchor lands
 // at t=10 while A and B's completion events are still pending in the same
 // timestamp batch, so the profile says "start now" before the machine can.
@@ -316,6 +337,26 @@ TEST(PerfSmokeWorkCounters, EasyQueriesTheShadowAtMostOncePerPass) {
               c.value(obs::Counter::FullPasses))
         << token;
   }
+}
+
+// Work-counter guard: the SS tick hands its pass the idle jobs at or above
+// their width class's threshold, and the pass walks only those, plus the
+// lines an action's threshold fall merges in. On a deep queue under the
+// default Lease the pass then dismisses at most about one candidate on the
+// gain bound per gate report. A pass that re-gathers at the single
+// threshold SF x the weakest running priority once it acts dismisses more
+// (330,707 bound skips against 315,543 reports on this trace).
+TEST(PerfSmokeWorkCounters, SsBoundSkipsStayWithinGateReports) {
+  workload::SyntheticConfig config = workload::sdscConfig(16384, 5);
+  config.offeredLoad = 1.3;
+  const workload::Trace trace = generateTrace(config);
+  const metrics::RunStats stats =
+      core::runSimulation(trace, sched::specFromToken("ss:2"));
+  const obs::Counters& c = stats.counters;
+  ASSERT_GT(c.value(obs::Counter::Preemptions), 0u);
+  ASSERT_GT(c.value(obs::Counter::GateReports), 0u);
+  EXPECT_LE(c.value(obs::Counter::VictimBoundSkips),
+            c.value(obs::Counter::GateReports));
 }
 
 }  // namespace

@@ -449,8 +449,8 @@ TEST(VictimSteps, ThresholdInvertsCut) {
     steps.build(victims, limits);
     const double sf = rng.uniform(1.0, 3.0);
     std::vector<double> priorities = {1.0, rng.logUniform(1.0, 200.0)};
-    for (const kernel::VictimSteps::Step& step : steps.steps()) {
-      const double edge = sf * step.entry.xfactor;
+    for (const kernel::VictimIndex::Entry& step : steps.steps()) {
+      const double edge = sf * step.xfactor;
       priorities.push_back(edge);
       priorities.push_back(std::nextafter(edge, 0.0));
       priorities.push_back(std::nextafter(edge, kInf));

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "helpers.hpp"
 #include "sched/overhead.hpp"
@@ -307,6 +309,56 @@ TEST(SSOverhead, EverythingFinishesUnderHeavyPreemption) {
   for (JobId i = 0; i < trace.jobs.size(); ++i)
     EXPECT_EQ(s.state(i), sim::JobState::Finished);
   s.auditState();
+}
+
+// A pass whose action lowers a later candidate's class threshold. On 10
+// processors Y (2 wide, priority 1) and V (8 wide, frozen priority 1.5)
+// run; A (4 wide) and B (6 wide) wait. At the 2110 s tick A (priority
+// 3.04) may take V, and B (2.26) sits below its class threshold, SF x 1.5:
+// with nothing free it needs V's width too. A suspends V and starts on 4
+// of its processors. Under Squat and Prefer the other 4 count as free, so
+// B needs only 2 more and Y (SF x 1 <= 2.26) covers them: B must act in
+// the same pass. Under Lease those 4 stay owed to V and B waits. Each
+// Incremental run must match the Rebuild reference transition for
+// transition.
+TEST(SSPass, ActionThatLowersAThresholdLetsALaterCandidateAct) {
+  const auto trace = makeTrace(10, {{0, 20000, 2},
+                                    {0, 1000, 8},
+                                    {0, 2000, 8},
+                                    {1090, 500, 4},
+                                    {1100, 800, 6}});
+  using Transition = std::tuple<Time, JobId, int>;
+  for (const OwedProcsPolicy owed :
+       {OwedProcsPolicy::Squat, OwedProcsPolicy::Prefer,
+        OwedProcsPolicy::Lease}) {
+    std::vector<Transition> byMode[2];
+    std::vector<Time> bStart;
+    for (const kernel::KernelMode mode :
+         {kernel::KernelMode::Incremental, kernel::KernelMode::Rebuild}) {
+      SsConfig cfg = ssConfig(2.0);
+      cfg.owedProcs = owed;
+      cfg.kernelMode = mode;
+      SelectiveSuspension policy(cfg);
+      sim::Simulator s(trace, policy);
+      std::vector<Transition>& log =
+          byMode[mode == kernel::KernelMode::Rebuild];
+      s.observers().onStateChange(
+          [&log](const sim::Simulator& sim, JobId id, sim::JobState,
+                 sim::JobState to) {
+            log.emplace_back(sim.now(), id, static_cast<int>(to));
+          });
+      s.run();
+      EXPECT_EQ(s.exec(3).firstStart, 2110);
+      bStart.push_back(s.exec(4).firstStart);
+    }
+    EXPECT_EQ(byMode[0], byMode[1]) << static_cast<int>(owed);
+    for (const Time start : bStart) {
+      if (owed == OwedProcsPolicy::Lease)
+        EXPECT_GT(start, 2110);
+      else
+        EXPECT_EQ(start, 2110) << static_cast<int>(owed);
+    }
+  }
 }
 
 }  // namespace
