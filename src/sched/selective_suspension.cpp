@@ -55,27 +55,9 @@ void SelectiveSuspension::onSimulationStart(sim::Simulator& simulator) {
   }
 }
 
-void SelectiveSuspension::onJobArrival(sim::Simulator& simulator, JobId job) {
-  if (config_.kernelMode == kernel::KernelMode::Incremental) {
-    // At handler entry the machine sits at a dispatch fixpoint (every
-    // handler ends in dispatch() or a proven no-op skip), and an arrival
-    // adds no capacity and no claims: claimants and resumes still fail,
-    // and every previously queued job still fails its backfill test
-    // whether or not the newcomer starts (capacity only shrinks). The
-    // full walk therefore reduces to the newcomer's own backfill test —
-    // the exact usable/fence arithmetic of the backfill loop.
-    const sim::ProcSet& fenced = claimedSet(simulator);
-    sim::ProcSet unusable = fenced;
-    if (config_.owedProcs == OwedProcsPolicy::Lease)
-      unusable |= suspendedSets(simulator);
-    const std::uint32_t usableCount =
-        (simulator.freeSet() - unusable).count();
-    if (usableCount >= simulator.job(job).procs + claimedCount(simulator))
-      startFreshPreferring(simulator, job);
-    simulator.counters().inc(obs::Counter::DispatchSkips);
-  } else {
-    dispatch(simulator);
-  }
+void SelectiveSuspension::onJobArrival(sim::Simulator& simulator,
+                                       JobId /*job*/) {
+  dispatch(simulator);
   armTick(simulator);
 }
 
@@ -364,22 +346,6 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
     }
   }
 
-  // A count-based claim still standing caps the entire dispatch: the loop
-  // above exits only after a full pass in which every claim failed against
-  // the *current* state, so that claim's width exceeds usable (= free minus
-  // exact fences, the same set the walks below test against) — and the
-  // width is itself part of countFence, so usableCount < countFence and
-  // every resume and backfill test (usableCount >= procs + countFence)
-  // fails unconditionally. Skip both walks; only capacity growth or claim
-  // service — both of which re-enter dispatch — can change the verdict.
-  // This gates the intermediate drain events of a multi-victim preemption
-  // and the tick-end dispatch right after a pass fences its preemptors.
-  if (incremental && std::any_of(claims_.begin(), claims_.end(),
-                                 [](const Claim& c) { return !c.exact; })) {
-    simulator.counters().inc(obs::Counter::DispatchSkips);
-    return;
-  }
-
   // Resume-first: a suspended job holds an implicit lease on its exact
   // processors (local preemption, no migration), so whenever they free it
   // reclaims them before any fresh job can squat. Without this, every wide
@@ -422,7 +388,9 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
     walkScratch_.clear();
     if (incremental) {
       refreshUsable(fence);
-      if (usableCount <= countFence) return;  // nothing fits
+      // Nothing fits. Always so while a count claim stands: the claimant
+      // loop left usableCount below its width, a part of countFence.
+      if (usableCount <= countFence) return;
       idleLines_.forEachFitting(idle, usableCount - countFence, [&](JobId id) {
         if (!isClaimant(id) && fits(id))
           walkScratch_.push_back(kernel::idleJob(simulator, id));
@@ -680,7 +648,6 @@ void SelectiveSuspension::preemptionPassIncremental(
   // (the reference's pass-start sort would not contain them). The reentry
   // occupant map stays live — so does the reference's occupant scan.
   const std::uint64_t passStamp = victimIndex_.beginPass();
-  seenStamp_.resize(simulator.trace().jobs.size(), 0);
   passHorizon_ = kTimeMax;
   const double sf = config_.suspensionFactor;
 
@@ -743,17 +710,19 @@ void SelectiveSuspension::preemptionPassIncremental(
       // Occupants via the owner map: O(width) instead of O(running). The
       // map tracks Running holders only, exactly the reference's scan of
       // runningJobs(); ascending sort gives the canonical suspension order.
+      // An occupant's processors mostly run in a row, so skipping repeats
+      // of the last owner leaves few duplicates for unique() to drop.
       occupantsScratch_.clear();
-      ++seenGen_;
       needed.forEach([this](std::uint32_t p) {
         const JobId r = victimIndex_.ownerOf(p);
-        if (r == kInvalidJob) return;
-        if (seenStamp_[r] != seenGen_) {
-          seenStamp_[r] = seenGen_;
+        if (r != kInvalidJob &&
+            (occupantsScratch_.empty() || occupantsScratch_.back() != r))
           occupantsScratch_.push_back(r);
-        }
       });
       std::sort(occupantsScratch_.begin(), occupantsScratch_.end());
+      occupantsScratch_.erase(
+          std::unique(occupantsScratch_.begin(), occupantsScratch_.end()),
+          occupantsScratch_.end());
       sim::ProcSet covered = needed & simulator.freeSet();
       for (JobId r : occupantsScratch_) {
         ++tally.victimTests;

@@ -277,8 +277,6 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   /// Pass scratch, reused across ticks to avoid per-pass allocation.
   std::vector<JobId> occupantsScratch_;
   std::vector<JobId> victimsScratch_;
-  std::vector<std::uint64_t> seenStamp_;  ///< occupant dedup, per job
-  std::uint64_t seenGen_ = 0;
   bool tickArmed_ = false;
   std::uint64_t preemptions_ = 0;
   /// Online-TSS state: running average slowdown of completed jobs per

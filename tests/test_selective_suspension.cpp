@@ -311,6 +311,41 @@ TEST(SSOverhead, EverythingFinishesUnderHeavyPreemption) {
   s.auditState();
 }
 
+// A narrow arrival while a count claim stands. On 10 processors R (8 wide)
+// runs; P (4 wide) waits with 2 free. At the 120 s tick P suspends R and,
+// while R drains for 30 s, holds a count claim on 4 processors. N (2 wide)
+// arrives at 130: the 2 free processors fit it, but they are part of what
+// the claim fences, so N must not start before P does at 150. Each
+// Incremental run must match the Rebuild reference transition for
+// transition.
+TEST(SSOverhead, ArrivalDuringDrainStaysOffTheClaim) {
+  const auto trace =
+      makeTrace(10, {{0, 36000, 8}, {10, 60, 4}, {130, 60, 2}});
+  using Transition = std::tuple<Time, JobId, int>;
+  std::vector<Transition> byMode[2];
+  for (const kernel::KernelMode mode :
+       {kernel::KernelMode::Incremental, kernel::KernelMode::Rebuild}) {
+    FixedOverhead overhead(30, 30);
+    SsConfig cfg = ssConfig(2.0);
+    cfg.kernelMode = mode;
+    SelectiveSuspension policy(cfg);
+    sim::Simulator::Config config;
+    config.overhead = &overhead;
+    sim::Simulator s(trace, policy, config);
+    std::vector<Transition>& log = byMode[mode == kernel::KernelMode::Rebuild];
+    s.observers().onStateChange(
+        [&log](const sim::Simulator& sim, JobId id, sim::JobState,
+               sim::JobState to) {
+          log.emplace_back(sim.now(), id, static_cast<int>(to));
+        });
+    s.run();
+    EXPECT_EQ(s.exec(0).suspendCount, 1u);
+    EXPECT_EQ(s.exec(1).firstStart, 150);
+    EXPECT_GT(s.exec(2).firstStart, 150);
+  }
+  EXPECT_EQ(byMode[0], byMode[1]);
+}
+
 // A pass whose action lowers a later candidate's class threshold. On 10
 // processors Y (2 wide, priority 1) and V (8 wide, frozen priority 1.5)
 // run; A (4 wide) and B (6 wide) wait. At the 2110 s tick A (priority

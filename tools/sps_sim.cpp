@@ -307,16 +307,18 @@ std::unique_ptr<obs::TraceSink> makeSink(const CliOptions& opt) {
   fail("unknown --trace-format: " + opt.traceFormat);
 }
 
-core::PolicySpec buildPolicy(const CliOptions& opt, core::Runner& runner,
-                             const workload::Trace& trace) {
+/// The policy `--policy` names, with the parameter flags it takes checked
+/// and applied; `run` and `serve` share it. TSS's calibrated limits are left
+/// to the caller.
+core::PolicySpec policyFromFlags(const CliOptions& opt) {
   // The shared registry (sched::specFromToken) owns the name -> policy
   // mapping. Parameterized policies get a ":1" placeholder — their real
   // parameters ride dedicated CLI flags, not token suffixes, and doubles
   // must not round-trip through text — and the label reverts to the
   // policy's own name(), as before.
-  const bool parameterized = opt.policy == "ss" || opt.policy == "tss" ||
-                             opt.policy == "tss-online" ||
-                             opt.policy == "depth";
+  const bool ss = opt.policy == "ss" || opt.policy == "tss" ||
+                  opt.policy == "tss-online";
+  const bool parameterized = ss || opt.policy == "depth";
   core::PolicySpec spec;
   try {
     spec =
@@ -325,18 +327,30 @@ core::PolicySpec buildPolicy(const CliOptions& opt, core::Runner& runner,
     fail("unknown policy: " + opt.policy);
   }
   spec.label.clear();
-  if (opt.policy == "ss" || opt.policy == "tss" ||
-      opt.policy == "tss-online")
+  if (ss) {
+    if (!(opt.sf >= 1.0)) fail("--sf must be at least 1");
     spec.ss.suspensionFactor = opt.sf;
+  }
+  if (opt.policy == "tss-online") spec.ss.tssOnlineMultiplier = 1.5;
+  if (opt.policy == "depth") {
+    if (opt.depth < 1) fail("--depth must be at least 1");
+    spec.depth.depth = opt.depth;
+  }
+  if (opt.policy == "gang") {
+    if (opt.gangSlots < 1) fail("--gang-slots must be at least 1");
+    if (opt.gangQuantum <= 0) fail("--gang-quantum must be positive");
+    spec.gang.maxSlots = opt.gangSlots;
+    spec.gang.slotQuantum = opt.gangQuantum;
+  }
+  return spec;
+}
+
+core::PolicySpec buildPolicy(const CliOptions& opt, core::Runner& runner,
+                             const workload::Trace& trace) {
+  core::PolicySpec spec = policyFromFlags(opt);
   if (opt.policy == "tss") {
     std::cerr << "calibrating TSS limits from an NS run...\n";
     spec.ss.tssLimits = core::bootstrapTssLimits(runner, trace);
-  }
-  if (opt.policy == "tss-online") spec.ss.tssOnlineMultiplier = 1.5;
-  if (opt.policy == "depth") spec.depth.depth = opt.depth;
-  if (opt.policy == "gang") {
-    spec.gang.maxSlots = opt.gangSlots;
-    spec.gang.slotQuantum = opt.gangQuantum;
   }
   return spec;
 }
@@ -610,27 +624,10 @@ int runServe(const CliOptions& opt, const core::SimulationOptions& options) {
   if (opt.policy == "tss")
     fail("tss calibrates its protection limits from an offline NS run over "
          "the whole workload; an online service cannot — use tss-online");
-  const bool parameterized = opt.policy == "ss" ||
-                             opt.policy == "tss-online" ||
-                             opt.policy == "depth";
   core::ServiceConfig cfg;
   cfg.traceName = "serve";
   cfg.machineProcs = opt.procs;
-  try {
-    cfg.spec =
-        sched::specFromToken(parameterized ? opt.policy + ":1" : opt.policy);
-  } catch (const std::invalid_argument&) {
-    fail("unknown policy: " + opt.policy);
-  }
-  cfg.spec.label.clear();
-  if (opt.policy == "ss" || opt.policy == "tss-online")
-    cfg.spec.ss.suspensionFactor = opt.sf;
-  if (opt.policy == "tss-online") cfg.spec.ss.tssOnlineMultiplier = 1.5;
-  if (opt.policy == "depth") cfg.spec.depth.depth = opt.depth;
-  if (opt.policy == "gang") {
-    cfg.spec.gang.maxSlots = opt.gangSlots;
-    cfg.spec.gang.slotQuantum = opt.gangQuantum;
-  }
+  cfg.spec = policyFromFlags(opt);
   cfg.options = options;
 
   core::SchedulerService service(std::move(cfg));
