@@ -117,11 +117,12 @@ void ConservativeBackfill::compress(sim::Simulator& simulator) {
       reservations_.push_back({r.job, anchor.start});
     }
   }
-  // Anchors are found in nondecreasing... not necessarily sorted: keep order.
-  std::stable_sort(reservations_.begin(), reservations_.end(),
-                   [](const Reservation& a, const Reservation& b) {
-                     return a.start < b.start;
-                   });
+  // New anchors need not come out in order. Equal guarantees order by
+  // submission (id), so the next compression re-anchors them FCFS.
+  std::sort(reservations_.begin(), reservations_.end(),
+            [](const Reservation& a, const Reservation& b) {
+              return a.start != b.start ? a.start < b.start : a.job < b.job;
+            });
 }
 
 Time ConservativeBackfill::guaranteeOf(JobId job) const {
