@@ -97,8 +97,12 @@ Table schemeComparison(
 std::string summaryLine(const RunStats& stats) {
   std::ostringstream os;
   os << stats.policyName << " on " << stats.traceName << ": "
-     << stats.jobs.size() << " jobs, avg slowdown "
-     << formatFixed(stats.meanBoundedSlowdown(), 2) << ", avg turnaround "
+     << stats.jobs.size() << " jobs";
+  // The means are over jobs: a served session that drained without a
+  // submission has none to report.
+  if (stats.jobs.empty()) return os.str();
+  os << ", avg slowdown " << formatFixed(stats.meanBoundedSlowdown(), 2)
+     << ", avg turnaround "
      << formatFixed(stats.meanTurnaround(), 0) << " s, utilization "
      << formatFixed(100.0 * stats.utilization, 1) << "%"
      << " (steady " << formatFixed(100.0 * stats.steadyUtilization, 1)

@@ -38,7 +38,8 @@ enum class Metric {
     const std::vector<std::pair<std::string, Category16Stats>>& runs,
     workload::RunClass runClass, Metric metric, int precision = 2);
 
-/// One-line human summary of a run.
+/// One-line human summary of a run; a run without jobs prints its count
+/// alone.
 [[nodiscard]] std::string summaryLine(const RunStats& stats);
 
 }  // namespace sps::metrics

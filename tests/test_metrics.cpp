@@ -259,5 +259,12 @@ TEST(Report, SummaryLineMentionsKeyNumbers) {
   EXPECT_NE(line.find("utilization"), std::string::npos);
 }
 
+TEST(Report, SummaryLineOfARunWithoutJobs) {
+  RunStats stats;
+  stats.policyName = "SS";
+  stats.traceName = "serve";
+  EXPECT_EQ(summaryLine(stats), "SS on serve: 0 jobs");
+}
+
 }  // namespace
 }  // namespace sps::metrics
