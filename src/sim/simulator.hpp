@@ -265,13 +265,6 @@ class Simulator {
   [[nodiscard]] std::uint32_t freeCount() const { return machine_.freeCount(); }
   [[nodiscard]] const ProcSet& freeSet() const { return machine_.freeSet(); }
 
-  /// Monotone change counter: bumped whenever the clock advances and on
-  /// every job state transition. Two reads of scheduler-visible state made
-  /// at the same epoch are guaranteed identical, so incremental caches
-  /// (sched/core's ReservationLedger) key on it instead
-  /// of recomputing per query.
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-
   // --- job sets (unordered; copy before calling any mutating action) ----
   [[nodiscard]] const std::vector<JobId>& queuedJobs() const { return queued_; }
   [[nodiscard]] const std::vector<JobId>& runningJobs() const {
@@ -478,7 +471,6 @@ class Simulator {
   bool steadySnapshotTaken_ = false;
   std::uint64_t totalSuspensions_ = 0;
   std::uint64_t eventsProcessed_ = 0;
-  std::uint64_t epoch_ = 0;
   std::uint32_t unfinished_ = 0;
   bool started_ = false;    ///< onSimulationStart fired
   bool finalized_ = false;  ///< drain() completed
