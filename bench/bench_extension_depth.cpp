@@ -48,10 +48,6 @@ int main() {
   easy.kind = core::PolicyKind::Easy;
   easy.label = "EASY (reference)";
   addRow(easy);
-  core::PolicySpec conservative;
-  conservative.kind = core::PolicyKind::Conservative;
-  conservative.label = "Conservative (reference)";
-  addRow(conservative);
   core::PolicySpec ss;
   ss.kind = core::PolicyKind::SelectiveSuspension;
   ss.label = "SS(SF=2)";

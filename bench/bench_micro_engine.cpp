@@ -46,12 +46,10 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1000)->Arg(10000)->Arg(100000);
 
-template <core::PolicyKind Kind>
-void BM_Simulation(benchmark::State& state) {
+void BM_Simulation(benchmark::State& state, const char* token) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   const auto trace = workload::generateTrace(workload::sdscConfig(jobs, 7));
-  core::PolicySpec spec;
-  spec.kind = Kind;
+  const core::PolicySpec spec = sched::specFromToken(token);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::runSimulation(trace, spec));
   }
@@ -59,11 +57,11 @@ void BM_Simulation(benchmark::State& state) {
                           static_cast<std::int64_t>(jobs));
   state.SetLabel("jobs/s");
 }
-BENCHMARK(BM_Simulation<core::PolicyKind::Fcfs>)->Arg(2000);
-BENCHMARK(BM_Simulation<core::PolicyKind::Conservative>)->Arg(2000);
-BENCHMARK(BM_Simulation<core::PolicyKind::Easy>)->Arg(2000);
-BENCHMARK(BM_Simulation<core::PolicyKind::SelectiveSuspension>)->Arg(2000);
-BENCHMARK(BM_Simulation<core::PolicyKind::ImmediateService>)->Arg(2000);
+BENCHMARK_CAPTURE(BM_Simulation, fcfs, "fcfs")->Arg(2000);
+BENCHMARK_CAPTURE(BM_Simulation, conservative, "conservative")->Arg(2000);
+BENCHMARK_CAPTURE(BM_Simulation, easy, "easy")->Arg(2000);
+BENCHMARK_CAPTURE(BM_Simulation, ss, "ss:2")->Arg(2000);
+BENCHMARK_CAPTURE(BM_Simulation, is, "is")->Arg(2000);
 
 // --- scheduling-kernel sweep -----------------------------------------------
 
@@ -125,9 +123,7 @@ void runKernelSweep() {
   spec = {};
   spec.kind = core::PolicyKind::Fcfs;
   policies.emplace_back("fcfs", spec);
-  spec = {};
-  spec.kind = core::PolicyKind::Conservative;
-  policies.emplace_back("conservative", spec);
+  policies.emplace_back("conservative", sched::specFromToken("conservative"));
   spec = {};
   spec.kind = core::PolicyKind::Easy;
   policies.emplace_back("easy", spec);

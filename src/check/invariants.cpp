@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/counters.hpp"
-#include "sched/conservative.hpp"
 #include "sched/core/reservation_ledger.hpp"
 #include "sched/depth_backfill.hpp"
 #include "sched/easy.hpp"
@@ -225,13 +224,7 @@ void InvariantChecker::arm(sim::Simulator& simulator,
   // jobs in place (SS without migratableJobs, IS, Gang) also get the
   // capacity audit's exact-set resume check.
   bool local = false;
-  if (const auto* c = dynamic_cast<const sched::ConservativeBackfill*>(
-          &policy)) {
-    ledger_ = &c->ledger();
-    if (!guaranteeProbe_)
-      guaranteeProbe_ = [c](JobId id) { return c->guaranteeOf(id); };
-  } else if (const auto* d =
-                 dynamic_cast<const sched::DepthBackfill*>(&policy)) {
+  if (const auto* d = dynamic_cast<const sched::DepthBackfill*>(&policy)) {
     ledger_ = &d->ledger();
     if (!guaranteeProbe_)
       guaranteeProbe_ = [d](JobId id) { return d->guaranteeOf(id); };

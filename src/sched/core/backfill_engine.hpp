@@ -1,6 +1,5 @@
 // BackfillEngine — the backfill scan shared by every profile-driven policy
-// (conservative, EASY, depth-K, and the non-preemptive start paths of the
-// preemptive schedulers).
+// (EASY and depth-K, conservative being depth infinity).
 //
 // The engine owns no schedule state; it is a set of decision queries over a
 // ReservationLedger that the owning policy has refreshed for the current
@@ -11,7 +10,7 @@
 //     physically fits in the currently-free processors; the profile alone
 //     is not enough, because a completion pending in the same timestamp
 //     batch makes the profile optimistic — the deferred-start edge
-//     documented in conservative.cpp);
+//     documented in depth_backfill.cpp);
 //   * shadow rule — EASY's head reservation: the shadow time and the extra
 //     processors left beside the head once it starts, searched from
 //     now + 1. The head does not fit now, and running jobs whose estimated

@@ -22,7 +22,7 @@
 //
 // KernelMode::Rebuild keeps the seed behaviour: refresh() reconstructs the
 // profile from the simulator's running set plus the recorded reservations,
-// exactly as conservative.cpp/easy.cpp/depth_backfill.cpp did per event
+// exactly as the backfilling policies (EASY, depth-K) did per event
 // before this kernel existed. The two modes produce bit-identical profiles
 // (the golden-equivalence suite runs every policy under both and asserts
 // identical schedules), and the Rebuild lane doubles as the before/after
@@ -32,8 +32,9 @@
 // interval as soon as it leaves Running, and a resumed segment is
 // re-entered with the full user estimate (uniform with fresh starts, so
 // both kernel modes agree bit-for-bit). The policies that anchor against
-// profiles (conservative, EASY, depth) are exactly the non-preemptive
-// ones, so the resumed case is never exercised in practice.
+// profiles (EASY, and depth-K with conservative as K = infinity) are
+// exactly the non-preemptive ones, so the resumed case is never exercised
+// in practice.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +86,11 @@ class ReservationLedger {
   }
   [[nodiscard]] std::size_t reservationCount() const {
     return reservations_.size();
+  }
+  /// Start of `job`'s reservation, or kNoTime when it holds none.
+  [[nodiscard]] Time reservationStart(JobId job) const {
+    const auto it = reservations_.find(job);
+    return it == reservations_.end() ? kNoTime : it->second.start;
   }
 
   // --- queries ----------------------------------------------------------

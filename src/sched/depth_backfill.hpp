@@ -3,18 +3,33 @@
 // strategies of the paper's own reference list (Ward et al. [10],
 // Srinivasan et al. [16]).
 //
-// depth = K means the first K queued jobs hold start-time guarantees
-// (anchored exactly as in conservative backfilling); every other queued job
-// may start only if doing so delays none of those K reservations. K = 1 is
-// EASY's guarantee structure on a FCFS queue; K = infinity is conservative
-// backfilling. Intermediate K trades the responsiveness of aggressive
-// backfilling against the predictability of conservative — a useful
-// non-preemptive axis to set next to SS, which abandons guarantees
+// depth = K means the first K queued jobs hold start-time guarantees (their
+// "anchor points": the earliest time at which the availability profile —
+// running jobs' estimated remainders plus every guarantee anchored before
+// them — holds the job for its full estimate); every other queued job may
+// start only if doing so delays none of those K reservations. K = 1 is
+// EASY's guarantee structure on a FCFS queue; K = infinity is the paper's
+// conservative backfilling (Section II-A.1), served from this class under
+// the token "conservative". Intermediate K trades the responsiveness of
+// aggressive backfilling against the predictability of conservative — a
+// useful non-preemptive axis to set next to SS, which abandons guarantees
 // entirely.
+//
+// When a running job ends earlier than its estimate, the schedule is
+// compressed: every guarantee is released and re-anchored in order of
+// increasing old guarantee, equal guarantees in submission (id) order. A
+// job's new anchor is never later than its old one (the old slot is still
+// feasible: jobs re-anchored before it only moved into times before its
+// old start), so guarantees only improve — the paper's no-starvation
+// argument. Reserved slots freed by starts are filled from the head of the
+// unreserved tail at the next event, after the existing guarantees.
 //
 // Anchoring runs over the shared sched/core kernel (ReservationLedger +
 // BackfillEngine); this file keeps the depth cutoff and the two-pass
-// ordering.
+// ordering. KernelMode::Rebuild runs rebuild() on every event and is the
+// reference; Incremental serves the events that leave the availability
+// function unchanged without re-anchoring (see onJobArrival and
+// onJobCompletion).
 #pragma once
 
 #include <cstdint>
@@ -40,6 +55,7 @@ class DepthBackfill final : public sim::SchedulingPolicy {
  public:
   explicit DepthBackfill(DepthConfig config);
 
+  /// "Conservative" at unlimited depth, else "Depth-BF(K)".
   [[nodiscard]] std::string name() const override;
 
   void onSimulationStart(sim::Simulator& simulator) override;
@@ -48,10 +64,11 @@ class DepthBackfill final : public sim::SchedulingPolicy {
   void onSimulationEnd(sim::Simulator& simulator) override;
 
   /// Current guarantee of a queued job, or kNoTime when it holds none
-  /// (either unreserved or already started). O(log depth): guarantees_
-  /// parallels a prefix of the submission-ordered queue, and ids are dense
-  /// in submission order, so the vector is sorted by id.
-  [[nodiscard]] Time guaranteeOf(JobId job) const;
+  /// (either unreserved or already started). O(1): read from the ledger,
+  /// which keys every reservation by job.
+  [[nodiscard]] Time guaranteeOf(JobId job) const {
+    return ledger_.reservationStart(job);
+  }
 
   /// The kernel ledger backing this policy, for the sps::check ledger
   /// audit. Read-only.
@@ -60,25 +77,42 @@ class DepthBackfill final : public sim::SchedulingPolicy {
   }
 
  private:
-  /// Re-derive the whole schedule decision: anchor the first `depth` queued
-  /// jobs (their guarantees must never regress), then backfill the rest
-  /// against the resulting profile. Starts everything whose anchor is now.
+  struct Reservation {
+    Time start;
+    JobId job;
+    friend bool operator<(const Reservation& a, const Reservation& b) {
+      return a.start != b.start ? a.start < b.start : a.job < b.job;
+    }
+  };
+
+  /// Reserved slots left open at the start of this event: the first
+  /// min(depth, queue) jobs hold guarantees, and the reserved jobs are the
+  /// lowest ids in the queue, so the open slots go to the head of tail_.
+  [[nodiscard]] std::size_t openSlots() const;
+
+  /// Re-derive the whole schedule decision: re-anchor every guarantee in
+  /// (old guarantee, id) order (none may regress), anchor the promotions
+  /// last, then backfill the tail. Starts everything whose anchor is now.
   void rebuild(sim::Simulator& simulator);
 
-  /// Incremental-mode equivalent of rebuild() for events that leave the
-  /// availability function unchanged (every arrival; on-time completions):
-  /// existing guarantees are fixed points of pass 1, so they stay in the
-  /// ledger untouched. Only due guarantees (start == now), promotions into
-  /// freed pass-1 slots, and pass-2 candidates do any profile work.
-  void incrementalPass(sim::Simulator& simulator);
+  /// Start the reservations whose guarantee is now and that physically fit
+  /// (a completion pending in this timestamp batch may still hold the
+  /// processors; the guarantee then stays, and the cascade retries).
+  void startDue(sim::Simulator& simulator);
+
+  /// Anchor the first `count` tail jobs, in submission order.
+  void promote(sim::Simulator& simulator, std::size_t count);
+
+  /// Pass 2: start each tail job whose earliest anchor is now.
+  void backfillTail(sim::Simulator& simulator);
+
+  void reserve(sim::Simulator& simulator, JobId job, Time start);
 
   DepthConfig config_;
   kernel::ReservationLedger ledger_;
   kernel::BackfillEngine engine_{ledger_};
-  std::vector<JobId> queue_;  ///< submission order
-  /// Guarantee per reserved job, parallel to the first entries of queue_.
-  /// kNoTime marks "no guarantee recorded yet".
-  std::vector<std::pair<JobId, Time>> guarantees_;
+  std::vector<Reservation> reserved_;  ///< sorted by (guarantee, id)
+  std::vector<JobId> tail_;            ///< unreserved, submission order
 };
 
 }  // namespace sps::sched

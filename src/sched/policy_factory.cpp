@@ -58,7 +58,6 @@ std::size_t parseDepth(const std::string& token, const std::string& param) {
 const char* policyKindName(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::Fcfs: return "FCFS";
-    case PolicyKind::Conservative: return "Conservative";
     case PolicyKind::Easy: return "EASY";
     case PolicyKind::SelectiveSuspension: return "SelectiveSuspension";
     case PolicyKind::ImmediateService: return "ImmediateService";
@@ -72,8 +71,6 @@ std::unique_ptr<sim::SchedulingPolicy> makePolicy(const PolicySpec& spec) {
   switch (spec.kind) {
     case PolicyKind::Fcfs:
       return std::make_unique<FcfsScheduler>();
-    case PolicyKind::Conservative:
-      return std::make_unique<ConservativeBackfill>(spec.conservative);
     case PolicyKind::Easy:
       return std::make_unique<EasyBackfill>(spec.easy);
     case PolicyKind::SelectiveSuspension:
@@ -101,7 +98,8 @@ PolicySpec specFromToken(const std::string& token) {
   PolicySpec spec;
   spec.label = token;
   if (name == "conservative") {
-    spec.kind = PolicyKind::Conservative;
+    spec.kind = PolicyKind::DepthBackfill;
+    spec.depth.depth = kUnlimitedDepth;
   } else if (name == "easy") {
     spec.kind = PolicyKind::Easy;
   } else if (name == "sjf") {
@@ -135,7 +133,7 @@ PolicySpec specFromToken(const std::string& token) {
   } else {
     throw std::invalid_argument("unknown policy token: '" + token + "'");
   }
-  if (t.hasParam && spec.kind != PolicyKind::DepthBackfill &&
+  if (t.hasParam && name != "depth" &&
       spec.kind != PolicyKind::SelectiveSuspension)
     throw std::invalid_argument("policy token '" + token + "': " + name +
                                 " takes no parameter");
@@ -143,13 +141,13 @@ PolicySpec specFromToken(const std::string& token) {
 }
 
 std::vector<std::string> knownPolicyTokens() {
-  return {"fcfs",    "conservative", "easy", "sjf",
-          "depth:2", "depth:inf",    "ss:2", "ss:1.5",
-          "tss:2",   "tss-online:2", "is",   "gang"};
+  // "depth:inf" is "conservative" and is not listed twice.
+  return {"fcfs", "conservative", "easy",   "sjf",          "depth:2",
+          "ss:2", "ss:1.5",       "tss:2",  "tss-online:2", "is",
+          "gang"};
 }
 
 PolicySpec withKernelMode(PolicySpec spec, kernel::KernelMode mode) {
-  spec.conservative.kernelMode = mode;
   spec.easy.kernelMode = mode;
   spec.depth.kernelMode = mode;
   spec.ss.kernelMode = mode;

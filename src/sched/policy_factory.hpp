@@ -13,6 +13,8 @@
 //   * specFromToken("ss:2") — the shared textual form ("fcfs", "easy",
 //     "sjf", "depth:4", "depth:inf", "ss:1.5", "tss:2", "tss-online:2",
 //     "is", "gang", "conservative") used by CLIs and the fuzzer alike.
+//     "conservative" is "depth:inf": the paper's conservative backfilling
+//     is reservation depth infinity.
 //   * withKernelMode(spec, mode) — flip every per-policy kernel-mode knob
 //     at once; the golden-equivalence suite and diff harness pin
 //     KernelMode::Rebuild as the bit-identical reference lane.
@@ -25,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "sched/conservative.hpp"
 #include "sched/depth_backfill.hpp"
 #include "sched/easy.hpp"
 #include "sched/gang.hpp"
@@ -35,14 +36,15 @@
 
 namespace sps::sched {
 
+/// In the paper's order: FCFS, conservative, EASY (NS), SS, IS; then gang.
 enum class PolicyKind {
   Fcfs,
-  Conservative,
+  DepthBackfill,        ///< K-deep reservation backfilling; K = infinity is
+                        ///< the paper's conservative backfilling
   Easy,                 ///< the paper's "No Suspension (NS)" baseline
   SelectiveSuspension,  ///< SS; TSS when spec.ss.tssLimits is set
   ImmediateService,
   Gang,                 ///< extension: Ousterhout-matrix time slicing
-  DepthBackfill,        ///< extension: K-deep reservation backfilling
 };
 
 [[nodiscard]] const char* policyKindName(PolicyKind kind);
@@ -54,7 +56,6 @@ struct PolicySpec {
   EasyConfig easy{};    ///< used when kind == Easy
   GangConfig gang{};    ///< used when kind == Gang
   DepthConfig depth{};  ///< used when kind == DepthBackfill
-  ConservativeConfig conservative{};  ///< when kind == Conservative
   /// Optional display label override (defaults to the policy's own name()).
   std::string label;
 };
@@ -79,7 +80,7 @@ struct PolicySpec {
 [[nodiscard]] std::vector<std::string> knownPolicyTokens();
 
 /// Copy of `spec` with every per-policy kernel-mode knob set to `mode`
-/// (conservative, EASY/SJF-BF, depth and SS/TSS; FCFS, IS and gang have
+/// (EASY/SJF-BF, depth and SS/TSS; FCFS, IS and gang have
 /// one code path and no knob).
 [[nodiscard]] PolicySpec withKernelMode(PolicySpec spec,
                                         kernel::KernelMode mode);

@@ -17,8 +17,8 @@
 #include "core/simulation.hpp"
 #include "obs/counters.hpp"
 #include "helpers.hpp"
-#include "sched/conservative.hpp"
 #include "sched/core/reservation_ledger.hpp"
+#include "sched/depth_backfill.hpp"
 #include "sched/selective_suspension.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
@@ -221,7 +221,7 @@ TEST(InvariantChecker, LyingGuaranteeProbeFires) {
   CheckConfig cfg;
   cfg.guarantees = true;
   cfg.auditStride = 1;
-  sched::ConservativeBackfill policy;
+  sched::DepthBackfill policy(sched::DepthConfig{sched::kUnlimitedDepth});
   const auto trace = makeTrace(4, {{0, 100, 4}, {1, 100, 4}, {2, 100, 4}});
   sim::Simulator s(trace, policy);
   InvariantChecker checker(cfg);
@@ -292,7 +292,7 @@ TEST(InvariantChecker, CorruptedLedgerProfileFires) {
   CheckConfig cfg;
   cfg.ledger = true;
   cfg.auditStride = 1;
-  sched::ConservativeBackfill policy;
+  sched::DepthBackfill policy(sched::DepthConfig{sched::kUnlimitedDepth});
   const auto trace =
       makeTrace(4, {{0, 100, 2}, {0, 100, 4}, {50, 100, 1}, {60, 100, 4}});
   sim::Simulator s(trace, policy);
@@ -340,8 +340,7 @@ TEST(InvariantChecker, EveryPolicyBothKernelModesSilent) {
 TEST(InvariantChecker, RunSimulationWiringArmsAndAudits) {
   // options.check flows through core::runSimulation, and the obs counters
   // prove the oracle actually ran.
-  core::PolicySpec spec;
-  spec.kind = core::PolicyKind::Conservative;
+  const core::PolicySpec spec = sched::specFromToken("conservative");
   core::SimulationOptions options;
   options.check = CheckConfig::all(1);
   const auto trace = makeTrace(4, {{0, 100, 3}, {1, 100, 4}, {2, 50, 1}});
@@ -351,7 +350,7 @@ TEST(InvariantChecker, RunSimulationWiringArmsAndAudits) {
 TEST(InvariantChecker, EpochAuditsRespectStride) {
   const auto trace = makeTrace(4, {{0, 100, 3}, {1, 100, 4}, {2, 50, 1}});
   auto countAudits = [&trace](std::uint32_t stride) {
-    sched::ConservativeBackfill policy;
+    sched::DepthBackfill policy(sched::DepthConfig{sched::kUnlimitedDepth});
     sim::Simulator s(trace, policy);
     InvariantChecker checker(CheckConfig::all(stride));
     checker.arm(s, policy);
@@ -366,7 +365,7 @@ TEST(InvariantChecker, EpochAuditsRespectStride) {
 }
 
 TEST(InvariantChecker, DisabledConfigRegistersNothing) {
-  sched::ConservativeBackfill policy;
+  sched::DepthBackfill policy(sched::DepthConfig{sched::kUnlimitedDepth});
   const auto trace = makeTrace(4, {{0, 100, 3}, {1, 50, 1}});
   sim::Simulator s(trace, policy);
   InvariantChecker checker{CheckConfig{}};
@@ -378,7 +377,7 @@ TEST(InvariantChecker, DisabledConfigRegistersNothing) {
 }
 
 TEST(InvariantChecker, CountersRecordAuditVolume) {
-  sched::ConservativeBackfill policy;
+  sched::DepthBackfill policy(sched::DepthConfig{sched::kUnlimitedDepth});
   const auto trace = makeTrace(4, {{0, 100, 3}, {1, 100, 4}, {2, 50, 1}});
   sim::Simulator s(trace, policy);
   InvariantChecker checker(CheckConfig::all(1));

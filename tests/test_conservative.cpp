@@ -1,8 +1,9 @@
-// Unit tests: conservative backfilling (Section II-A.1).
+// Unit tests: conservative backfilling (Section II-A.1), which is
+// reservation-depth backfilling at unlimited depth.
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
-#include "sched/conservative.hpp"
+#include "sched/depth_backfill.hpp"
 #include "sim/simulator.hpp"
 
 namespace sps::sched {
@@ -14,7 +15,7 @@ using test::makeTrace;
 TEST(Conservative, BackfillsIntoHole) {
   // Machine 4. Job0: 3 procs, 100 s. Job1: 4 procs -> reserved at 100.
   // Job2: 1 proc, 50 s — fits beside job0 without delaying job1.
-  ConservativeBackfill policy;
+  DepthBackfill policy(DepthConfig{kUnlimitedDepth});
   const auto trace = makeTrace(4, {{0, 100, 3}, {1, 100, 4}, {2, 50, 1}});
   sim::Simulator s(trace, policy);
   s.run();
@@ -25,7 +26,7 @@ TEST(Conservative, BackfillsIntoHole) {
 TEST(Conservative, BackfillMustNotDelayAnyReservation) {
   // Job2 is small enough in procs but too long to finish before job1's
   // anchor; starting it would delay job1 -> it must wait.
-  ConservativeBackfill policy;
+  DepthBackfill policy(DepthConfig{kUnlimitedDepth});
   const auto trace = makeTrace(4, {{0, 100, 3}, {1, 100, 4}, {2, 200, 1}});
   sim::Simulator s(trace, policy);
   s.run();
@@ -35,7 +36,7 @@ TEST(Conservative, BackfillMustNotDelayAnyReservation) {
 
 TEST(Conservative, LaterJobCannotDelayEarlierReservation) {
   // Three queued wide jobs get stacked reservations in order.
-  ConservativeBackfill policy;
+  DepthBackfill policy(DepthConfig{kUnlimitedDepth});
   const auto trace =
       makeTrace(4, {{0, 100, 4}, {1, 100, 4}, {2, 100, 4}, {3, 100, 4}});
   sim::Simulator s(trace, policy);
@@ -48,7 +49,7 @@ TEST(Conservative, LaterJobCannotDelayEarlierReservation) {
 TEST(Conservative, CompressionOnEarlyCompletion) {
   // Job0 estimates 1000 but actually runs 100: job1's reservation at 1000
   // must compress to 100 when job0 finishes.
-  ConservativeBackfill policy;
+  DepthBackfill policy(DepthConfig{kUnlimitedDepth});
   const auto trace = makeTrace(4, {{0, 100, 4, 1000}, {1, 50, 4}});
   sim::Simulator s(trace, policy);
   s.run();
@@ -57,7 +58,7 @@ TEST(Conservative, CompressionOnEarlyCompletion) {
 
 TEST(Conservative, CompressionPreservesOrderWhenNoHole) {
   // After early completion, released jobs re-anchor in guarantee order.
-  ConservativeBackfill policy;
+  DepthBackfill policy(DepthConfig{kUnlimitedDepth});
   const auto trace = makeTrace(
       4, {{0, 100, 4, 500}, {1, 100, 4}, {2, 100, 4}});
   sim::Simulator s(trace, policy);
@@ -67,7 +68,7 @@ TEST(Conservative, CompressionPreservesOrderWhenNoHole) {
 }
 
 TEST(Conservative, GuaranteeOfQueuedJobVisible) {
-  ConservativeBackfill policy;
+  DepthBackfill policy(DepthConfig{kUnlimitedDepth});
   const auto trace = makeTrace(4, {{0, 100, 4, 100}, {1, 50, 4}});
   Time guarantee = kNoTime;
   // Probe the guarantee mid-run via a scripted check at arrival of job 1:
@@ -82,7 +83,7 @@ TEST(Conservative, GuaranteeOfQueuedJobVisible) {
 
 TEST(Conservative, SequentialStreamKeepsMachineBusy) {
   // Narrow jobs should pack the machine tightly (no FCFS blocking).
-  ConservativeBackfill policy;
+  DepthBackfill policy(DepthConfig{kUnlimitedDepth});
   std::vector<J> jobs;
   for (int i = 0; i < 16; ++i) jobs.push_back({0, 100, 1});
   jobs.push_back({1, 100, 16});     // wide job reserved at 100
@@ -102,7 +103,7 @@ TEST(Conservative, SequentialStreamKeepsMachineBusy) {
 TEST(Conservative, EstimateOverrunImpossibleByConstruction) {
   // estimate >= runtime is enforced by validateTrace; conservative relies on
   // it. A job finishing exactly at its estimate must not break anything.
-  ConservativeBackfill policy;
+  DepthBackfill policy(DepthConfig{kUnlimitedDepth});
   const auto trace = makeTrace(4, {{0, 100, 4, 100}, {0, 100, 4, 100}});
   sim::Simulator s(trace, policy);
   s.run();
@@ -110,7 +111,7 @@ TEST(Conservative, EstimateOverrunImpossibleByConstruction) {
 }
 
 TEST(Conservative, NoSuspensionsEver) {
-  ConservativeBackfill policy;
+  DepthBackfill policy(DepthConfig{kUnlimitedDepth});
   const auto trace = makeTrace(8, {{0, 50, 2}, {5, 50, 8}, {9, 50, 1}});
   sim::Simulator s(trace, policy);
   s.run();

@@ -23,7 +23,7 @@ using test::makeTrace;
 
 TEST(PolicyFactory, BuildsEveryKind) {
   for (PolicyKind kind :
-       {PolicyKind::Fcfs, PolicyKind::Conservative, PolicyKind::Easy,
+       {PolicyKind::Fcfs, PolicyKind::DepthBackfill, PolicyKind::Easy,
         PolicyKind::SelectiveSuspension, PolicyKind::ImmediateService}) {
     PolicySpec spec;
     spec.kind = kind;

@@ -4,7 +4,6 @@
 
 #include "core/simulation.hpp"
 #include "helpers.hpp"
-#include "sched/conservative.hpp"
 #include "sched/depth_backfill.hpp"
 #include "sched/easy.hpp"
 #include "sim/simulator.hpp"
@@ -25,7 +24,7 @@ TEST(DepthBF, ConfigRejectsZeroDepth) {
 TEST(DepthBF, NameCarriesDepth) {
   EXPECT_EQ(DepthBackfill(DepthConfig{3}).name(), "Depth-BF(3)");
   EXPECT_EQ(DepthBackfill(DepthConfig{kUnlimitedDepth}).name(),
-            "Depth-BF(inf)");
+            "Conservative");
 }
 
 TEST(DepthBF, BackfillsIntoHoleLikeEasy) {
@@ -67,16 +66,17 @@ TEST(DepthBF, DepthTwoProtectsSecondJob) {
   EXPECT_LE(s.exec(2).firstStart, 200);
 }
 
-// Conservative backfilling re-anchors in (guarantee, submission) order, so
-// equal guarantees break ties FCFS. Machine 10: X (2 procs), P (4) and
-// Y (4) start at 0; X and Y estimate 1000 s but end at 10 and 30.
-// C (id 3) is anchored at P's end (100); A (id 4, 3 procs) is blocked
-// there by C and anchored at 190; B (id 5, 2 procs) fits beside C at 100.
-// X's early end lets C start at once, after which B and A both re-anchor
-// to 100. Y's early end at 30 opens a 4-proc hole that holds A or B but
-// not both: A, submitted first, takes it; B keeps its guarantee of 100.
-// Ordering equal guarantees by re-anchor order instead hands the hole to
-// B (it re-anchored first, from its earlier old guarantee).
+// Conservative backfilling (unlimited depth) re-anchors in (guarantee,
+// submission) order, so equal guarantees break ties FCFS. Machine 10:
+// X (2 procs), P (4) and Y (4) start at 0; X and Y estimate 1000 s but end
+// at 10 and 30. C (id 3) is anchored at P's end (100); A (id 4, 3 procs)
+// is blocked there by C and anchored at 190; B (id 5, 2 procs) fits
+// beside C at 100. X's early end lets C start at once, after which B and
+// A both re-anchor to 100. Y's early end at 30 opens a 4-proc hole that
+// holds A or B but not both: A, submitted first, takes it; B keeps its
+// guarantee of 100. Ordering equal guarantees by re-anchor order instead
+// hands the hole to B (it re-anchored first, from its earlier old
+// guarantee).
 TEST(DepthBF, EqualGuaranteesReanchorInSubmissionOrder) {
   const auto trace = makeTrace(10, {{0, 10, 2, 1000},
                                     {0, 100, 4},
@@ -84,18 +84,12 @@ TEST(DepthBF, EqualGuaranteesReanchorInSubmissionOrder) {
                                     {1, 90, 2},
                                     {2, 100, 3},
                                     {3, 50, 2}});
-  DepthBackfill depth(DepthConfig{kUnlimitedDepth});
-  ConservativeBackfill conservative;
-  for (sim::SchedulingPolicy* policy :
-       {static_cast<sim::SchedulingPolicy*>(&depth),
-        static_cast<sim::SchedulingPolicy*>(&conservative)}) {
-    SCOPED_TRACE(policy->name());
-    sim::Simulator s(trace, *policy);
-    s.run();
-    EXPECT_EQ(s.exec(3).firstStart, 10);   // C starts on X's early end
-    EXPECT_EQ(s.exec(4).firstStart, 30);   // A takes Y's hole
-    EXPECT_EQ(s.exec(5).firstStart, 100);  // B keeps its guarantee
-  }
+  const auto policy = core::makePolicy(specFromToken("conservative"));
+  sim::Simulator s(trace, *policy);
+  s.run();
+  EXPECT_EQ(s.exec(3).firstStart, 10);   // C starts on X's early end
+  EXPECT_EQ(s.exec(4).firstStart, 30);   // A takes Y's hole
+  EXPECT_EQ(s.exec(5).firstStart, 100);  // B keeps its guarantee
 }
 
 TEST(DepthBF, DepthOneMatchesEasyOnAverage) {

@@ -90,9 +90,7 @@ std::vector<std::pair<std::string, core::PolicySpec>> kernelPolicies() {
   std::vector<std::pair<std::string, core::PolicySpec>> specs;
   core::PolicySpec spec;
 
-  spec = {};
-  spec.kind = core::PolicyKind::Conservative;
-  specs.emplace_back("conservative", spec);
+  specs.emplace_back("conservative", sched::specFromToken("conservative"));
 
   spec = {};
   spec.kind = core::PolicyKind::Easy;
@@ -107,11 +105,6 @@ std::vector<std::pair<std::string, core::PolicySpec>> kernelPolicies() {
   spec.kind = core::PolicyKind::DepthBackfill;
   spec.depth.depth = 2;
   specs.emplace_back("depth-2", spec);
-
-  spec = {};
-  spec.kind = core::PolicyKind::DepthBackfill;
-  spec.depth.depth = sched::kUnlimitedDepth;
-  specs.emplace_back("depth-inf", spec);
 
   spec = {};
   spec.kind = core::PolicyKind::SelectiveSuspension;
@@ -288,9 +281,8 @@ TEST(GoldenEquivalenceEdge, DeferredStartAtAnchorEqualsNow) {
   const auto trace =
       test::makeTrace(4, {{0, 10, 2}, {0, 10, 2}, {1, 5, 4}});
   for (const KernelMode mode : {KernelMode::Incremental, KernelMode::Rebuild}) {
-    core::PolicySpec spec;
-    spec.kind = core::PolicyKind::Conservative;
-    const Schedule s = runSchedule(trace, spec, mode, nullptr);
+    const Schedule s = runSchedule(
+        trace, sched::specFromToken("conservative"), mode, nullptr);
     EXPECT_EQ(s.firstStart[0], 0);
     EXPECT_EQ(s.firstStart[1], 0);
     EXPECT_EQ(s.firstStart[2], 10) << "mode " << static_cast<int>(mode);

@@ -38,10 +38,9 @@ PolicySpec spec(PolicyKind kind, double sf = 2.0) {
 }
 
 TEST(Integration, AllSchedulersCompleteTheTrace) {
-  for (PolicyKind kind :
-       {PolicyKind::Fcfs, PolicyKind::Conservative, PolicyKind::Easy,
-        PolicyKind::SelectiveSuspension, PolicyKind::ImmediateService}) {
-    const auto stats = core::runSimulation(sdscTrace(), spec(kind));
+  for (const char* token : {"fcfs", "conservative", "easy", "ss:2", "is"}) {
+    const auto stats =
+        core::runSimulation(sdscTrace(), sched::specFromToken(token));
     EXPECT_EQ(stats.jobs.size(), sdscTrace().jobs.size());
     for (const auto& j : stats.jobs) {
       EXPECT_GE(j.finish, j.submit + j.runtime);
@@ -51,9 +50,9 @@ TEST(Integration, AllSchedulersCompleteTheTrace) {
 }
 
 TEST(Integration, NonPreemptiveSchedulersNeverSuspend) {
-  for (PolicyKind kind :
-       {PolicyKind::Fcfs, PolicyKind::Conservative, PolicyKind::Easy}) {
-    const auto stats = core::runSimulation(ctcTrace(), spec(kind));
+  for (const char* token : {"fcfs", "conservative", "easy"}) {
+    const auto stats =
+        core::runSimulation(ctcTrace(), sched::specFromToken(token));
     EXPECT_EQ(stats.suspensions, 0u);
   }
 }

@@ -42,12 +42,23 @@ workload::Trace randomTrace(std::uint64_t seed, std::size_t n = 60,
 
 struct PropertyCase {
   PolicyKind kind;
+  /// Depth-BF at unlimited depth: the paper's conservative backfilling.
+  bool conservative;
   std::uint64_t seed;
   bool overhead;
 };
 
+PolicySpec caseSpec(const PropertyCase& param) {
+  PolicySpec spec;
+  spec.kind = param.kind;
+  if (param.conservative) spec.depth.depth = sched::kUnlimitedDepth;
+  return spec;
+}
+
 std::string caseName(const ::testing::TestParamInfo<PropertyCase>& info) {
-  std::string name = core::policyKindName(info.param.kind);
+  std::string name = info.param.conservative
+                         ? "Conservative"
+                         : core::policyKindName(info.param.kind);
   name += "_seed" + std::to_string(info.param.seed);
   name += info.param.overhead ? "_oh" : "_free";
   return name;
@@ -58,9 +69,7 @@ class SchedulerProperty : public ::testing::TestWithParam<PropertyCase> {};
 TEST_P(SchedulerProperty, InvariantsHoldOverRandomWorkload) {
   const auto& param = GetParam();
   const workload::Trace trace = randomTrace(param.seed);
-  PolicySpec spec;
-  spec.kind = param.kind;
-  auto policy = core::makePolicy(spec);
+  auto policy = core::makePolicy(caseSpec(param));
 
   sched::DiskSwapOverhead overhead(trace, 16.0);  // fast disk: small drains
   sim::Simulator::Config config;
@@ -84,7 +93,7 @@ TEST_P(SchedulerProperty, InvariantsHoldOverRandomWorkload) {
               x.finish - j.submit);
     // Non-preemptive policies must not suspend.
     if (param.kind == PolicyKind::Fcfs ||
-        param.kind == PolicyKind::Conservative ||
+        param.kind == PolicyKind::DepthBackfill ||
         param.kind == PolicyKind::Easy) {
       EXPECT_EQ(x.suspendCount, 0u);
     }
@@ -98,8 +107,7 @@ TEST_P(SchedulerProperty, InvariantsHoldOverRandomWorkload) {
 TEST_P(SchedulerProperty, BitIdenticalReplay) {
   const auto& param = GetParam();
   const workload::Trace trace = randomTrace(param.seed ^ 0xabcdef);
-  PolicySpec spec;
-  spec.kind = param.kind;
+  const PolicySpec spec = caseSpec(param);
   sched::DiskSwapOverhead overhead(trace, 16.0);
   core::SimulationOptions options;
   if (param.overhead) options.sim.overhead = &overhead;
@@ -117,29 +125,29 @@ TEST_P(SchedulerProperty, BitIdenticalReplay) {
 INSTANTIATE_TEST_SUITE_P(
     AllSchedulers, SchedulerProperty,
     ::testing::Values(
-        PropertyCase{PolicyKind::Fcfs, 1, false},
-        PropertyCase{PolicyKind::Fcfs, 2, false},
-        PropertyCase{PolicyKind::Conservative, 1, false},
-        PropertyCase{PolicyKind::Conservative, 2, false},
-        PropertyCase{PolicyKind::Conservative, 3, false},
-        PropertyCase{PolicyKind::Easy, 1, false},
-        PropertyCase{PolicyKind::Easy, 2, false},
-        PropertyCase{PolicyKind::Easy, 3, false},
-        PropertyCase{PolicyKind::SelectiveSuspension, 1, false},
-        PropertyCase{PolicyKind::SelectiveSuspension, 2, false},
-        PropertyCase{PolicyKind::SelectiveSuspension, 3, false},
-        PropertyCase{PolicyKind::SelectiveSuspension, 1, true},
-        PropertyCase{PolicyKind::SelectiveSuspension, 2, true},
-        PropertyCase{PolicyKind::ImmediateService, 1, false},
-        PropertyCase{PolicyKind::ImmediateService, 2, false},
-        PropertyCase{PolicyKind::ImmediateService, 1, true},
-        PropertyCase{PolicyKind::ImmediateService, 2, true},
-        PropertyCase{PolicyKind::DepthBackfill, 1, false},
-        PropertyCase{PolicyKind::DepthBackfill, 2, false},
-        PropertyCase{PolicyKind::Gang, 1, false},
-        PropertyCase{PolicyKind::Gang, 2, false},
-        PropertyCase{PolicyKind::Gang, 1, true},
-        PropertyCase{PolicyKind::Gang, 2, true}),
+        PropertyCase{PolicyKind::Fcfs, false, 1, false},
+        PropertyCase{PolicyKind::Fcfs, false, 2, false},
+        PropertyCase{PolicyKind::DepthBackfill, true, 1, false},
+        PropertyCase{PolicyKind::DepthBackfill, true, 2, false},
+        PropertyCase{PolicyKind::DepthBackfill, true, 3, false},
+        PropertyCase{PolicyKind::Easy, false, 1, false},
+        PropertyCase{PolicyKind::Easy, false, 2, false},
+        PropertyCase{PolicyKind::Easy, false, 3, false},
+        PropertyCase{PolicyKind::SelectiveSuspension, false, 1, false},
+        PropertyCase{PolicyKind::SelectiveSuspension, false, 2, false},
+        PropertyCase{PolicyKind::SelectiveSuspension, false, 3, false},
+        PropertyCase{PolicyKind::SelectiveSuspension, false, 1, true},
+        PropertyCase{PolicyKind::SelectiveSuspension, false, 2, true},
+        PropertyCase{PolicyKind::ImmediateService, false, 1, false},
+        PropertyCase{PolicyKind::ImmediateService, false, 2, false},
+        PropertyCase{PolicyKind::ImmediateService, false, 1, true},
+        PropertyCase{PolicyKind::ImmediateService, false, 2, true},
+        PropertyCase{PolicyKind::DepthBackfill, false, 1, false},
+        PropertyCase{PolicyKind::DepthBackfill, false, 2, false},
+        PropertyCase{PolicyKind::Gang, false, 1, false},
+        PropertyCase{PolicyKind::Gang, false, 2, false},
+        PropertyCase{PolicyKind::Gang, false, 1, true},
+        PropertyCase{PolicyKind::Gang, false, 2, true}),
     caseName);
 
 // --- SF law on randomized equal task pairs -----------------------------------

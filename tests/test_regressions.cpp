@@ -11,7 +11,7 @@
 #include "core/simulation.hpp"
 #include "helpers.hpp"
 #include "metrics/collector.hpp"
-#include "sched/conservative.hpp"
+#include "sched/depth_backfill.hpp"
 #include "sched/immediate_service.hpp"
 #include "sched/overhead.hpp"
 #include "sim/machine.hpp"
@@ -254,7 +254,7 @@ TEST(Regression, ConservativeSameInstantCompletionCascade) {
   // exactly at that instant. Historically the profile padded still-running
   // jobs by 1 s and the re-anchoring CHECK fired ("guarantee regressed
   // 100 -> 101"). The deferral logic must ride out the cascade.
-  sched::ConservativeBackfill policy;
+  sched::DepthBackfill policy(sched::DepthConfig{sched::kUnlimitedDepth});
   const auto trace = makeTrace(
       16, {{0, 100, 8, 100}, {0, 100, 8, 100}, {1, 50, 16}, {2, 50, 16}});
   sim::Simulator s(trace, policy);
@@ -268,9 +268,8 @@ TEST(Regression, ConservativeLargeTraceNoOversubscription) {
   // big traces ("19 free, adding 38"). Just running to completion is the
   // assertion — the profile CHECKs internally.
   const auto trace = workload::generateTrace(workload::sdscConfig(2000, 31));
-  core::PolicySpec spec;
-  spec.kind = core::PolicyKind::Conservative;
-  const auto stats = core::runSimulation(trace, spec);
+  const auto stats =
+      core::runSimulation(trace, sched::specFromToken("conservative"));
   EXPECT_EQ(stats.jobs.size(), 2000u);
 }
 
