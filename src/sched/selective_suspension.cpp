@@ -43,7 +43,6 @@ std::string SelectiveSuspension::name() const {
 }
 
 void SelectiveSuspension::onSimulationStart(sim::Simulator& simulator) {
-  claimsDirty_ = true;
   gateStamp_ = ~std::uint64_t{0};
   gateSkipUntil_ = kNoTime;
   tickPrefix_.clear();
@@ -88,10 +87,7 @@ void SelectiveSuspension::onJobCancelled(sim::Simulator& simulator,
   const auto it =
       std::find_if(claims_.begin(), claims_.end(),
                    [job](const Claim& c) { return c.job == job; });
-  if (it != claims_.end()) {
-    claims_.erase(it);
-    claimsDirty_ = true;
-  }
+  if (it != claims_.end()) claims_.erase(it);
   dispatch(simulator);
 }
 
@@ -193,29 +189,26 @@ bool SelectiveSuspension::isClaimant(JobId id) const {
                      [id](const Claim& c) { return c.job == id; });
 }
 
-void SelectiveSuspension::refreshClaims(const sim::Simulator& s) const {
-  if (!claimsDirty_) return;
-  claimedSetCache_.clear();
-  claimedCountCache_ = 0;
-  for (const Claim& c : claims_) {
-    if (c.exact)
-      claimedSetCache_ |= s.procSet(c.job);
-    else
-      claimedCountCache_ += s.job(c.job).procs;
-  }
-  claimsDirty_ = false;
-}
-
 std::uint32_t SelectiveSuspension::claimedCount(
     const sim::Simulator& s) const {
-  refreshClaims(s);
-  return claimedCountCache_;
+  std::uint32_t count = 0;
+  for (const Claim& c : claims_)
+    if (!c.exact) count += s.job(c.job).procs;
+  return count;
 }
 
-const sim::ProcSet& SelectiveSuspension::claimedSet(
-    const sim::Simulator& s) const {
-  refreshClaims(s);
-  return claimedSetCache_;
+sim::ProcSet SelectiveSuspension::claimedSet(const sim::Simulator& s) const {
+  sim::ProcSet fenced;
+  for (const Claim& c : claims_)
+    if (c.exact) fenced |= s.procSet(c.job);
+  return fenced;
+}
+
+bool SelectiveSuspension::fencedByClaim(const sim::Simulator& s,
+                                        const sim::ProcSet& procs) const {
+  return std::any_of(claims_.begin(), claims_.end(), [&](const Claim& c) {
+    return c.exact && s.procSet(c.job).intersects(procs);
+  });
 }
 
 const sim::ProcSet& SelectiveSuspension::suspendedSets(
@@ -253,7 +246,7 @@ void SelectiveSuspension::refreshFreshPath(const sim::Simulator& s) {
 }
 
 void SelectiveSuspension::startFreshPreferring(sim::Simulator& s, JobId id) {
-  const sim::ProcSet& fenced = claimedSet(s);
+  const sim::ProcSet fenced = claimedSet(s);
   switch (config_.owedProcs) {
     case OwedProcsPolicy::Squat:
       s.startJobAvoiding(id, fenced);
@@ -319,7 +312,6 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
       if (c.exact) {
         if (simulator.procSet(c.job).isSubsetOf(simulator.freeSet())) {
           claims_.erase(claims_.begin() + static_cast<std::ptrdiff_t>(i));
-          claimsDirty_ = true;
           simulator.resumeJob(c.job);
           progress = true;
           break;
@@ -329,7 +321,6 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
         const sim::ProcSet usable = simulator.freeSet() - fenced;
         if (usable.count() >= simulator.job(c.job).procs) {
           claims_.erase(claims_.begin() + static_cast<std::ptrdiff_t>(i));
-          claimsDirty_ = true;
           // The claimant paid for its victims' processors; everything else
           // owed to suspended jobs is touched only for the shortfall. A
           // suspended claimant only arises in the migratable model (its
@@ -487,7 +478,6 @@ void SelectiveSuspension::executeReentryPreemption(
   }
   if (anyDraining) {
     claims_.push_back({id, /*exact=*/true});
-    claimsDirty_ = true;
   } else {
     simulator.resumeJob(id);
   }
@@ -521,7 +511,6 @@ void SelectiveSuspension::executeFreshPreemption(
   }
   if (anyDraining) {
     claims_.push_back({id, /*exact=*/false});
-    claimsDirty_ = true;
   } else if (simulator.state(id) == sim::JobState::Suspended) {
     // Migratable model: the suspended preemptor restarts on whatever
     // freed up (a fresh-path suspended preemptor only exists when
@@ -580,7 +569,7 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
       // Must reclaim the exact saved set: every current occupant of those
       // processors has to be an eligible victim, and none may be mid-drain.
       const sim::ProcSet needed = simulator.procSet(id);
-      if (needed.intersects(claimedSet(simulator))) continue;
+      if (fencedByClaim(simulator, needed)) continue;
       std::vector<JobId> occupants;
       bool blocked = false;
       for (JobId r : simulator.runningJobs())
@@ -704,7 +693,7 @@ void SelectiveSuspension::preemptionPassIncremental(
       // Must reclaim the exact saved set: every current occupant of those
       // processors has to be an eligible victim, and none may be mid-drain.
       const sim::ProcSet& needed = simulator.procSet(id);
-      if (needed.intersects(claimedSet(simulator))) return false;
+      if (fencedByClaim(simulator, needed)) return false;
       // The reference's Suspending scan, as one aggregate intersection.
       if (needed.intersects(simulator.drainingSet())) return false;
       // Occupants via the owner map: O(width) instead of O(running). The

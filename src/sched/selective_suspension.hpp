@@ -151,13 +151,13 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   };
 
   [[nodiscard]] bool isClaimant(JobId id) const;
-  /// Sum of processor counts owed to count-based (fresh) claims. Served
-  /// from a dirty-flagged cache invalidated on claims_ mutation.
+  /// Sum of processor counts owed to count-based (fresh) claims.
   [[nodiscard]] std::uint32_t claimedCount(const sim::Simulator& s) const;
-  /// Union of processor sets fenced by exact (reentry) claims. Same cache.
-  [[nodiscard]] const sim::ProcSet& claimedSet(const sim::Simulator& s) const;
-  /// Rebuild both claim caches if claims_ changed since the last read.
-  void refreshClaims(const sim::Simulator& s) const;
+  /// Union of processor sets fenced by exact (reentry) claims.
+  [[nodiscard]] sim::ProcSet claimedSet(const sim::Simulator& s) const;
+  /// True when `procs` meets a set fenced by an exact (reentry) claim.
+  [[nodiscard]] bool fencedByClaim(const sim::Simulator& s,
+                                   const sim::ProcSet& procs) const;
 
   /// Union of processor sets owed to suspended jobs (they must resume on
   /// exactly these). Fresh starts avoid them when possible so suspended
@@ -248,10 +248,6 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   kernel::VictimSteps victimSteps_;
   std::uint32_t freeNow_ = 0;
   std::vector<Claim> claims_;
-  /// Claim-fence caches; claims_ mutations set claimsDirty_.
-  mutable sim::ProcSet claimedSetCache_;
-  mutable std::uint32_t claimedCountCache_ = 0;
-  mutable bool claimsDirty_ = true;
   /// Tick-gate cache: while SimTransitions still equals gateStamp_ and
   /// now < gateSkipUntil_, the last gate verdict (skip) still holds.
   std::uint64_t gateStamp_ = ~std::uint64_t{0};
