@@ -149,19 +149,13 @@ void DepthBackfill::rebuild(sim::Simulator& simulator) {
   // Queue order would break that — an earlier-queued job's improved anchor
   // can steal the hole a later-queued job was anchored in.
   for (const Reservation& r : old) {
-    const auto& j = simulator.job(r.job);
     const auto anchor = engine_.anchorOf(simulator, r.job);
     SPS_CHECK_MSG(anchor.start <= r.start,
                   "guarantee of job " << r.job << " regressed: " << r.start
                                       << " -> " << anchor.start);
-    if (anchor.startNow) {
-      simulator.startJob(r.job);
-    } else {
-      ledger_.addReservation(r.job, anchor.start, j.estimate, j.procs);
-      reserved_.push_back({anchor.start, r.job});
-    }
+    if (anchor.startNow) simulator.startJob(r.job);
+    else reserve(simulator, r.job, anchor.start);
   }
-  std::sort(reserved_.begin(), reserved_.end());
   promote(simulator, open);
   backfillTail(simulator);
 }
