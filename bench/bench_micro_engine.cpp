@@ -132,10 +132,6 @@ void runKernelSweep() {
   spec.easy.order = sched::QueueOrder::ShortestFirst;
   policies.emplace_back("sjf-bf", spec);
   spec = {};
-  spec.kind = core::PolicyKind::DepthBackfill;
-  spec.depth.depth = sched::kUnlimitedDepth;
-  policies.emplace_back("depth-inf", spec);
-  spec = {};
   spec.kind = core::PolicyKind::SelectiveSuspension;
   policies.emplace_back("ss", spec);
   spec = {};

@@ -94,7 +94,7 @@ workload::Job makeJob(Time submit, Time runtime, std::uint32_t procs,
   return j;
 }
 
-/// SyntheticTraceGenerator concentrated on a few corner categories.
+/// workload::generateTrace concentrated on a few corner categories.
 /// generateTrace requires machineProcs > 32 (the VeryWide band needs room),
 /// so this shape runs on the larger machines.
 workload::Trace cornerSynthetic(Rng& rng, std::size_t jobs) {

@@ -55,7 +55,7 @@ struct FuzzCase {
 [[nodiscard]] std::vector<std::string> fuzzPolicyTokens();
 
 /// Seeded adversarial workload generator. Rotates through shapes the
-/// golden suite never covers: SyntheticTraceGenerator runs concentrated on
+/// golden suite never covers: workload::generateTrace runs concentrated on
 /// corner categories, same-instant arrival bursts, full-width/single-proc
 /// storms on tiny machines — then stamps estimates from accurate through
 /// pathologically overestimated. Deterministic in `seed`.

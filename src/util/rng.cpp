@@ -51,45 +51,20 @@ std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::logUniform(double lo, double hi) {
-  SPS_CHECK_MSG(lo > 0.0 && lo < hi, "logUniform(" << lo << ", " << hi << ")");
-  return std::exp(uniform(std::log(lo), std::log(hi)));
+  return BoundedParetoSampler(lo, hi, 1.0)(*this);
 }
 
 std::int64_t Rng::logUniformInt(std::int64_t lo, std::int64_t hi) {
-  SPS_CHECK_MSG(lo > 0 && lo <= hi, "logUniformInt(" << lo << ", " << hi << ")");
-  if (lo == hi) return lo;
-  const double v = logUniform(static_cast<double>(lo),
-                              static_cast<double>(hi) + 1.0);
-  auto r = static_cast<std::int64_t>(v);
-  if (r < lo) r = lo;
-  if (r > hi) r = hi;
-  return r;
+  return BoundedParetoIntSampler(lo, hi, 1.0)(*this);
 }
 
 double Rng::boundedPareto(double lo, double hi, double alpha) {
-  SPS_CHECK_MSG(lo > 0.0 && lo < hi, "boundedPareto(" << lo << "," << hi
-                                                      << ")");
-  SPS_CHECK_MSG(alpha >= 1.0, "boundedPareto alpha=" << alpha << " < 1");
-  if (alpha == 1.0) return logUniform(lo, hi);
-  // Inverse CDF of the truncated power law with density ~ x^-alpha.
-  const double oneMinus = 1.0 - alpha;
-  const double a = std::pow(lo, oneMinus);
-  const double b = std::pow(hi, oneMinus);
-  const double u = uniform01();
-  return std::pow(a + u * (b - a), 1.0 / oneMinus);
+  return BoundedParetoSampler(lo, hi, alpha)(*this);
 }
 
 std::int64_t Rng::boundedParetoInt(std::int64_t lo, std::int64_t hi,
                                    double alpha) {
-  SPS_CHECK_MSG(lo > 0 && lo <= hi,
-                "boundedParetoInt(" << lo << "," << hi << ")");
-  if (lo == hi) return lo;
-  const double v = boundedPareto(static_cast<double>(lo),
-                                 static_cast<double>(hi) + 1.0, alpha);
-  auto r = static_cast<std::int64_t>(v);
-  if (r < lo) r = lo;
-  if (r > hi) r = hi;
-  return r;
+  return BoundedParetoIntSampler(lo, hi, alpha)(*this);
 }
 
 double Rng::exponential(double mean) {
@@ -119,21 +94,54 @@ double Rng::lognormal(double mu, double sigma) {
 bool Rng::bernoulli(double p) { return uniform01() < p; }
 
 std::size_t Rng::weightedIndex(const double* weights, std::size_t n) {
-  SPS_CHECK(n > 0);
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    SPS_CHECK_MSG(weights[i] >= 0.0, "negative weight at " << i);
-    total += weights[i];
-  }
-  SPS_CHECK_MSG(total > 0.0, "weights sum to zero");
-  double x = uniform01() * total;
-  for (std::size_t i = 0; i < n; ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return n - 1;  // floating-point edge: land on the last positive weight
+  return CategoricalSampler(weights, n)(*this);
 }
 
 Rng Rng::fork() { return Rng(next()); }
+
+BoundedParetoSampler::BoundedParetoSampler(double lo, double hi,
+                                           double alpha)
+    : logUniform_(alpha == 1.0) {
+  SPS_CHECK_MSG(lo > 0.0 && lo < hi, "boundedPareto(" << lo << "," << hi
+                                                      << ")");
+  SPS_CHECK_MSG(alpha >= 1.0, "boundedPareto alpha=" << alpha << " < 1");
+  if (logUniform_) {
+    base_ = std::log(lo);
+    span_ = std::log(hi) - base_;
+    invOneMinusAlpha_ = 0.0;
+  } else {
+    const double oneMinus = 1.0 - alpha;
+    base_ = std::pow(lo, oneMinus);
+    span_ = std::pow(hi, oneMinus) - base_;
+    invOneMinusAlpha_ = 1.0 / oneMinus;
+  }
+}
+
+namespace {
+/// The real law behind an integer band, checked before it is built.
+BoundedParetoSampler realLawOf(std::int64_t lo, std::int64_t hi,
+                               double alpha) {
+  SPS_CHECK_MSG(lo > 0 && lo <= hi,
+                "boundedParetoInt(" << lo << "," << hi << ")");
+  // A one-point band never draws, so its alpha goes unchecked.
+  return {static_cast<double>(lo), static_cast<double>(hi) + 1.0,
+          lo < hi ? alpha : 1.0};
+}
+}  // namespace
+
+BoundedParetoIntSampler::BoundedParetoIntSampler(std::int64_t lo,
+                                                 std::int64_t hi,
+                                                 double alpha)
+    : lo_(lo), hi_(hi), real_(realLawOf(lo, hi, alpha)) {}
+
+CategoricalSampler::CategoricalSampler(const double* weights, std::size_t n)
+    : weights_(weights, weights + n) {
+  SPS_CHECK(n > 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    SPS_CHECK_MSG(weights[i] >= 0.0, "negative weight at " << i);
+    total_ += weights[i];
+  }
+  SPS_CHECK_MSG(total_ > 0.0, "weights sum to zero");
+}
 
 }  // namespace sps

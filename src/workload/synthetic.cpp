@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -12,7 +13,7 @@ namespace sps::workload {
 namespace {
 
 struct Band {
-  Time runLo, runHi;            // runtime in (runLo, runHi] -> log-uniform
+  Time runLo, runHi;            // runtime in (runLo, runHi]
   std::uint32_t widthLo, widthHi;  // width in [widthLo, widthHi]
 };
 
@@ -47,6 +48,26 @@ Band bandOf(std::size_t category, const SyntheticConfig& cfg) {
   return b;
 }
 
+/// A category's in-band laws, built once per trace.
+struct CategoryLaws {
+  BoundedParetoIntSampler runtime;
+  BoundedParetoIntSampler width;
+};
+
+std::vector<CategoryLaws> categoryLaws(const SyntheticConfig& cfg) {
+  std::vector<CategoryLaws> laws;
+  laws.reserve(kNumCategories16);
+  for (std::size_t c = 0; c < kNumCategories16; ++c) {
+    const Band b = bandOf(c, cfg);
+    // Power law on (runLo, runHi]: sample on [runLo+1, runHi].
+    laws.push_back({BoundedParetoIntSampler(b.runLo + 1, b.runHi,
+                                            cfg.runtimeAlpha),
+                    BoundedParetoIntSampler(b.widthLo, b.widthHi,
+                                            cfg.widthAlpha)});
+  }
+  return laws;
+}
+
 }  // namespace
 
 Trace generateTrace(const SyntheticConfig& cfg) {
@@ -62,6 +83,9 @@ Trace generateTrace(const SyntheticConfig& cfg) {
                 "bad memory range");
   SPS_CHECK_MSG(cfg.diurnalAmplitude >= 0.0 && cfg.diurnalAmplitude < 1.0,
                 "diurnal amplitude must be in [0, 1)");
+  const std::vector<CategoryLaws> laws = categoryLaws(cfg);
+  const CategoricalSampler category(cfg.categoryMix.data(),
+                                    cfg.categoryMix.size());
 
   Rng master(cfg.seed);
   Rng catRng = master.fork();
@@ -77,15 +101,10 @@ Trace generateTrace(const SyntheticConfig& cfg) {
 
   double work = 0.0;
   for (std::size_t i = 0; i < cfg.jobCount; ++i) {
-    const std::size_t cat =
-        catRng.weightedIndex(cfg.categoryMix.data(), cfg.categoryMix.size());
-    const Band b = bandOf(cat, cfg);
+    const CategoryLaws& law = laws[category(catRng)];
     Job j;
-    // Power-law on (runLo, runHi]: sample on [runLo+1, runHi].
-    j.runtime = runRng.boundedParetoInt(b.runLo + 1, b.runHi,
-                                        cfg.runtimeAlpha);
-    j.procs = static_cast<std::uint32_t>(
-        widthRng.boundedParetoInt(b.widthLo, b.widthHi, cfg.widthAlpha));
+    j.runtime = law.runtime(runRng);
+    j.procs = static_cast<std::uint32_t>(law.width(widthRng));
     j.estimate = j.runtime;
     j.memoryMb = static_cast<std::uint32_t>(
         memRng.uniformInt(cfg.memMinMb, cfg.memMaxMb));

@@ -1,4 +1,4 @@
-// SyntheticTraceGenerator — calibrated stand-in for the archive logs.
+// workload::generateTrace — calibrated stand-in for the archive logs.
 //
 // The paper's CTC/SDSC/KTH SP2 subsets are not recoverable, but the paper
 // publishes exactly the workload statistics its phenomena depend on: the
@@ -7,8 +7,10 @@
 // the offered load. This generator samples jobs to match those statistics:
 //
 //   * category: weighted by the paper's published mix;
-//   * runtime: log-uniform within the category's runtime band (Table I);
-//   * width:   log-uniform integers within the category's width band;
+//   * runtime: bounded power law (runtimeAlpha; 1 = log-uniform, the
+//              default) within the category's runtime band (Table I);
+//   * width:   bounded power-law integers (widthAlpha) within the
+//              category's width band, biased toward its narrow end;
 //   * arrival: Poisson process whose rate is solved so the realized offered
 //              load hits the target;
 //   * memory:  uniform [100 MB, 1 GB] per processor (Section V-A).
@@ -37,9 +39,9 @@ struct SyntheticConfig {
   /// Target offered load: total work / (machineProcs x submit span).
   double offeredLoad = 0.65;
 
-  /// Runtime band edges, seconds. Categories draw log-uniformly from
-  /// (lower boundary of their class, upper boundary]. minRuntime applies to
-  /// the VS class only; maxRuntime caps VL.
+  /// Runtime band edges, seconds. Categories draw from (lower boundary of
+  /// their class, upper boundary]. minRuntime applies to the VS class only;
+  /// maxRuntime caps VL.
   Time minRuntime = 15;
   Time maxRuntime = 24 * kHour;
 

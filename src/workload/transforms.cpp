@@ -9,10 +9,12 @@
 namespace sps::workload {
 
 void normalizeTrace(Trace& trace) {
-  std::stable_sort(trace.jobs.begin(), trace.jobs.end(),
-                   [](const Job& a, const Job& b) {
-                     return a.submit < b.submit;
-                   });
+  const auto bySubmit = [](const Job& a, const Job& b) {
+    return a.submit < b.submit;
+  };
+  // A stable sort of sorted input is the identity; skip its pass and buffer.
+  if (!std::is_sorted(trace.jobs.begin(), trace.jobs.end(), bySubmit))
+    std::stable_sort(trace.jobs.begin(), trace.jobs.end(), bySubmit);
   const Time base = trace.jobs.empty() ? 0 : trace.jobs.front().submit;
   for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
     trace.jobs[i].submit -= base;

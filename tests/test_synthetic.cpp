@@ -125,6 +125,18 @@ TEST(Synthetic, RejectsBadConfigs) {
   cfg = ctcConfig(10, 1);
   cfg.maxRuntime = kLongMax;  // VL band empty
   EXPECT_THROW(generateTrace(cfg), InvariantError);
+
+  // Every category's laws are built before the first draw, so a bad alpha
+  // is refused even when only sequential jobs (no width draw) have weight.
+  cfg = ctcConfig(10, 1);
+  cfg.categoryMix.fill(0.0);
+  cfg.categoryMix[0] = 1.0;
+  cfg.widthAlpha = 0.5;
+  EXPECT_THROW(generateTrace(cfg), InvariantError);
+
+  cfg = ctcConfig(10, 1);
+  cfg.runtimeAlpha = 0.9;
+  EXPECT_THROW(generateTrace(cfg), InvariantError);
 }
 
 // Width-bias property: a larger widthAlpha must not increase mean width.
@@ -197,6 +209,60 @@ TEST(Synthetic, HigherWidthAlphaGivesNarrowerJobs) {
     mean /= static_cast<double>(t.jobs.size());
     EXPECT_LT(mean, prevMean);
     prevMean = mean;
+  }
+}
+
+// FNV-1a over every generated field, eight little-endian bytes per field.
+std::uint64_t traceDigest(const Trace& t) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int k = 0; k < 8; ++k) {
+      h ^= (v >> (8 * k)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Job& j : t.jobs) {
+    mix(static_cast<std::uint64_t>(j.submit));
+    mix(static_cast<std::uint64_t>(j.runtime));
+    mix(static_cast<std::uint64_t>(j.estimate));
+    mix(j.procs);
+    mix(j.memoryMb);
+  }
+  return h;
+}
+
+// Pins the generated traces bit for bit: every experiment in the repository
+// starts from these streams, so a faster sampler must reproduce them
+// exactly. The digests were recorded before the per-category samplers.
+TEST(Synthetic, GoldenDigests) {
+  SyntheticConfig diurnal = ctcConfig(2000, 42);
+  diurnal.diurnalAmplitude = 0.4;
+  SyntheticConfig heavyTail = sdscConfig(2000, 42);
+  heavyTail.runtimeAlpha = 1.5;
+  SyntheticConfig sparse = sdscConfig(2000, 7);
+  sparse.categoryMix = {0, 5, 0, 3, 0, 0, 0, 0, 2, 0, 4, 0, 0, 0, 1, 0};
+  const struct {
+    const char* name;
+    SyntheticConfig cfg;
+    std::uint64_t digest;
+  } cases[] = {
+      {"ctc-1", ctcConfig(2000, 1), 0xe029b1577c660b73ULL},
+      {"ctc-42", ctcConfig(2000, 42), 0x0ce36a376c9e82dfULL},
+      {"sdsc-1", sdscConfig(2000, 1), 0xd4195c3cc78843e6ULL},
+      {"sdsc-42", sdscConfig(2000, 42), 0xa80241cdad032ec8ULL},
+      {"kth-1", kthConfig(2000, 1), 0xa59582a33b5831b9ULL},
+      {"kth-42", kthConfig(2000, 42), 0x614a83c55aa201c2ULL},
+      {"sdsc@100000", scaledToMachine(sdscConfig(2000, 42), 100'000),
+       0x7910dfaa2ea4d42bULL},
+      {"ctc-diurnal", diurnal, 0xc7fca9a4138051a1ULL},
+      {"sdsc-runtimeAlpha", heavyTail, 0x1e048903ba4c03b5ULL},
+      {"sdsc-zero-weights", sparse, 0x1fa6d27577094bbcULL},
+  };
+  for (const auto& c : cases) {
+    const Trace t = generateTrace(c.cfg);
+    ASSERT_EQ(t.jobs.size(), 2000u) << c.name;
+    EXPECT_EQ(traceDigest(t), c.digest)
+        << c.name << ": 0x" << std::hex << traceDigest(t);
   }
 }
 

@@ -156,6 +156,70 @@ TEST(Rng, WeightedIndexRejectsZeroTotal) {
   EXPECT_THROW(rng.weightedIndex(w, 2), InvariantError);
 }
 
+// A sampler built once must reproduce the one-shot call it stands for: the
+// same values, and the same number of draws (the next raw output agrees).
+TEST(Rng, SamplersMatchOneShotCalls) {
+  const std::int64_t bands[][2] = {{1, 1},   {7, 7},    {1, 2},
+                                   {2, 8},   {15, 60},  {60, 86400},
+                                   {33, 430}};
+  for (const auto& band : bands) {
+    const std::int64_t lo = band[0];
+    const std::int64_t hi = band[1];
+    for (const double alpha : {1.0, 1.2, 2.2, 3.2}) {
+      SCOPED_TRACE(testing::Message() << "[" << lo << ", " << hi
+                                      << "] alpha " << alpha);
+      Rng a(61);
+      Rng b(61);
+      const BoundedParetoIntSampler ints(lo, hi, alpha);
+      for (int i = 0; i < 200; ++i)
+        ASSERT_EQ(ints(a), b.boundedParetoInt(lo, hi, alpha));
+      EXPECT_EQ(a.next(), b.next());
+
+      const auto dlo = static_cast<double>(lo);
+      const double dhi = static_cast<double>(hi) + 0.5;
+      const BoundedParetoSampler reals(dlo, dhi, alpha);
+      for (int i = 0; i < 200; ++i)
+        ASSERT_EQ(reals(a), b.boundedPareto(dlo, dhi, alpha));
+      EXPECT_EQ(a.next(), b.next());
+    }
+    Rng a(67);
+    Rng b(67);
+    const BoundedParetoIntSampler logUniform(lo, hi, 1.0);
+    for (int i = 0; i < 200; ++i)
+      ASSERT_EQ(logUniform(a), b.logUniformInt(lo, hi));
+    EXPECT_EQ(a.next(), b.next());
+  }
+
+  const double weights[] = {0.0, 3.0, 0.0, 1e-300, 5.0, 0.0};
+  const CategoricalSampler category(weights, 6);
+  Rng a(71);
+  Rng b(71);
+  for (int i = 0; i < 2000; ++i)
+    ASSERT_EQ(category(a), b.weightedIndex(weights, 6));
+  EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(Rng, PointBandDrawsNothing) {
+  // lo == hi returns lo without a draw, and never reads alpha, as the
+  // one-shot call never did.
+  Rng a(73);
+  Rng fresh(73);
+  const BoundedParetoIntSampler point(5, 5, 0.5);
+  EXPECT_EQ(point(a), 5);
+  EXPECT_EQ(a.boundedParetoInt(5, 5, 0.5), 5);
+  EXPECT_EQ(a.next(), fresh.next());
+}
+
+TEST(Rng, SamplersCheckArgumentsAtConstruction) {
+  EXPECT_THROW(BoundedParetoIntSampler(0, 5, 2.0), InvariantError);
+  EXPECT_THROW(BoundedParetoIntSampler(5, 3, 2.0), InvariantError);
+  EXPECT_THROW(BoundedParetoIntSampler(2, 8, 0.5), InvariantError);
+  EXPECT_THROW(BoundedParetoSampler(10.0, 10.0, 2.0), InvariantError);
+  const double negative[] = {1.0, -1.0};
+  EXPECT_THROW(CategoricalSampler(negative, 2), InvariantError);
+  EXPECT_THROW(CategoricalSampler(negative, 0), InvariantError);
+}
+
 TEST(Rng, ForkProducesIndependentStream) {
   Rng a(59);
   Rng b = a.fork();

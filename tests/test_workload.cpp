@@ -141,6 +141,48 @@ TEST(Normalize, StableForEqualSubmits) {
   for (int i = 0; i < 5; ++i) EXPECT_EQ(t.jobs[static_cast<std::size_t>(i)].runtime, 10 + i);
 }
 
+TEST(Normalize, SortedInputKeepsOrderRebasesAndRenumbers) {
+  Trace t;
+  t.machineProcs = 8;
+  const Time submits[] = {100, 100, 250, 250, 250, 400};
+  for (int i = 0; i < 6; ++i) {
+    Job j;
+    j.id = static_cast<JobId>(40 - i);
+    j.submit = submits[i];
+    j.runtime = j.estimate = 10 + i;  // distinguishes original order
+    j.procs = 1;
+    t.jobs.push_back(j);
+  }
+  normalizeTrace(t);
+  const Time rebased[] = {0, 0, 150, 150, 150, 300};
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(t.jobs[i].submit, rebased[i]);
+    EXPECT_EQ(t.jobs[i].runtime, 10 + static_cast<Time>(i));
+    EXPECT_EQ(t.jobs[i].id, static_cast<JobId>(i));
+  }
+}
+
+TEST(Normalize, UnsortedInputIsStableSorted) {
+  Trace t;
+  t.machineProcs = 8;
+  const Time submits[] = {300, 100, 300, 100, 200};
+  for (int i = 0; i < 5; ++i) {
+    Job j;
+    j.submit = submits[i];
+    j.runtime = j.estimate = 10 + i;
+    j.procs = 1;
+    t.jobs.push_back(j);
+  }
+  normalizeTrace(t);
+  const Time sortedSubmits[] = {0, 0, 100, 200, 200};
+  const Time runtimes[] = {11, 13, 14, 10, 12};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(t.jobs[i].submit, sortedSubmits[i]);
+    EXPECT_EQ(t.jobs[i].runtime, runtimes[i]);
+    EXPECT_EQ(t.jobs[i].id, static_cast<JobId>(i));
+  }
+}
+
 TEST(ScaleLoad, DividesArrivals) {
   const Trace t = makeTrace(16, {{0, 10, 2}, {100, 10, 2}, {220, 10, 2}});
   const Trace s = scaleLoad(t, 2.0);
