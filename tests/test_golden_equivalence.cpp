@@ -12,12 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "check/diff_harness.hpp"
 #include "core/experiment.hpp"
 #include "core/simulation.hpp"
 #include "helpers.hpp"
@@ -288,6 +291,144 @@ TEST(GoldenEquivalenceEdge, DeferredStartAtAnchorEqualsNow) {
     EXPECT_EQ(s.firstStart[2], 10) << "mode " << static_cast<int>(mode);
     EXPECT_EQ(s.finish[2], 15);
   }
+}
+
+/// FNV-1a over a schedule: every transition (time, job, from, to), then
+/// each job's (firstStart, finish, suspendCount), each field as eight
+/// little-endian bytes.
+std::uint64_t scheduleDigest(const Schedule& schedule) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& [t, id, from, to] : schedule.transitions) {
+    mix(static_cast<std::uint64_t>(t));
+    mix(id);
+    mix(static_cast<std::uint64_t>(from));
+    mix(static_cast<std::uint64_t>(to));
+  }
+  for (std::size_t id = 0; id < schedule.finish.size(); ++id) {
+    mix(static_cast<std::uint64_t>(schedule.firstStart[id]));
+    mix(static_cast<std::uint64_t>(schedule.finish[id]));
+    mix(schedule.suspendCount[id]);
+  }
+  return h;
+}
+
+// Recorded schedules. Golden equivalence compares the two kernel modes,
+// which share the placement code (which free processors a start takes), so
+// a placement change moves both alike and that suite cannot see it; IS and
+// gang have one mode only. These digests pin the schedules themselves:
+// every registry token (TSS limits as the fuzzer resolves them), SS under
+// each owed-processor discipline and in the migratable model, each with
+// and without the disk-swap overhead model (claimant starts only happen
+// with one). A digest moves only when a schedule does.
+TEST(ScheduleDigest, MatchesRecordedSchedules) {
+  struct Expected {
+    const char* trace;
+    const char* label;
+    bool overhead;
+    std::uint64_t digest;
+  };
+  static constexpr Expected kExpected[] = {
+      {"ctc", "fcfs", false, 10167876247341469598ull},
+      {"ctc", "fcfs", true, 10167876247341469598ull},
+      {"ctc", "conservative", false, 939196895554464954ull},
+      {"ctc", "conservative", true, 939196895554464954ull},
+      {"ctc", "easy", false, 3630666699241926922ull},
+      {"ctc", "easy", true, 3630666699241926922ull},
+      {"ctc", "sjf", false, 6083210092390750806ull},
+      {"ctc", "sjf", true, 6083210092390750806ull},
+      {"ctc", "depth:2", false, 4919728568768394998ull},
+      {"ctc", "depth:2", true, 4919728568768394998ull},
+      {"ctc", "ss:2", false, 8760919509582779074ull},
+      {"ctc", "ss:2", true, 12953264795355706858ull},
+      {"ctc", "ss:1.5", false, 17331647382634083977ull},
+      {"ctc", "ss:1.5", true, 813765473164240705ull},
+      {"ctc", "tss:2", false, 8760919509582779074ull},
+      {"ctc", "tss:2", true, 12953264795355706858ull},
+      {"ctc", "tss-online:2", false, 8760919509582779074ull},
+      {"ctc", "tss-online:2", true, 12953264795355706858ull},
+      {"ctc", "is", false, 15539780077862495852ull},
+      {"ctc", "is", true, 2760493537322063091ull},
+      {"ctc", "gang", false, 6697333831919599381ull},
+      {"ctc", "gang", true, 12826477171357955580ull},
+      {"ctc", "ss:2 squat", false, 9552782274197791876ull},
+      {"ctc", "ss:2 squat", true, 1152649935656739417ull},
+      {"ctc", "ss:2 prefer", false, 1725343019187517954ull},
+      {"ctc", "ss:2 prefer", true, 11899569120200134134ull},
+      {"ctc", "ss:2 migratable", false, 5480785034656095498ull},
+      {"ctc", "ss:2 migratable", true, 7376184555073022512ull},
+      {"sdsc", "fcfs", false, 14610260309784136845ull},
+      {"sdsc", "fcfs", true, 14610260309784136845ull},
+      {"sdsc", "conservative", false, 14017156042290074509ull},
+      {"sdsc", "conservative", true, 14017156042290074509ull},
+      {"sdsc", "easy", false, 11464292782229329909ull},
+      {"sdsc", "easy", true, 11464292782229329909ull},
+      {"sdsc", "sjf", false, 8178403925905896157ull},
+      {"sdsc", "sjf", true, 8178403925905896157ull},
+      {"sdsc", "depth:2", false, 15512343560919557833ull},
+      {"sdsc", "depth:2", true, 15512343560919557833ull},
+      {"sdsc", "ss:2", false, 14452781575196203979ull},
+      {"sdsc", "ss:2", true, 7007532575549113248ull},
+      {"sdsc", "ss:1.5", false, 14449740796711855528ull},
+      {"sdsc", "ss:1.5", true, 10120855162407457636ull},
+      {"sdsc", "tss:2", false, 8648651096049887061ull},
+      {"sdsc", "tss:2", true, 14025560373249817598ull},
+      {"sdsc", "tss-online:2", false, 2895295559487748916ull},
+      {"sdsc", "tss-online:2", true, 1811829624682254856ull},
+      {"sdsc", "is", false, 7021497613643698369ull},
+      {"sdsc", "is", true, 10588621377759650731ull},
+      {"sdsc", "gang", false, 1426721219282579042ull},
+      {"sdsc", "gang", true, 17960636782934964007ull},
+      {"sdsc", "ss:2 squat", false, 7415956195697277359ull},
+      {"sdsc", "ss:2 squat", true, 14604239849740057711ull},
+      {"sdsc", "ss:2 prefer", false, 3951326145565551439ull},
+      {"sdsc", "ss:2 prefer", true, 953513358880337309ull},
+      {"sdsc", "ss:2 migratable", false, 4609608196049129992ull},
+      {"sdsc", "ss:2 migratable", true, 17875849370145408948ull},
+  };
+  std::size_t next = 0;
+  for (const char* traceKind : {"ctc", "sdsc"}) {
+    const workload::Trace trace = generateTrace(
+        std::string(traceKind) == "ctc" ? workload::ctcConfig(2000, 42)
+                                        : workload::sdscConfig(2000, 42));
+    std::vector<std::pair<std::string, core::PolicySpec>> specs;
+    for (const std::string& token : sched::knownPolicyTokens())
+      specs.emplace_back(token, check::resolveCaseSpec({token, false, trace}));
+    core::PolicySpec ss = sched::specFromToken("ss:2");
+    ss.ss.owedProcs = sched::OwedProcsPolicy::Squat;
+    specs.emplace_back("ss:2 squat", ss);
+    ss.ss.owedProcs = sched::OwedProcsPolicy::Prefer;
+    specs.emplace_back("ss:2 prefer", ss);
+    ss = sched::specFromToken("ss:2");
+    ss.ss.migratableJobs = true;
+    specs.emplace_back("ss:2 migratable", ss);
+    const sched::DiskSwapOverhead swap(trace);
+    for (const auto& [label, spec] : specs) {
+      for (const bool overhead : {false, true}) {
+        const std::uint64_t digest = scheduleDigest(
+            runSchedule(trace, spec, KernelMode::Incremental,
+                        overhead ? &swap : nullptr));
+        std::ostringstream row;
+        row << "{\"" << traceKind << "\", \"" << label << "\", "
+            << (overhead ? "true" : "false") << ", " << digest << "ull},";
+        if (next == std::size(kExpected)) {
+          ADD_FAILURE() << "unrecorded run " << row.str();
+          continue;
+        }
+        const Expected& want = kExpected[next++];
+        EXPECT_EQ(want.trace, std::string(traceKind));
+        EXPECT_EQ(want.label, label);
+        EXPECT_EQ(want.overhead, overhead);
+        EXPECT_EQ(want.digest, digest) << "recorded row now reads " << row.str();
+      }
+    }
+  }
+  EXPECT_EQ(next, std::size(kExpected));
 }
 
 // Small end-to-end sweep (the second half of the perf-smoke gate): every
