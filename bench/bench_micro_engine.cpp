@@ -226,12 +226,13 @@ void runKernelSweep() {
               << checkOverhead << "x overhead), timeline " << tl.eventsPerSec
               << " ev/s (" << timelineOverhead << "x overhead)\n";
   }
-  // Large-machine lanes: the scale-out configurations ROADMAP item 2 asks
-  // for, riding the same policies array so perf_guard covers them like any
-  // other lane. SDSC mix re-targeted at 16k and 100k processors (width
-  // bands scale proportionally); fewer jobs than the paper-scale sweep so
-  // the sweep's wall time stays bounded — events/s is per-lane comparable
-  // against its own baseline, which is all the guard checks.
+  // Large-machine lanes: per-event cost must also be measured on machines
+  // far wider than the paper's, so these ride the same policies array and
+  // perf_guard covers them like any other lane. SDSC mix re-targeted at
+  // 16k and 100k processors (width bands scale proportionally); fewer jobs
+  // than the paper-scale sweep so the sweep's wall time stays bounded —
+  // events/s is per-lane comparable against its own baseline, which is all
+  // the guard checks.
   struct BigLane {
     const char* label;
     std::uint32_t procs;

@@ -206,21 +206,8 @@ void stampEstimates(Rng& rng, workload::Trace& trace) {
 
 }  // namespace
 
-core::PolicySpec policyFromToken(const std::string& token) {
-  // The shared registry parses; harness callers expect InputError.
-  try {
-    return sched::specFromToken(token);
-  } catch (const std::invalid_argument& e) {
-    throw InputError(e.what());
-  }
-}
-
-std::vector<std::string> fuzzPolicyTokens() {
-  return sched::knownPolicyTokens();
-}
-
 core::PolicySpec resolveCaseSpec(const FuzzCase& c) {
-  core::PolicySpec spec = policyFromToken(c.policyToken);
+  core::PolicySpec spec = sched::specFromToken(c.policyToken);
   if (c.policyToken.rfind("tss:", 0) == 0)
     spec.ss.tssLimits = core::bootstrapTssLimits(c.trace);
   return spec;
@@ -487,7 +474,7 @@ FuzzCase readRepro(std::istream& is) {
   if (!sawHeader) throw InputError("repro: missing 'sps-repro 1' header");
   if (!sawPolicy) throw InputError("repro: missing policy line");
   if (c.trace.jobs.empty()) throw InputError("repro: no jobs");
-  (void)policyFromToken(c.policyToken);  // validate the token eagerly
+  (void)sched::specFromToken(c.policyToken);  // validate the token eagerly
   workload::normalizeTrace(c.trace);
   workload::validateTrace(c.trace);
   return c;

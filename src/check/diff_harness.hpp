@@ -39,20 +39,12 @@ struct FuzzCase {
   workload::Trace trace;
 };
 
-/// Parse a policy token into a spec (kernel mode left at default). Throws
-/// InputError on an unknown token. The "tss:" bootstrap marker is resolved
-/// by the harness, which owns the trace.
-[[nodiscard]] core::PolicySpec policyFromToken(const std::string& token);
-
-/// Resolve a case's full spec, including the "tss:" bootstrap (limits
+/// Resolve a case's full spec (sched::specFromToken, which throws
+/// InputError on an unknown token), including the "tss:" bootstrap (limits
 /// calibrated from the case trace's own NS run — deterministic and
 /// kernel-mode independent, so every lane of a diff sees identical
 /// limits).
 [[nodiscard]] core::PolicySpec resolveCaseSpec(const FuzzCase& c);
-
-/// The standing fuzz set: every policy family x the paper's interesting
-/// parameter points. Each runs under both kernel modes per case.
-[[nodiscard]] std::vector<std::string> fuzzPolicyTokens();
 
 /// Seeded adversarial workload generator. Rotates through shapes the
 /// golden suite never covers: workload::generateTrace runs concentrated on

@@ -160,11 +160,11 @@ void ImmediateService::dispatch(sim::Simulator& simulator) {
       simulator.resumeJob(id);
     } else {
       // Prefer processors no suspended job is owed, so suspended jobs are
-      // not stranded behind squatters.
-      if ((simulator.freeSet() - owed).count() >= simulator.job(id).procs)
-        simulator.startJobAvoiding(id, owed);
-      else
-        simulator.startJob(id);
+      // not stranded behind squatters: fence the owed set whenever the job
+      // fits outside it.
+      const bool fitsUnowed =
+          (simulator.freeSet() - owed).count() >= simulator.job(id).procs;
+      simulator.startJob(id, fitsUnowed ? owed : sim::kNoProcs);
       if (simulator.job(id).estimate > config_.quantum)
         simulator.scheduleTimer(simulator.now() + config_.quantum, id);
     }

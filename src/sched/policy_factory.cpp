@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <sstream>
-#include <stdexcept>
 
 #include "sched/fcfs.hpp"
 #include "util/check.hpp"
@@ -28,16 +27,15 @@ Token splitToken(const std::string& token) {
 /// form it takes.
 void requireParam(const Token& t, const char* form) {
   if (!t.hasParam)
-    throw std::invalid_argument("policy token '" + t.name +
-                                "' needs a parameter: " + form);
+    throw InputError("policy token '" + t.name + "' needs a parameter: " +
+                     form);
 }
 
 double parseFactor(const std::string& token, const std::string& param) {
   std::istringstream is(param);
   double value = 0.0;
   if (!(is >> value) || !is.eof() || value <= 0.0)
-    throw std::invalid_argument("bad parameter in policy token '" + token +
-                                "'");
+    throw InputError("bad parameter in policy token '" + token + "'");
   return value;
 }
 
@@ -48,8 +46,8 @@ std::size_t parseDepth(const std::string& token, const std::string& param) {
   const char* const end = param.data() + param.size();
   const auto [ptr, ec] = std::from_chars(param.data(), end, value);
   if (ec != std::errc{} || ptr != end || value == 0)
-    throw std::invalid_argument("bad parameter in policy token '" + token +
-                                "': expected depth:K (K >= 1) or depth:inf");
+    throw InputError("bad parameter in policy token '" + token +
+                     "': expected depth:K (K >= 1) or depth:inf");
   return value;
 }
 
@@ -131,12 +129,12 @@ PolicySpec specFromToken(const std::string& token) {
     spec.kind = PolicyKind::SelectiveSuspension;
     spec.ss.tssOnlineMultiplier = parseFactor(token, param);
   } else {
-    throw std::invalid_argument("unknown policy token: '" + token + "'");
+    throw InputError("unknown policy token: '" + token + "'");
   }
   if (t.hasParam && name != "depth" &&
       spec.kind != PolicyKind::SelectiveSuspension)
-    throw std::invalid_argument("policy token '" + token + "': " + name +
-                                " takes no parameter");
+    throw InputError("policy token '" + token + "': " + name +
+                     " takes no parameter");
   return spec;
 }
 

@@ -70,8 +70,8 @@ struct PolicySpec {
 /// Parse the shared textual policy form, "name" or "name:param". The
 /// returned spec's label is the token itself. "tss:SF" sets the suspension
 /// factor only — the caller supplies the per-category limits (they are
-/// derived from a calibration run of the target trace). Throws
-/// std::invalid_argument on an unknown name, a malformed or missing
+/// derived from a calibration run of the target trace). Throws InputError
+/// (a token is user input) on an unknown name, a malformed or missing
 /// parameter, or a parameter on a name that takes none.
 [[nodiscard]] PolicySpec specFromToken(const std::string& token);
 

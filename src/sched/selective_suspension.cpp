@@ -213,23 +213,20 @@ bool SelectiveSuspension::fencedByClaim(const sim::Simulator& s,
 
 const sim::ProcSet& SelectiveSuspension::suspendedSets(
     const sim::Simulator& s) const {
-  static const sim::ProcSet kNoneOwed;
   // Migration: nothing is owed. Otherwise the simulator's refcounted owed
   // aggregate is exactly the union the old per-call suspended-list scan
   // rebuilt (sps::check audits the equality on every transition sweep).
-  return config_.migratableJobs ? kNoneOwed : s.suspendedOwedSet();
+  return config_.migratableJobs ? sim::kNoProcs : s.suspendedOwedSet();
 }
 
 std::uint32_t SelectiveSuspension::freshFreeCount(
     const sim::Simulator& s) const {
-  // Under the lease discipline, processors owed to OTHER suspended jobs are
-  // not usable — a fresh preemptor runs on its victims' processors plus
-  // unowed free ones.
+  // A fresh start never takes its placement's hard fence: under the lease
+  // discipline that includes the processors owed to suspended jobs, so a
+  // fresh preemptor runs on its victims' processors plus unowed free ones.
   s.counters().inc(obs::Counter::FenceScans);
-  sim::ProcSet offLimits = claimedSet(s);
-  if (config_.owedProcs == OwedProcsPolicy::Lease) offLimits |= suspendedSets(s);
   const std::uint32_t countFence = claimedCount(s);
-  const std::uint32_t usableFree = (s.freeSet() - offLimits).count();
+  const std::uint32_t usableFree = (s.freeSet() - placement(s).hard).count();
   return usableFree >= countFence ? usableFree - countFence : 0;
 }
 
@@ -245,19 +242,14 @@ void SelectiveSuspension::refreshFreshPath(const sim::Simulator& s) {
   victimSteps_.build(victimIndex_, limits);
 }
 
-void SelectiveSuspension::startFreshPreferring(sim::Simulator& s, JobId id) {
-  const sim::ProcSet fenced = claimedSet(s);
-  switch (config_.owedProcs) {
-    case OwedProcsPolicy::Squat:
-      s.startJobAvoiding(id, fenced);
-      break;
-    case OwedProcsPolicy::Prefer:
-      s.startJobPreferring(id, suspendedSets(s), fenced);
-      break;
-    case OwedProcsPolicy::Lease:
-      s.startJobAvoiding(id, fenced | suspendedSets(s));
-      break;
-  }
+SelectiveSuspension::Placement SelectiveSuspension::placement(
+    const sim::Simulator& s, bool paidClaimant) const {
+  const OwedProcsPolicy owed =
+      paidClaimant ? OwedProcsPolicy::Prefer : config_.owedProcs;
+  if (owed == OwedProcsPolicy::Lease)
+    return {claimedSet(s) | suspendedSets(s), sim::kNoProcs};
+  return {claimedSet(s),
+          owed == OwedProcsPolicy::Prefer ? suspendedSets(s) : sim::kNoProcs};
 }
 
 bool SelectiveSuspension::victimEligible(const sim::Simulator& s,
@@ -317,19 +309,18 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
           break;
         }
       } else {
-        const sim::ProcSet fenced = claimedSet(simulator);
-        const sim::ProcSet usable = simulator.freeSet() - fenced;
-        if (usable.count() >= simulator.job(c.job).procs) {
+        // The claimant paid for its victims' processors; everything else
+        // owed to suspended jobs is touched only for the shortfall. A
+        // suspended claimant only arises in the migratable model (its
+        // count-based claim could not otherwise exist).
+        const Placement paid = placement(simulator, /*paidClaimant=*/true);
+        if ((simulator.freeSet() - paid.hard).count() >=
+            simulator.job(c.job).procs) {
           claims_.erase(claims_.begin() + static_cast<std::ptrdiff_t>(i));
-          // The claimant paid for its victims' processors; everything else
-          // owed to suspended jobs is touched only for the shortfall. A
-          // suspended claimant only arises in the migratable model (its
-          // count-based claim could not otherwise exist).
           if (simulator.state(c.job) == sim::JobState::Suspended)
-            simulator.resumeJobMigrating(c.job, fenced);
+            simulator.resumeJobMigrating(c.job, paid.hard);
           else
-            simulator.startJobPreferring(c.job, suspendedSets(simulator),
-                                         fenced);
+            simulator.startJob(c.job, paid.hard, paid.soft);
           progress = true;
           break;
         }
@@ -438,20 +429,18 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
 
   // Backfilling without guarantees: walk queued jobs in priority order and
   // start anything that fits on unclaimed capacity; do not stop at the
-  // first job that does not fit. The suspended-set lease fence is fixed for
-  // the whole walk (starting a job never changes the suspended set), so it
-  // is computed once, after the resume walk above settled it.
-  sim::ProcSet unusable = fenced;
-  if (config_.owedProcs == OwedProcsPolicy::Lease)
-    unusable |= suspendedSets(simulator);
+  // first job that does not fit. Starting a job changes neither the claims
+  // nor the owed sets, so the placement is fixed for the whole walk; it is
+  // taken once, after the resume walk above settled the owed sets.
+  const Placement fresh = placement(simulator);
   if (!incremental ||
       (!simulator.queuedJobs().empty() && simulator.freeCount() != 0)) {
     walk(
-        IdleState::Queued, unusable,
+        IdleState::Queued, fresh.hard,
         [&](JobId id) {
           return usableCount >= simulator.job(id).procs + countFence;
         },
-        [&](JobId id) { startFreshPreferring(simulator, id); });
+        [&](JobId id) { simulator.startJob(id, fresh.hard, fresh.soft); });
   }
 }
 
@@ -519,12 +508,15 @@ void SelectiveSuspension::executeFreshPreemption(
   } else {
     // Use the victims' processors in preference to (Lease: instead of)
     // processors owed to other suspended jobs — squatting on an owed
-    // set strands its owner until the squatter completes.
+    // set strands its owner until the squatter completes. This is not
+    // placement(): the victims' own sets, now owed to them, are left out
+    // of both fences, and the other owners' sets stay soft under Squat,
+    // which a fresh start ignores.
     const sim::ProcSet owedOthers = suspendedSets(simulator) - victimProcs;
     if (config_.owedProcs == OwedProcsPolicy::Lease)
-      simulator.startJobAvoiding(id, claimedSet(simulator) | owedOthers);
+      simulator.startJob(id, claimedSet(simulator) | owedOthers);
     else
-      simulator.startJobPreferring(id, owedOthers, claimedSet(simulator));
+      simulator.startJob(id, claimedSet(simulator), owedOthers);
   }
 }
 

@@ -52,11 +52,13 @@ enum class OwedProcsPolicy {
   /// Draw from un-owed processors first, dip into owed sets for shortfall.
   Prefer,
   /// Hard lease: fresh jobs never take owed processors; only the preemption
-  /// path may (a preemptor consumes its own victims' processors). This is
-  /// the only discipline under which suspended jobs are guaranteed to
-  /// reassemble their sets within their occupants' remaining runtimes, and
-  /// it is required to reproduce the paper's utilization-vs-load results
-  /// (Figs. 35/38) — see bench_ablation_allocation.
+  /// path may (a preemptor consumes its own victims' processors). It is
+  /// required to reproduce the paper's utilization-vs-load results
+  /// (Figs. 35/38) — see bench_ablation_allocation — but it does not bound
+  /// an owner's wait: at CTC load 0.85 with 32k jobs, 464 of 2,730 owners
+  /// resumed after the latest estimated end of the jobs running on their
+  /// sets, by up to 430,300 s, and at 128k jobs SS reaches 57.4%
+  /// utilization against EASY's 84.5%. The leak is not yet attributed.
   Lease,
 };
 
@@ -166,17 +168,28 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   [[nodiscard]] const sim::ProcSet& suspendedSets(
       const sim::Simulator& s) const;
 
-  /// Free processors a fresh preemptor may use now: free, less the claim
-  /// fences (and, under Lease, the owed sets), less the count claims.
-  /// Counts one fence scan.
+  /// Where a start may take processors, as Simulator::startJob's two
+  /// sets: never from `hard`, from `soft` only for the shortfall.
+  struct Placement {
+    sim::ProcSet hard;
+    const sim::ProcSet& soft;
+  };
+
+  /// The one reader of OwedProcsPolicy. A fresh start fences the exact
+  /// claims and, under Lease, the owed sets; under Prefer the owed sets are
+  /// soft; under Squat they are ignored. A count claimant whose victims
+  /// have drained (`paidClaimant`) places as under Prefer whatever the
+  /// discipline: its victims' processors are owed to them now.
+  [[nodiscard]] Placement placement(const sim::Simulator& s,
+                                    bool paidClaimant = false) const;
+
+  /// Free processors a fresh preemptor may use now: free, less the fresh
+  /// placement's hard fence, less the count claims. Counts one fence scan.
   [[nodiscard]] std::uint32_t freshFreeCount(const sim::Simulator& s) const;
 
   /// Rebuild the fresh path's state for the current machine: freeNow_ and
   /// victimSteps_ at the current TSS limits.
   void refreshFreshPath(const sim::Simulator& s);
-
-  /// Start a fresh job, preferring processors no suspended job is owed.
-  void startFreshPreferring(sim::Simulator& s, JobId id);
 
   /// Victim-protection test: priority ratio, TSS limit, and (for fresh
   /// preemptors) the half-width rule. Callers count the test

@@ -18,49 +18,33 @@ void Machine::advance(Time now) {
   lastChange_ = now;
 }
 
-ProcSet Machine::allocate(std::uint32_t n, Time now) {
+ProcSet Machine::allocate(std::uint32_t n, Time now,
+                          const ProcSet& hardAvoid,
+                          const ProcSet& softAvoid) {
   SPS_CHECK_MSG(n > 0, "allocate(0)");
   SPS_CHECK_MSG(n <= freeCount(),
                 "allocate(" << n << ") with only " << freeCount() << " free");
+  ProcSet chosen = hardAvoid.empty() && softAvoid.empty()
+                       ? free_.lowest(n)
+                       : lowestAvoiding(n, hardAvoid, softAvoid);
   advance(now);
-  ProcSet chosen = free_.lowest(n);
   free_ -= chosen;
   freeCount_ -= n;
   return chosen;
 }
 
-ProcSet Machine::allocateAvoiding(std::uint32_t n, const ProcSet& avoid,
-                                  Time now) {
-  SPS_CHECK_MSG(n > 0, "allocateAvoiding(0)");
-  const ProcSet pool = free_ - avoid;
-  SPS_CHECK_MSG(n <= pool.count(), "allocateAvoiding(" << n << ") with only "
-                                       << pool.count()
-                                       << " unreserved free processors");
-  advance(now);
-  ProcSet chosen = pool.lowest(n);
-  free_ -= chosen;
-  freeCount_ -= n;
-  return chosen;
-}
-
-ProcSet Machine::allocatePreferring(std::uint32_t n, const ProcSet& softAvoid,
-                                    const ProcSet& hardAvoid, Time now) {
-  SPS_CHECK_MSG(n > 0, "allocatePreferring(0)");
+ProcSet Machine::lowestAvoiding(std::uint32_t n, const ProcSet& hardAvoid,
+                                const ProcSet& softAvoid) const {
+  // One set for both tiers would let the shortfall take fenced processors
+  // (the differential fuzzer's first find), so the fence is applied first.
   const ProcSet pool = free_ - hardAvoid;
-  SPS_CHECK_MSG(n <= pool.count(), "allocatePreferring(" << n << ") with only "
-                                       << pool.count()
-                                       << " unfenced free processors");
-  advance(now);
-  const ProcSet preferred = pool - softAvoid;
-  ProcSet chosen;
-  if (preferred.count() >= n) {
-    chosen = preferred.lowest(n);
-  } else {
-    chosen = preferred;
-    chosen |= (pool & softAvoid).lowest(n - preferred.count());
-  }
-  free_ -= chosen;
-  freeCount_ -= n;
+  const std::uint32_t unfenced = pool.count();
+  SPS_CHECK_MSG(n <= unfenced, "allocate(" << n << ") with only " << unfenced
+                                           << " unfenced free processors");
+  ProcSet chosen = pool - softAvoid;
+  const std::uint32_t clear = chosen.count();
+  if (clear >= n) return chosen.lowest(n);
+  chosen |= (pool & softAvoid).lowest(n - clear);
   return chosen;
 }
 

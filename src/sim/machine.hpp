@@ -27,26 +27,15 @@ class Machine {
   [[nodiscard]] std::uint32_t busyCount() const { return total_ - freeCount(); }
   [[nodiscard]] const ProcSet& freeSet() const { return free_; }
 
-  /// Allocate the `n` lowest-numbered free processors at time `now`.
-  /// Requires n <= freeCount(). First-fit-by-number keeps allocation
-  /// deterministic and maximally packs low processor IDs.
-  ProcSet allocate(std::uint32_t n, Time now);
-
-  /// Allocate the `n` lowest-numbered free processors that are NOT in
-  /// `avoid`. Used by preemptive policies to keep freshly-freed processors
-  /// reserved for the preemptor that paid for them. Requires n free
-  /// processors outside `avoid`.
-  ProcSet allocateAvoiding(std::uint32_t n, const ProcSet& avoid, Time now);
-
-  /// Allocate `n` free processors in two tiers: outside both avoid sets
-  /// first, dipping into `softAvoid` only for the shortfall — minimizes the
-  /// overlap with processor sets owed to suspended jobs when full avoidance
-  /// is impossible. `hardAvoid` is a fence and is never touched (found by
-  /// the differential fuzzer: folding both tiers into one set let the
-  /// shortfall path hand out fenced processors). Requires n free
-  /// processors outside `hardAvoid`.
-  ProcSet allocatePreferring(std::uint32_t n, const ProcSet& softAvoid,
-                             const ProcSet& hardAvoid, Time now);
+  /// Allocate `n` free processors at time `now`: the lowest-numbered ones
+  /// outside both avoid sets, then the lowest-numbered ones in `softAvoid`
+  /// for any shortfall, and never one in `hardAvoid`. Requires `n` free
+  /// processors outside `hardAvoid`. First-fit-by-number keeps allocation
+  /// deterministic and packs low processor IDs; with both sets empty (the
+  /// defaults) it takes the lowest free processors without building a pool.
+  ProcSet allocate(std::uint32_t n, Time now,
+                   const ProcSet& hardAvoid = kNoProcs,
+                   const ProcSet& softAvoid = kNoProcs);
 
   /// Allocate exactly `procs` (all must currently be free) — the resume path
   /// of a suspended job, which must reclaim its original processors.
@@ -60,6 +49,10 @@ class Machine {
 
  private:
   void advance(Time now);
+  /// allocate()'s choice when a set is non-empty; allocates nothing.
+  [[nodiscard]] ProcSet lowestAvoiding(std::uint32_t n,
+                                       const ProcSet& hardAvoid,
+                                       const ProcSet& softAvoid) const;
 
   std::uint32_t total_;
   ProcSet free_;

@@ -39,7 +39,7 @@ class ProcSet {
   static constexpr std::size_t kInlineWords = kInlineBits / 64;
 
   /// The empty set.
-  ProcSet() : words_{} {}
+  constexpr ProcSet() : words_{} {}
 
   /// The set {0, 1, ..., n-1}, for any n.
   static ProcSet firstN(std::uint32_t n);
@@ -144,5 +144,9 @@ class ProcSet {
   /// Bits [extBase_*64, (extBase_+ext_.size())*64): the large-set window.
   std::vector<std::uint64_t> ext_;
 };
+
+/// The shared empty set: the default of every "avoid nothing" argument and
+/// the set of a job that holds no processors.
+inline const ProcSet kNoProcs;
 
 }  // namespace sps::sim

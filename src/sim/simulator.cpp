@@ -46,8 +46,6 @@ const char* eventTypeName(EventType type) {
 
 }  // namespace
 
-const ProcSet Simulator::kNoProcs;
-
 const char* jobStateName(JobState state) {
   switch (state) {
     case JobState::NotArrived: return "NotArrived";
@@ -348,58 +346,16 @@ void Simulator::beginSegment(JobId id) {
   notifyStateChange(id, from, JobState::Running);
 }
 
-void Simulator::startJob(JobId id) {
-  JobExec& x = exec_[id];
+void Simulator::startJob(JobId id, const ProcSet& hardAvoid,
+                         const ProcSet& softAvoid) {
   SPS_CHECK_MSG(states_[id] == JobState::Queued,
                 "startJob(" << id << ") in state "
                             << jobStateName(states_[id]));
-  SPS_CHECK_MSG(x.suspendCount == 0,
+  SPS_CHECK_MSG(exec_[id].suspendCount == 0,
                 "startJob(" << id << ") on a previously-suspended job; use "
                                "resumeJob");
-  const std::uint32_t want = job(id).procs;
-  SPS_CHECK_MSG(want <= machine_.freeCount(),
-                "startJob(" << id << "): wants " << want << ", free "
-                            << machine_.freeCount());
-  takeProcSlot(id, machine_.allocate(want, now_));
-  removeFrom(queued_, id);
-  queuedWork_ -= queuedWorkOf(id);
-  beginSegment(id);
-}
-
-void Simulator::startJobAvoiding(JobId id, const ProcSet& avoid) {
-  JobExec& x = exec_[id];
-  SPS_CHECK_MSG(states_[id] == JobState::Queued,
-                "startJobAvoiding(" << id << ") in state "
-                                    << jobStateName(states_[id]));
-  SPS_CHECK_MSG(x.suspendCount == 0,
-                "startJobAvoiding(" << id << ") on a previously-suspended "
-                                       "job; use resumeJob");
-  // `avoid` may alias a pooled set: it is read before the slot is taken.
-  takeProcSlot(id, machine_.allocateAvoiding(job(id).procs, avoid, now_));
-  removeFrom(queued_, id);
-  queuedWork_ -= queuedWorkOf(id);
-  beginSegment(id);
-}
-
-void Simulator::startJobPreferring(JobId id, const ProcSet& softAvoid,
-                                   const ProcSet& hardAvoid) {
-  JobExec& x = exec_[id];
-  SPS_CHECK_MSG(states_[id] == JobState::Queued,
-                "startJobPreferring(" << id << ") in state "
-                                      << jobStateName(states_[id]));
-  SPS_CHECK_MSG(x.suspendCount == 0,
-                "startJobPreferring(" << id << ") on a previously-suspended "
-                                         "job; use resumeJob");
-  // Fence the hard set by pre-removing it from the pool: allocate from the
-  // remaining free processors, preferring those outside softAvoid.
-  const ProcSet pool = machine_.freeSet() - hardAvoid;
-  SPS_CHECK_MSG(pool.count() >= job(id).procs,
-                "startJobPreferring(" << id << "): insufficient unfenced "
-                                         "processors");
-  ProcSet procs = machine_.allocatePreferring(job(id).procs, softAvoid,
-                                              hardAvoid, now_);
-  SPS_CHECK(!procs.intersects(hardAvoid));
-  takeProcSlot(id, std::move(procs));
+  takeProcSlot(id,
+               machine_.allocate(job(id).procs, now_, hardAvoid, softAvoid));
   removeFrom(queued_, id);
   queuedWork_ -= queuedWorkOf(id);
   beginSegment(id);
@@ -421,7 +377,7 @@ void Simulator::resumeJobMigrating(JobId id, const ProcSet& avoid) {
                 "resumeJobMigrating(" << id << ") in state "
                                       << jobStateName(states_[id]));
   owedRemove(heldProcs(id));  // before the saved set is replaced below
-  heldProcs(id) = machine_.allocateAvoiding(job(id).procs, avoid, now_);
+  heldProcs(id) = machine_.allocate(job(id).procs, now_, avoid);
   removeFrom(suspended_, id);
   beginSegment(id);
 }

@@ -302,19 +302,15 @@ class Simulator {
   [[nodiscard]] const ProcSet& drainingSet() const { return draining_; }
 
   // --- policy actions ----------------------------------------------------
-  /// Start a queued job that has never been suspended, on the lowest-
-  /// numbered free processors. Requires job.procs <= freeCount().
-  void startJob(JobId id);
-
-  /// As startJob, but never allocates processors in `avoid` — used while
-  /// another job holds an exact-processor claim on part of the free set.
-  void startJobAvoiding(JobId id, const ProcSet& avoid);
-
-  /// As startJob, but draws processors outside `softAvoid` first and dips
-  /// into it only for the shortfall (minimal squatting on processors owed
-  /// to suspended jobs); processors in `hardAvoid` are never touched.
-  void startJobPreferring(JobId id, const ProcSet& softAvoid,
-                          const ProcSet& hardAvoid);
+  /// Start a queued job that has never been suspended, on processors
+  /// Machine::allocate picks: the lowest-numbered free ones outside both
+  /// sets, dipping into `softAvoid` (processors owed to suspended jobs) only
+  /// for the shortfall, never touching `hardAvoid` (processors fenced for
+  /// another job). Requires job.procs free processors outside `hardAvoid`.
+  /// Either set may be a procSet() reference: both are read before the
+  /// started job takes its pool slot.
+  void startJob(JobId id, const ProcSet& hardAvoid = kNoProcs,
+                const ProcSet& softAvoid = kNoProcs);
 
   /// Restart a Suspended job on its exact original processors. Requires all
   /// of them free.
@@ -448,8 +444,6 @@ class Simulator {
   /// trace. A plain vector: only a fresh start grows it.
   std::vector<ProcSet> procPool_;
   std::vector<std::uint32_t> freeProcSlots_;
-  /// procSet() of a job with no slot.
-  static const ProcSet kNoProcs;
   /// SoA: per-job lifecycle state, one byte per job (see JobExec).
   std::vector<JobState> states_;
   std::vector<JobId> queued_;

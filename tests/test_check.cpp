@@ -317,7 +317,7 @@ TEST(InvariantChecker, EveryPolicyBothKernelModesSilent) {
   // under both kernel modes with everything armed at stride 1 — the
   // oracle's false-positive budget is zero.
   const workload::Trace trace = makeFuzzTrace(2026);
-  for (const std::string& token : fuzzPolicyTokens()) {
+  for (const std::string& token : sched::knownPolicyTokens()) {
     SCOPED_TRACE(token);
     for (bool incremental : {true, false}) {
       SCOPED_TRACE(incremental ? "incremental" : "rebuild");

@@ -11,7 +11,6 @@
 
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -59,7 +58,7 @@ TEST(PolicyFactory, BareParameterisedTokensNameTheirForm) {
     try {
       (void)sched::specFromToken(token);
       ADD_FAILURE() << token << " was accepted";
-    } catch (const std::invalid_argument& e) {
+    } catch (const InputError& e) {
       EXPECT_NE(std::string(e.what()).find(form), std::string::npos)
           << token << ": " << e.what();
     }
@@ -72,9 +71,9 @@ TEST(PolicyFactory, BareParameterisedTokensNameTheirForm) {
 TEST(PolicyFactory, ParameterlessNamesRefuseAParameter) {
   for (const char* token :
        {"easy:3", "sjf:1", "fcfs:2", "gang:1", "is:1", "conservative:1"})
-    EXPECT_THROW((void)sched::specFromToken(token), std::invalid_argument)
+    EXPECT_THROW((void)sched::specFromToken(token), InputError)
         << token;
-  EXPECT_THROW((void)sched::specFromToken("nope:1"), std::invalid_argument);
+  EXPECT_THROW((void)sched::specFromToken("nope:1"), InputError);
 }
 
 // A depth is a whole positive number, as `sps_sim --depth K` reads it:
@@ -85,7 +84,7 @@ TEST(PolicyFactory, DepthTokenTakesWholePositiveDepths) {
             sched::kUnlimitedDepth);
   for (const char* token : {"depth:2.5", "depth:0", "depth:-1", "depth:2x",
                             "depth:", "depth:+2", "depth:1e3"})
-    EXPECT_THROW((void)sched::specFromToken(token), std::invalid_argument)
+    EXPECT_THROW((void)sched::specFromToken(token), InputError)
         << token;
 }
 

@@ -1,8 +1,12 @@
 // Unit tests: sim::Machine (allocation, release, busy-time integral).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "sim/machine.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace sps::sim {
 namespace {
@@ -102,7 +106,7 @@ TEST(Machine, AllocateAvoidingSkipsAvoidSet) {
   ProcSet avoid;
   avoid.insert(0);
   avoid.insert(1);
-  const ProcSet got = m.allocateAvoiding(2, avoid, 0);
+  const ProcSet got = m.allocate(2, 0, avoid);
   EXPECT_TRUE(got.contains(2));
   EXPECT_TRUE(got.contains(3));
   EXPECT_FALSE(got.intersects(avoid));
@@ -113,7 +117,7 @@ TEST(Machine, AllocateAvoidingSkipsAvoidSet) {
 TEST(Machine, AllocateAvoidingInsufficientThrows) {
   Machine m(4);
   const ProcSet avoid = ProcSet::firstN(3);
-  EXPECT_THROW(m.allocateAvoiding(2, avoid, 0), InvariantError);
+  EXPECT_THROW(m.allocate(2, 0, avoid), InvariantError);
 }
 
 TEST(Machine, BusyIntegralAccumulates) {
@@ -142,6 +146,113 @@ TEST(Machine, FullMachineLifecycle) {
   EXPECT_EQ(m.freeCount(), 0u);
   m.release(all, 3600);
   EXPECT_DOUBLE_EQ(m.busyProcSeconds(3600), 430.0 * 3600.0);
+}
+
+// --- allocate against its documented rules ---------------------------------
+
+/// What one differential run of allocate() met, so each test can insist
+/// its random sets reached every rule.
+struct AllocateCoverage {
+  int overlapping = 0;  ///< hard and soft shared a free processor
+  int exact = 0;        ///< n was the whole unfenced free count
+  int shortfall = 0;    ///< the choice had to dip into softAvoid
+  int unset = 0;        ///< both sets empty
+  int refused = 0;      ///< n exceeded the unfenced free count
+};
+
+/// Random free, hard and soft sets on a `procs`-wide machine, each at its
+/// own random density (sometimes empty), checked against a reference built
+/// from allocate()'s three rules: the lowest free processors outside both
+/// sets first; then, for the shortfall, the lowest free ones in softAvoid;
+/// never one in hardAvoid.
+AllocateCoverage expectAllocateMatchesRules(std::uint32_t procs, int rounds,
+                                            std::uint64_t seed) {
+  AllocateCoverage seen;
+  Rng rng(seed);
+  const auto density = [&rng] {
+    const std::int64_t pick = rng.uniformInt(0, 4);
+    return pick == 0 ? 0.0 : rng.uniform01();
+  };
+  for (int round = 0; round < rounds; ++round) {
+    const double busyP = density();
+    const double hardP = density();
+    const double softP = density();
+    std::vector<bool> isFree(procs);
+    std::vector<bool> isHard(procs);
+    std::vector<bool> isSoft(procs);
+    ProcSet busy;
+    ProcSet hard;
+    ProcSet soft;
+    for (std::uint32_t p = 0; p < procs; ++p) {
+      isFree[p] = rng.uniform01() >= busyP;
+      isHard[p] = rng.uniform01() < hardP;
+      isSoft[p] = rng.uniform01() < softP;
+      if (!isFree[p]) busy.insert(p);
+      if (isHard[p]) hard.insert(p);
+      if (isSoft[p]) soft.insert(p);
+    }
+    // Reference: the two tiers in processor order, the fence left out.
+    std::vector<std::uint32_t> clear;
+    std::vector<std::uint32_t> softOnly;
+    bool overlap = false;
+    for (std::uint32_t p = 0; p < procs; ++p) {
+      if (!isFree[p]) continue;
+      if (isHard[p]) {
+        overlap = overlap || isSoft[p];
+        continue;
+      }
+      (isSoft[p] ? softOnly : clear).push_back(p);
+    }
+    const auto unfenced =
+        static_cast<std::uint32_t>(clear.size() + softOnly.size());
+    Machine m(procs);
+    if (!busy.empty()) m.allocateExact(busy, 0);
+    const ProcSet freeBefore = m.freeSet();
+    if (unfenced == 0 || rng.uniformInt(0, 7) == 0) {
+      // More than the unfenced count: refused, and nothing is taken.
+      EXPECT_THROW((void)m.allocate(unfenced + 1, 1, hard, soft),
+                   InvariantError);
+      EXPECT_EQ(m.freeSet(), freeBefore);
+      ++seen.refused;
+      continue;
+    }
+    const auto n = rng.uniformInt(0, 2) == 0
+                       ? unfenced
+                       : static_cast<std::uint32_t>(
+                             rng.uniformInt(1, unfenced));
+    ProcSet want;
+    for (std::uint32_t i = 0; i < n; ++i)
+      want.insert(i < clear.size() ? clear[i] : softOnly[i - clear.size()]);
+    const ProcSet got = m.allocate(n, 1, hard, soft);
+    EXPECT_EQ(got, want) << "round " << round << " of " << procs
+                         << " procs: n=" << n << " got " << got.toString()
+                         << " want " << want.toString();
+    EXPECT_EQ(m.freeSet(), freeBefore - want);
+    EXPECT_EQ(m.freeCount(), freeBefore.count() - n);
+    seen.overlapping += overlap;
+    seen.exact += n == unfenced;
+    seen.shortfall += n > clear.size();
+    seen.unset += hard.empty() && soft.empty();
+  }
+  return seen;
+}
+
+TEST(MachineAllocate, MatchesItsRulesOnInlineWords) {
+  const AllocateCoverage seen = expectAllocateMatchesRules(96, 3000, 11);
+  EXPECT_GT(seen.overlapping, 0);
+  EXPECT_GT(seen.exact, 0);
+  EXPECT_GT(seen.shortfall, 0);
+  EXPECT_GT(seen.unset, 0);
+  EXPECT_GT(seen.refused, 0);
+}
+
+TEST(MachineAllocate, MatchesItsRulesOnTheWordWindow) {
+  const AllocateCoverage seen = expectAllocateMatchesRules(5000, 600, 12);
+  EXPECT_GT(seen.overlapping, 0);
+  EXPECT_GT(seen.exact, 0);
+  EXPECT_GT(seen.shortfall, 0);
+  EXPECT_GT(seen.unset, 0);
+  EXPECT_GT(seen.refused, 0);
 }
 
 }  // namespace

@@ -77,12 +77,12 @@ TEST(BoundedPareto, RejectsBadArguments) {
   EXPECT_THROW((void)rng.boundedPareto(1.0, 10.0, 0.5), InvariantError);
 }
 
-// --- Machine::allocatePreferring -----------------------------------------------
+// --- Machine::allocate with soft and hard avoid sets ----------------------------
 
 TEST(AllocatePreferring, AvoidsWhenPossible) {
   sim::Machine m(16);
   const sim::ProcSet avoid = sim::ProcSet::firstN(8);
-  const sim::ProcSet got = m.allocatePreferring(8, avoid, sim::ProcSet{}, 0);
+  const sim::ProcSet got = m.allocate(8, 0, sim::ProcSet{}, avoid);
   EXPECT_FALSE(got.intersects(avoid));
   EXPECT_EQ(got.count(), 8u);
 }
@@ -90,7 +90,7 @@ TEST(AllocatePreferring, AvoidsWhenPossible) {
 TEST(AllocatePreferring, DipsInOnlyForShortfall) {
   sim::Machine m(16);
   const sim::ProcSet avoid = sim::ProcSet::firstN(12);
-  const sim::ProcSet got = m.allocatePreferring(8, avoid, sim::ProcSet{}, 0);
+  const sim::ProcSet got = m.allocate(8, 0, sim::ProcSet{}, avoid);
   EXPECT_EQ(got.count(), 8u);
   // 4 non-avoided processors exist (12-15); the shortfall of 4 comes from
   // the avoided set.
@@ -101,14 +101,14 @@ TEST(AllocatePreferring, DipsInOnlyForShortfall) {
 TEST(AllocatePreferring, FullOverlapStillAllocates) {
   sim::Machine m(8);
   const sim::ProcSet avoid = sim::ProcSet::firstN(8);
-  const sim::ProcSet got = m.allocatePreferring(8, avoid, sim::ProcSet{}, 0);
+  const sim::ProcSet got = m.allocate(8, 0, sim::ProcSet{}, avoid);
   EXPECT_EQ(got.count(), 8u);
 }
 
 TEST(AllocatePreferring, InsufficientFreeThrows) {
   sim::Machine m(8);
   m.allocate(6, 0);
-  EXPECT_THROW((void)m.allocatePreferring(4, sim::ProcSet{}, sim::ProcSet{}, 0),
+  EXPECT_THROW((void)m.allocate(4, 0, sim::ProcSet{}, sim::ProcSet{}),
                InvariantError);
 }
 
@@ -122,7 +122,7 @@ TEST(AllocatePreferring, ShortfallNeverTakesHardFence) {
   sim::ProcSet soft = sim::ProcSet::firstN(12) - hard;      // procs 4-11
   // Only 4 procs (12-15) are outside both sets; asking for 8 forces the
   // shortfall path. Pre-fix, .lowest() on the merged set returned 0-3.
-  const sim::ProcSet got = m.allocatePreferring(8, soft, hard, 0);
+  const sim::ProcSet got = m.allocate(8, 0, hard, soft);
   EXPECT_EQ(got.count(), 8u);
   EXPECT_FALSE(got.intersects(hard));
   EXPECT_EQ((got & soft).count(), 4u);
@@ -131,7 +131,7 @@ TEST(AllocatePreferring, ShortfallNeverTakesHardFence) {
 TEST(AllocatePreferring, InsufficientUnfencedThrows) {
   sim::Machine m(8);
   EXPECT_THROW(
-      (void)m.allocatePreferring(6, sim::ProcSet{}, sim::ProcSet::firstN(4), 0),
+      (void)m.allocate(6, 0, sim::ProcSet::firstN(4), sim::ProcSet{}),
       InvariantError);
 }
 

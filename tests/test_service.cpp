@@ -261,7 +261,7 @@ TEST(StreamedEquivalence, AllPolicyTokensBothKernelModes) {
     check::FuzzCase c;
     c.trace = workload::generateTrace(workload::ctcConfig(160, 11));
     c.overhead = overhead;
-    for (const std::string& token : check::fuzzPolicyTokens()) {
+    for (const std::string& token : sched::knownPolicyTokens()) {
       c.policyToken = token;
       const check::DiffOutcome outcome = harness.diffStreamed(c, 99);
       EXPECT_TRUE(outcome.ok())

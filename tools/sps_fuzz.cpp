@@ -36,7 +36,7 @@ using namespace sps;
 struct FuzzOptions {
   std::size_t runs = 200;
   std::uint64_t seed = 1;
-  std::string policy;         ///< empty = every fuzzPolicyTokens() entry
+  std::string policy;         ///< empty = every knownPolicyTokens() entry
   std::string outDir = ".";   ///< where failure repros land
   std::uint32_t stride = 1;   ///< sampled-audit stride for the oracle
   std::size_t shrinkRuns = 400;
@@ -118,10 +118,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<std::string> tokens = check::fuzzPolicyTokens();
+  std::vector<std::string> tokens = sched::knownPolicyTokens();
   if (!opt.policy.empty()) {
     try {
-      (void)check::policyFromToken(opt.policy);  // eager validation
+      (void)sched::specFromToken(opt.policy);  // eager validation
     } catch (const sps::InputError& e) {
       std::cerr << "sps_fuzz: " << e.what() << "\n";
       return 2;

@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
   core::ServiceConfig cfg;
   try {
     cfg.spec = sched::specFromToken(opt.policy);
-  } catch (const std::invalid_argument& e) {
+  } catch (const InputError& e) {
     std::cerr << "sps_service_load: " << e.what() << "\n";
     return 2;
   }

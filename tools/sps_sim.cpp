@@ -19,7 +19,6 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -323,7 +322,7 @@ core::PolicySpec policyFromFlags(const CliOptions& opt) {
   try {
     spec =
         sched::specFromToken(parameterized ? opt.policy + ":1" : opt.policy);
-  } catch (const std::invalid_argument&) {
+  } catch (const InputError&) {
     fail("unknown policy: " + opt.policy);
   }
   spec.label.clear();
