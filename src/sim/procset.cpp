@@ -64,13 +64,6 @@ std::uint32_t ProcSet::count() const {
   return c;
 }
 
-bool ProcSet::empty() const {
-  if (!ext_.empty()) return false;
-  for (auto w : words_)
-    if (w != 0) return false;
-  return true;
-}
-
 bool ProcSet::intersects(const ProcSet& other) const {
   for (std::size_t i = 0; i < kInlineWords; ++i)
     if ((words_[i] & other.words_[i]) != 0) return true;

@@ -75,7 +75,13 @@ class ProcSet {
   }
 
   [[nodiscard]] std::uint32_t count() const;
-  [[nodiscard]] bool empty() const;
+  /// Inline: Machine::allocate asks it of both avoid sets on every start.
+  [[nodiscard]] bool empty() const {
+    if (!ext_.empty()) return false;
+    for (auto w : words_)
+      if (w != 0) return false;
+    return true;
+  }
 
   [[nodiscard]] bool intersects(const ProcSet& other) const;
   [[nodiscard]] bool isSubsetOf(const ProcSet& other) const;
