@@ -41,6 +41,7 @@ ProcSet Machine::lowestAvoiding(std::uint32_t n, const ProcSet& hardAvoid,
   const std::uint32_t unfenced = pool.count();
   SPS_CHECK_MSG(n <= unfenced, "allocate(" << n << ") with only " << unfenced
                                            << " unfenced free processors");
+  if (softAvoid.empty()) return pool.lowest(n);  // a fence only, as Lease has
   ProcSet chosen = pool - softAvoid;
   const std::uint32_t clear = chosen.count();
   if (clear >= n) return chosen.lowest(n);
