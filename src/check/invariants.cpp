@@ -312,7 +312,7 @@ void InvariantChecker::onEvent(const sim::Simulator& s) {
 void InvariantChecker::finalize(const sim::Simulator& simulator) {
   SPS_CHECK_MSG(armed_, "InvariantChecker::finalize before arm");
   if (config_.conservation) {
-    const std::size_t jobs = simulator.trace().jobs.size();
+    const std::size_t jobs = simulator.jobCount();
     transitions_.finalize(jobs);
     // Per-job balance against the simulator's own execution records, and
     // totals against the always-on obs counters (the "suspension counters

@@ -91,7 +91,7 @@ std::string SchedulerService::doCancel(util::FieldCursor& args) {
   if (drained()) return err("cancel", "run already drained");
   const auto id = args.integer<JobId>();
   if (!id || !args.atEnd()) return err("cancel", "expected: cancel <id>");
-  if (*id >= harness_.simulator().trace().jobs.size())
+  if (*id >= harness_.simulator().jobCount())
     return err("cancel", "no such job " + std::to_string(*id));
   if (!harness_.simulator().cancelJob(*id))
     return err("cancel",
@@ -106,7 +106,7 @@ std::string SchedulerService::doQuery(util::FieldCursor& args) {
   const auto id = args.integer<JobId>();
   if (!id || !args.atEnd()) return err("query", "expected: query <id>");
   const sim::Simulator& s = harness_.simulator();
-  if (*id >= s.trace().jobs.size())
+  if (*id >= s.jobCount())
     return err("query", "no such job " + std::to_string(*id));
   std::string reply = "ok job ";
   reply.reserve(96);  // the whole reply in one allocation

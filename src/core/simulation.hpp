@@ -118,13 +118,17 @@ class TraceSource final : public JobSource {
 /// constructors), drive `simulator()` however the caller likes, then call
 /// finish() exactly once — it drains the simulator (idempotent if the
 /// caller already drained), finalizes any armed checkers, and collects
-/// metrics. The harness must outlive nothing: it owns the policy, the
-/// recorder, and the simulator.
+/// metrics. The harness owns the policy, the recorder, and the simulator;
+/// in the batch shape it borrows the caller's trace.
 class SimulationHarness {
  public:
-  /// Batch shape: the whole trace pre-submitted.
+  /// Batch shape: the whole trace pre-submitted. The simulator borrows the
+  /// trace's job rows, so the trace must outlive the harness.
   SimulationHarness(const workload::Trace& trace, const PolicySpec& spec,
                     const SimulationOptions& options);
+  /// A temporary trace would die before the simulator that borrows it.
+  SimulationHarness(workload::Trace&&, const PolicySpec&,
+                    const SimulationOptions&) = delete;
   /// Streaming shape: an empty simulator; inject via simulator().submit().
   SimulationHarness(std::string traceName, std::uint32_t machineProcs,
                     const PolicySpec& spec, const SimulationOptions& options);

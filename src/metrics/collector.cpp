@@ -41,10 +41,11 @@ RunStats collect(const sim::Simulator& simulator,
                  const std::string& policyName) {
   RunStats stats;
   stats.policyName = policyName;
-  stats.traceName = simulator.trace().name;
-  stats.jobs.reserve(simulator.trace().jobs.size());
+  stats.traceName = simulator.traceName();
+  stats.jobs.reserve(simulator.jobCount());
   double computeProcSeconds = 0.0;
-  for (const workload::Job& j : simulator.trace().jobs) {
+  for (JobId id = 0; id < simulator.jobCount(); ++id) {
+    const workload::Job& j = simulator.job(id);
     const sim::JobExec& x = simulator.exec(j.id);
     // Cancelled jobs never completed any service; they carry no per-job
     // metrics row (slowdown/turnaround are undefined for withdrawn work).

@@ -73,7 +73,7 @@ void IdleLineIndex::attach(sim::Simulator& simulator) {
     nonEmpty_[state].fill(0);
   }
   occupied_.fill(0);
-  slot_.assign(simulator.trace().jobs.size(), 0);
+  slot_.assign(simulator.jobCount(), 0);
   count_ = 0;
   const bool firstAttach = attached_ == nullptr;
   attached_ = &simulator;

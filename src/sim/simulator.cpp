@@ -61,19 +61,20 @@ const char* jobStateName(JobState state) {
 
 Simulator::Simulator(const workload::Trace& trace, SchedulingPolicy& policy,
                      Config config)
-    : trace_(trace),
+    : jobs_(trace.jobs),
+      traceName_(trace.name),
       policy_(policy),
       config_(config),
       machine_(trace.machineProcs),
-      exec_(trace.jobs.size()),
       states_(trace.jobs.size(), JobState::NotArrived),
       owedRef_(trace.machineProcs, 0),
       listPos_(trace.jobs.size(), 0) {
   if (config.recorder != nullptr) obs_ = config.recorder;
-  workload::validateTrace(trace_);
-  unfinished_ = static_cast<std::uint32_t>(trace_.jobs.size());
-  firstSubmit_ = trace_.jobs.empty() ? 0 : trace_.jobs.front().submit;
-  lastSubmit_ = trace_.jobs.empty() ? 0 : trace_.jobs.back().submit;
+  workload::validateTrace(trace);
+  for (std::size_t i = 0; i < trace.jobs.size(); ++i) exec_.emplace_back();
+  unfinished_ = static_cast<std::uint32_t>(trace.jobs.size());
+  firstSubmit_ = trace.jobs.empty() ? 0 : trace.jobs.front().submit;
+  lastSubmit_ = trace.jobs.empty() ? 0 : trace.jobs.back().submit;
 }
 
 namespace {
@@ -93,20 +94,23 @@ std::uint32_t checkedMachineProcs(const std::string& name,
 
 Simulator::Simulator(std::string traceName, std::uint32_t machineProcs,
                      SchedulingPolicy& policy, Config config)
-    : trace_{std::move(traceName), machineProcs, {}},
+    : traceName_(std::move(traceName)),
       policy_(policy),
       config_(config),
-      machine_(checkedMachineProcs(trace_.name, machineProcs)),
+      machine_(checkedMachineProcs(traceName_, machineProcs)),
       owedRef_(machineProcs, 0) {
   if (config.recorder != nullptr) obs_ = config.recorder;
 }
 
 JobId Simulator::submit(workload::Job job) {
   SPS_CHECK_MSG(!finalized_, "submit() after drain()");
-  job.id = static_cast<JobId>(trace_.jobs.size());
+  SPS_CHECK_MSG(!jobs_.borrowed(),
+                "submit() on a batch-built simulator, whose job rows are the "
+                "caller's trace");
+  job.id = static_cast<JobId>(jobs_.size());
   // The context prefix is formatted only once a check has failed.
   const auto reject = [&](const std::string& why) {
-    throw InputError("submit to '" + trace_.name + "' (job " +
+    throw InputError("submit to '" + traceName_ + "' (job " +
                      std::to_string(job.id) + "): " + why);
   };
   if (job.runtime <= 0) reject("runtime must be positive");
@@ -114,15 +118,15 @@ JobId Simulator::submit(workload::Job job) {
     reject("estimate below runtime (jobs are killed at their wall-clock "
            "limit; clamp first)");
   if (job.procs == 0) reject("procs must be >= 1");
-  if (job.procs > trace_.machineProcs) reject("procs exceed machine size");
-  if (job.submit < lastSubmit_ && !trace_.jobs.empty())
+  if (job.procs > machine_.totalProcs()) reject("procs exceed machine size");
+  if (job.submit < lastSubmit_ && !jobs_.empty())
     reject("out-of-order submit time " + std::to_string(job.submit) +
            " (stream is at " + std::to_string(lastSubmit_) + ")");
   if (job.submit < now_)
     reject("submit time " + std::to_string(job.submit) +
            " in the simulated past (clock is at " + std::to_string(now_) +
            ")");
-  if (trace_.jobs.empty()) firstSubmit_ = job.submit;
+  if (jobs_.empty()) firstSubmit_ = job.submit;
   if (job.submit > lastSubmit_) {
     // The steady-state utilization window [firstSubmit, lastSubmit] just
     // grew; re-arm the snapshot so the next dispatched event at or past the
@@ -130,7 +134,7 @@ JobId Simulator::submit(workload::Job job) {
     lastSubmit_ = job.submit;
     steadySnapshotTaken_ = false;
   }
-  trace_.jobs.push_back(job);
+  jobs_.emplace_back(job);
   exec_.emplace_back();
   states_.push_back(JobState::NotArrived);
   listPos_.push_back(0);
@@ -139,7 +143,7 @@ JobId Simulator::submit(workload::Job job) {
 }
 
 bool Simulator::cancelJob(JobId id) {
-  SPS_CHECK_MSG(id < trace_.jobs.size(), "cancelJob(" << id << "): no such job");
+  SPS_CHECK_MSG(id < jobs_.size(), "cancelJob(" << id << "): no such job");
   JobExec& x = exec_[id];
   const JobState from = states_[id];
   switch (from) {
@@ -187,9 +191,8 @@ void Simulator::ensureStarted() {
 }
 
 bool Simulator::arrivalIsNext() const {
-  return nextArrival_ < trace_.jobs.size() &&
-         (events_.empty() ||
-          trace_.jobs[nextArrival_].submit <= events_.nextTime());
+  return nextArrival_ < jobs_.size() &&
+         (events_.empty() || jobs_[nextArrival_].submit <= events_.nextTime());
 }
 
 void Simulator::dispatchOne() {
@@ -197,7 +200,7 @@ void Simulator::dispatchOne() {
   if (arrivalIsNext()) {
     // Arrivals win same-instant ties and fire in id order (the band-0
     // rule of the (time, band, seq) order); they never enter events_.
-    const workload::Job& j = trace_.jobs[nextArrival_++];
+    const workload::Job& j = jobs_[nextArrival_++];
     e.time = j.submit;
     e.type = EventType::JobArrival;
     e.payload = j.id;
@@ -272,9 +275,9 @@ void Simulator::run() {
 }
 
 Time Simulator::nextEventTime() const {
-  if (nextArrival_ == trace_.jobs.size())
+  if (nextArrival_ == jobs_.size())
     return events_.empty() ? kNoTime : events_.nextTime();
-  const Time arrival = trace_.jobs[nextArrival_].submit;
+  const Time arrival = jobs_[nextArrival_].submit;
   return events_.empty() ? arrival : std::min(arrival, events_.nextTime());
 }
 
@@ -293,7 +296,7 @@ void Simulator::handleArrival(JobId id) {
 
 void Simulator::handleCompletion(JobId id, std::uint64_t generation) {
   JobExec& x = exec_[id];
-  if (generation != x.completionGen) return;  // cancelled by a suspension
+  if (generation != x.suspendCount) return;  // cancelled by a suspension
   SPS_CHECK_MSG(states_[id] == JobState::Running,
                 "completion of job " << id << " in state "
                                      << jobStateName(states_[id]));
@@ -342,7 +345,7 @@ void Simulator::beginSegment(JobId id) {
   if (x.firstStart == kNoTime) x.firstStart = now_;
   addTo(running_, id);
   events_.push(now_ + x.segOverhead + x.remainingWork,
-               EventType::JobCompletion, id, x.completionGen);
+               EventType::JobCompletion, id, x.suspendCount);
   notifyStateChange(id, from, JobState::Running);
 }
 
@@ -394,8 +397,7 @@ void Simulator::suspendJob(JobId id) {
                                      x.remainingWork);
   x.remainingWork -= done;
   x.resumeOverheadElapsed += std::min(elapsed, x.segOverhead);
-  ++x.completionGen;  // invalidate the scheduled completion
-  ++x.suspendCount;
+  ++x.suspendCount;  // also invalidates the scheduled completion
   ++totalSuspensions_;
   x.waitSince = now_;  // wait (and thus xfactor) accrues while suspended
   removeFrom(running_, id);

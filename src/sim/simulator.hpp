@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "obs/recorder.hpp"
@@ -26,6 +27,7 @@
 #include "sim/machine.hpp"
 #include "sim/policy.hpp"
 #include "sim/procset.hpp"
+#include "util/chunk_table.hpp"
 #include "workload/job.hpp"
 
 namespace sps::sim {
@@ -53,7 +55,7 @@ inline constexpr std::uint32_t kNoProcSlot =
 /// Simulator (SoA layout: one byte per job, read via Simulator::state()).
 /// The hot paths — index reconciliation, skip-on-stale walks, dispatch
 /// scans — touch only the state byte of many jobs at once, and keeping
-/// those reads out of this 88-byte record keeps them in cache. The job's
+/// those reads out of this 80-byte record keeps them in cache. The job's
 /// processor set is not here either: it lives in a simulator-owned pool
 /// only while the job holds or is owed processors (Simulator::procSet).
 struct JobExec {
@@ -68,9 +70,8 @@ struct JobExec {
   Time accumWait = 0;
   /// Start of the current wait period (kNoTime while running/finished).
   Time waitSince = kNoTime;
-  /// Bumped on every suspension; a completion event with a stale generation
-  /// is ignored.
-  std::uint64_t completionGen = 0;
+  /// Bumped on every suspension. It doubles as the completion generation:
+  /// a completion event carrying an older count is stale and ignored.
   std::uint32_t suspendCount = 0;
   /// Index of the job's set in the simulator's ProcSet pool; kNoProcSlot
   /// before the first start and once Finished or Cancelled.
@@ -88,6 +89,7 @@ struct JobExec {
     return drainOverhead + resumeOverheadElapsed;
   }
 };
+static_assert(sizeof(JobExec) == 80, "JobExec is a per-job row; keep it small");
 
 class Simulator;
 
@@ -170,12 +172,16 @@ class Simulator {
   using Config = SimulatorConfig;
 
   /// Batch construction: every job of the trace is pre-submitted (the trace
-  /// must satisfy validateTrace(); the simulator keeps its own copy). The
-  /// policy must outlive the simulator.
+  /// must satisfy validateTrace()). The simulator borrows the trace's job
+  /// rows instead of copying them, so the trace, like the policy, must
+  /// outlive the simulator; a batch-built simulator refuses submit().
   Simulator(const workload::Trace& trace, SchedulingPolicy& policy,
             Config config);
   Simulator(const workload::Trace& trace, SchedulingPolicy& policy)
       : Simulator(trace, policy, Config{}) {}
+  /// A temporary trace would die before the simulator that borrows it.
+  Simulator(workload::Trace&&, SchedulingPolicy&, Config) = delete;
+  Simulator(workload::Trace&&, SchedulingPolicy&) = delete;
 
   /// Streaming construction: an empty machine-only workload. Jobs enter
   /// exclusively through submit(); run()/drain() on a simulator that never
@@ -238,14 +244,16 @@ class Simulator {
 
   // --- clock & workload data ---------------------------------------------
   [[nodiscard]] Time now() const { return now_; }
-  /// The workload as submitted so far — the simulator's own copy. Grows at
-  /// each submit(); a job's row is immutable once accepted, so references
-  /// into `jobs` stay valid only until the next submit() (indexes by JobId
-  /// are always safe).
-  [[nodiscard]] const workload::Trace& trace() const { return trace_; }
-  [[nodiscard]] const workload::Job& job(JobId id) const {
-    return trace_.jobs[id];
-  }
+  /// Jobs submitted so far (batch: the whole trace); JobIds run from 0 to
+  /// jobCount() - 1.
+  [[nodiscard]] std::size_t jobCount() const { return jobs_.size(); }
+  [[nodiscard]] const std::string& traceName() const { return traceName_; }
+  /// A job's row as submitted: the caller's trace row in a batch run, the
+  /// simulator's own copy in a streamed one. Rows never move, so the
+  /// reference stays valid for the simulator's life (and a batch row's
+  /// address is the trace's own: &job(i) == &trace.jobs[i]).
+  [[nodiscard]] const workload::Job& job(JobId id) const { return jobs_[id]; }
+  /// Like job(), valid for the simulator's life.
   [[nodiscard]] const JobExec& exec(JobId id) const { return exec_[id]; }
   /// The processors job `id` holds (Running, Suspending) or is owed
   /// (Suspended: local preemption resumes it on exactly this set). Empty
@@ -401,7 +409,7 @@ class Simulator {
   /// Fire onSimulationStart exactly once, before the first dispatch.
   void ensureStarted();
   [[nodiscard]] bool hasPending() const {
-    return nextArrival_ < trace_.jobs.size() || !events_.empty();
+    return nextArrival_ < jobs_.size() || !events_.empty();
   }
   /// True when the arrival under the cursor precedes every queued event.
   [[nodiscard]] bool arrivalIsNext() const;
@@ -427,18 +435,20 @@ class Simulator {
     return static_cast<double>(j.procs) * static_cast<double>(j.estimate);
   }
 
-  /// Owned: batch construction copies the input trace, streaming ingest
-  /// appends to it, so trace() describes exactly what was submitted either
-  /// way.
-  workload::Trace trace_;
+  /// Job rows by JobId: borrowed from the caller's trace in a batch run,
+  /// appended into owned chunks by submit() in a streamed one. Either way
+  /// they describe exactly what was submitted.
+  ChunkTable<const workload::Job> jobs_;
+  std::string traceName_;
   SchedulingPolicy& policy_;
   Config config_;
   Machine machine_;
   /// Completions, drains and timers. Arrivals are served from
-  /// trace_.jobs[nextArrival_...] instead (see event_queue.hpp).
+  /// jobs_[nextArrival_...] instead (see event_queue.hpp).
   EventQueue events_;
   std::size_t nextArrival_ = 0;
-  std::vector<JobExec> exec_;
+  /// Owned in both shapes, one row per job, appended in JobId order.
+  ChunkTable<JobExec> exec_;
   /// Processor sets of the jobs that hold or are owed processors, indexed
   /// by JobExec::procSlot, so memory follows the live jobs rather than the
   /// trace. A plain vector: only a fresh start grows it.

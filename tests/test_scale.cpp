@@ -81,11 +81,12 @@ double statusBytes(const char* field) {
 }
 
 /// Peak resident bytes per job that one `token` run of `cfg`'s trace adds
-/// over the resident set left after generating the trace. Runs in a forked
-/// child: its high-water mark starts at its resident set, so neither this
-/// process's earlier peak nor what it already holds counts.
+/// over the resident set left after generating the trace; `streamed` feeds
+/// the trace through core::TraceSource instead of the batch entry point.
+/// Runs in a forked child: its high-water mark starts at its resident set,
+/// so neither this process's earlier peak nor what it already holds counts.
 double peakBytesPerJob(const workload::SyntheticConfig& cfg,
-                       const std::string& token) {
+                       const std::string& token, bool streamed = false) {
   int fds[2];
   if (pipe(fds) != 0) return -1.0;
   const pid_t pid = fork();
@@ -97,8 +98,11 @@ double peakBytesPerJob(const workload::SyntheticConfig& cfg,
     {
       const workload::Trace trace = workload::generateTrace(cfg);
       const double base = statusBytes("VmRSS");
+      core::TraceSource source(trace);
+      const core::PolicySpec spec = sched::specFromToken(token);
       const metrics::RunStats stats =
-          core::runSimulation(trace, sched::specFromToken(token), {});
+          streamed ? core::runSimulation(source, spec, {})
+                   : core::runSimulation(trace, spec, {});
       const double peak = statusBytes("VmHWM");
       if (base > 0 && peak > 0 && stats.jobs.size() == trace.jobs.size())
         perJob = (peak - base) / static_cast<double>(trace.jobs.size());
@@ -118,7 +122,9 @@ double peakBytesPerJob(const workload::SyntheticConfig& cfg,
 
 /// Per-job state follows the live jobs, not the trace: a finished job keeps
 /// no processor set, so even on a 100k-processor machine, where sets are
-/// heap windows, a run adds at most 250 bytes per job at its peak.
+/// heap windows, a run adds at most 250 bytes per job at its peak. A
+/// streamed run copies each job row into the simulator, a batch run borrows
+/// the trace's; both stay under the bound.
 TEST(MemoryPerJob, PeakGrowthAtMost250BytesPerJob) {
   if (kSanitized) GTEST_SKIP() << "sanitizer allocators inflate the peak";
   constexpr std::size_t kJobs = 65'536;
@@ -126,12 +132,17 @@ TEST(MemoryPerJob, PeakGrowthAtMost250BytesPerJob) {
   const double fcfsWide = peakBytesPerJob(
       workload::scaledToMachine(workload::sdscConfig(kJobs, 7), 100'000),
       "fcfs");
+  const double easyStreamed =
+      peakBytesPerJob(workload::sdscConfig(kJobs, 7), "easy", true);
   ASSERT_GT(easy, 0.0);
   ASSERT_GT(fcfsWide, 0.0);
+  ASSERT_GT(easyStreamed, 0.0);
   EXPECT_LE(easy, 250.0) << "EASY, 128 processors";
   EXPECT_LE(fcfsWide, 250.0) << "FCFS, 100,000 processors";
+  EXPECT_LE(easyStreamed, 250.0) << "EASY, 128 processors, streamed";
   RecordProperty("easy_bytes_per_job", std::to_string(easy));
   RecordProperty("fcfs_100k_bytes_per_job", std::to_string(fcfsWide));
+  RecordProperty("easy_streamed_bytes_per_job", std::to_string(easyStreamed));
 }
 
 }  // namespace

@@ -128,8 +128,8 @@ TEST(Ingest, OutOfOrderSubmitRejectedWithoutStateChange) {
   s.runUntil(250);
   ASSERT_EQ(s.now(), 200);
   EXPECT_THROW(s.submit(job(150, 10, 1)), InputError);
-  EXPECT_EQ(s.trace().jobs.size(), 1u);  // the rejects left no residue
-  s.submit(job(300, 10, 1));             // the stream continues fine
+  EXPECT_EQ(s.jobCount(), 1u);  // the rejects left no residue
+  s.submit(job(300, 10, 1));    // the stream continues fine
   s.drain();
   EXPECT_EQ(s.unfinishedJobs(), 0u);
 }
@@ -267,6 +267,23 @@ TEST(StreamedEquivalence, AllPolicyTokensBothKernelModes) {
       EXPECT_TRUE(outcome.ok())
           << token << (overhead ? " (overhead)" : "") << ": "
           << outcome.divergence << outcome.violation;
+    }
+  }
+}
+
+TEST(StreamedEquivalence, PartialLastChunk) {
+  // Streamed job rows fill 4,096-row chunks; one row past a chunk boundary
+  // (4,097) and past two (8,193) leaves the last chunk nearly empty.
+  const check::DiffHarness harness{check::CheckConfig::all(64)};
+  for (const std::size_t jobs : {4'097u, 8'193u}) {
+    check::FuzzCase c;
+    c.trace = workload::generateTrace(workload::sdscConfig(jobs, 3));
+    ASSERT_EQ(c.trace.jobs.size(), jobs);
+    for (const char* token : {"easy", "ss:2"}) {
+      c.policyToken = token;
+      const check::DiffOutcome outcome = harness.diffStreamed(c, 99);
+      EXPECT_TRUE(outcome.ok()) << token << " at " << jobs << " jobs: "
+                                << outcome.divergence << outcome.violation;
     }
   }
 }

@@ -6,15 +6,18 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/simulation.hpp"
 #include "helpers.hpp"
 #include "metrics/job_record.hpp"
 #include "obs/counters.hpp"
 #include "sched/overhead.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
+#include "util/chunk_table.hpp"
 
 namespace sps::sim {
 namespace {
@@ -525,38 +528,115 @@ TEST(SimulatorArrivalCursor, NextEventTimeIsMinOfCursorAndQueue) {
 }
 
 TEST(SimulatorArrivalCursor, SubmitAfterCursorRanOffTheEnd) {
+  // Streamed only: a batch-built simulator refuses submit()
+  // (SimulatorRows.SubmitOnBatchBuiltSimulatorThrows).
   const auto trace = makeTrace(4, {{0, 100, 2}});
-  for (const bool streamed : {false, true}) {
-    ScriptedPolicy policy;
-    std::optional<Simulator> s;
-    if (streamed) {
-      s.emplace("stream", 4, policy, Simulator::Config{});
-      s->submit(trace.jobs[0]);
-    } else {
-      s.emplace(trace, policy);
-    }
-    s->runUntil(1000);
-    EXPECT_EQ(s->nextEventTime(), kNoTime);
-    EXPECT_EQ(s->state(0), JobState::Finished);
-    workload::Job late = trace.jobs[0];
-    late.submit = 2000;
-    const JobId id = s->submit(late);
-    EXPECT_EQ(id, 1u);
-    EXPECT_EQ(s->nextEventTime(), 2000);
-    ASSERT_TRUE(s->step());
-    EXPECT_EQ(s->now(), 2000);
-    EXPECT_EQ(s->state(id), JobState::Running);
-    s->drain();
-    EXPECT_EQ(s->exec(id).finish, 2100);
-    EXPECT_EQ(s->eventsProcessed(), 4u);
+  ScriptedPolicy policy;
+  Simulator s("stream", 4, policy, Simulator::Config{});
+  s.submit(trace.jobs[0]);
+  s.runUntil(1000);
+  EXPECT_EQ(s.nextEventTime(), kNoTime);
+  EXPECT_EQ(s.state(0), JobState::Finished);
+  workload::Job late = trace.jobs[0];
+  late.submit = 2000;
+  const JobId id = s.submit(late);
+  EXPECT_EQ(id, 1u);
+  EXPECT_EQ(s.nextEventTime(), 2000);
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(s.now(), 2000);
+  EXPECT_EQ(s.state(id), JobState::Running);
+  s.drain();
+  EXPECT_EQ(s.exec(id).finish, 2100);
+  EXPECT_EQ(s.eventsProcessed(), 4u);
+}
+
+// --- job rows: borrowed in a batch run, chunked in a streamed one ----------
+
+// The batch constructors borrow the trace, so a temporary must not bind.
+static_assert(std::is_constructible_v<Simulator, const workload::Trace&,
+                                      SchedulingPolicy&, Simulator::Config>);
+static_assert(!std::is_constructible_v<Simulator, workload::Trace&&,
+                                       SchedulingPolicy&, Simulator::Config>);
+static_assert(!std::is_constructible_v<Simulator, workload::Trace&&,
+                                       SchedulingPolicy&>);
+static_assert(!std::is_constructible_v<core::SimulationHarness,
+                                       workload::Trace&&,
+                                       const core::PolicySpec&,
+                                       const core::SimulationOptions&>);
+
+/// `n` one-processor, two-second jobs, one per second: none ever waits.
+workload::Trace manyJobs(std::size_t n) {
+  std::vector<J> jobs;
+  jobs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    jobs.push_back({static_cast<Time>(i), 2, 1});
+  return makeTrace(4, jobs, "many");
+}
+
+TEST(SimulatorRows, BatchRowsAreTheTracesOwn) {
+  // Three chunks, the last one partial.
+  const auto trace = manyJobs(2 * ChunkTable<JobExec>::kChunkRows + 3);
+  ScriptedPolicy policy;
+  Simulator s(trace, policy);
+  ASSERT_EQ(s.jobCount(), trace.jobs.size());
+  EXPECT_EQ(s.traceName(), "many");
+  for (JobId i = 0; i < trace.jobs.size(); ++i)
+    ASSERT_EQ(&s.job(i), &trace.jobs[i]) << "job " << i;
+  s.run();
+  EXPECT_EQ(&s.job(static_cast<JobId>(trace.jobs.size() - 1)),
+            &trace.jobs.back());
+  EXPECT_EQ(s.unfinishedJobs(), 0u);
+}
+
+TEST(SimulatorRows, SubmitOnBatchBuiltSimulatorThrows) {
+  // submit() would append into rows the caller owns; it is refused as a
+  // programming error and leaves the run intact.
+  const auto trace = makeTrace(4, {{0, 100, 2}});
+  ScriptedPolicy policy;
+  Simulator s(trace, policy);
+  s.runUntil(1000);
+  workload::Job late = trace.jobs[0];
+  late.submit = 2000;
+  EXPECT_THROW(s.submit(late), InvariantError);
+  EXPECT_EQ(s.jobCount(), 1u);
+  EXPECT_EQ(s.nextEventTime(), kNoTime);
+  s.drain();
+  EXPECT_EQ(s.exec(0).finish, 100);
+}
+
+TEST(SimulatorRows, StreamedRowsNeverMove) {
+  ScriptedPolicy policy;
+  Simulator s("rows", 4, policy, Simulator::Config{});
+  workload::Job j;
+  j.runtime = 2;
+  j.estimate = 2;
+  j.procs = 1;
+  s.submit(j);
+  const workload::Job* job0 = &s.job(0);
+  const JobExec* exec0 = &s.exec(0);
+  // 10,000 jobs: rows 4,096 and 8,192 each open a new chunk.
+  for (Time t = 1; t < 10'000; ++t) {
+    j.submit = t;
+    s.submit(j);
   }
+  EXPECT_EQ(&s.job(0), job0);
+  EXPECT_EQ(&s.exec(0), exec0);
+  ASSERT_EQ(s.jobCount(), 10'000u);
+  for (JobId i = 0; i < s.jobCount(); ++i) {
+    ASSERT_EQ(s.job(i).id, i);
+    ASSERT_EQ(s.job(i).submit, static_cast<Time>(i));
+  }
+  s.run();
+  EXPECT_EQ(&s.job(0), job0);
+  EXPECT_EQ(&s.exec(0), exec0);
+  EXPECT_EQ(s.exec(9'999).finish, 9'999 + 2);
 }
 
 // --- processor-set pool -----------------------------------------------------
 
 // Per-job rows stay small: a job's ProcSet lives in the simulator's pool
 // only while it holds or is owed processors.
-static_assert(sizeof(JobExec) <= 88);
+static_assert(sizeof(JobExec) <= 80);
 static_assert(sizeof(metrics::JobResult) <= 64);
 
 /// Greedy dispatch that also accepts cancellation of Queued and Suspended

@@ -1,11 +1,13 @@
-// Unit tests: util (rng, stats, table, check, log).
+// Unit tests: util (rng, stats, table, check, log, chunk table).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/check.hpp"
+#include "util/chunk_table.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -33,6 +35,19 @@ TEST(Check, MessageIncludesExpressionAndText) {
     EXPECT_NE(what.find("custom context 42"), std::string::npos);
     EXPECT_NE(what.find("false"), std::string::npos);
   }
+}
+
+// --- chunk table -------------------------------------------------------------
+
+TEST(ChunkTable, BorrowedRowsAreTheCallersAndRefuseAppend) {
+  const std::vector<int> rows(ChunkTable<int>::kChunkRows + 5, 3);
+  ChunkTable<const int> table(rows);
+  ASSERT_TRUE(table.borrowed());
+  ASSERT_EQ(table.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    ASSERT_EQ(&table[i], &rows[i]);
+  EXPECT_THROW(table.emplace_back(1), InvariantError);
+  EXPECT_EQ(table.size(), rows.size());
 }
 
 // --- rng ---------------------------------------------------------------------
