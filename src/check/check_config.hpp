@@ -41,6 +41,14 @@ struct CheckConfig {
   /// set exactly.
   bool ledger = false;
 
+  /// Liveness: the run may not stall. At each policy timer, a run where no
+  /// job is Running or Suspending, no arrival is left (streamed runs: only
+  /// once drain() has begun) and some job is Queued or Suspended must have
+  /// made a transition since the previous timer that found it so. Nothing
+  /// else can change what the policy sees, so a policy that strands its
+  /// jobs and keeps re-arming its timer would otherwise spin forever.
+  bool liveness = false;
+
   /// Stride for the sampled audits (ledger rebuild comparison and the
   /// guarantee poll): run them on every auditStride-th dispatched event.
   /// 1 = every event (what the fuzzer and the test suites use); the CLI
@@ -48,13 +56,15 @@ struct CheckConfig {
   std::uint32_t auditStride = 16;
 
   [[nodiscard]] bool any() const {
-    return capacity || conservation || guarantees || tssBound || ledger;
+    return capacity || conservation || guarantees || tssBound || ledger ||
+           liveness;
   }
 
   /// Everything armed at the given stride.
   [[nodiscard]] static CheckConfig all(std::uint32_t stride = 16) {
     CheckConfig c;
-    c.capacity = c.conservation = c.guarantees = c.tssBound = c.ledger = true;
+    c.capacity = c.conservation = c.guarantees = c.tssBound = c.ledger =
+        c.liveness = true;
     c.auditStride = stride == 0 ? 1 : stride;
     return c;
   }

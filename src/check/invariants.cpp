@@ -1,6 +1,8 @@
 #include "check/invariants.hpp"
 
+#include <sstream>
 #include <utility>
+#include <vector>
 
 #include "obs/counters.hpp"
 #include "sched/core/reservation_ledger.hpp"
@@ -210,6 +212,45 @@ void checkTssBound(JobId id, double priority, double limit, Time now) {
                                  << " >= protection limit " << limit);
 }
 
+// --- Liveness ----------------------------------------------------------------
+
+void StallAudit::onTimer(const sim::Simulator& s) {
+  const std::uint64_t transitions =
+      s.counters().value(obs::Counter::SimTransitions);
+  const bool stalled = s.runningJobs().empty() && s.drainingSet().empty() &&
+                       s.arrivalsExhausted() &&
+                       (!s.queuedJobs().empty() || !s.suspendedJobs().empty());
+  if (!stalled) {
+    stalled_ = false;
+    return;
+  }
+  if (!stalled_ || transitions != transitions_) {
+    stalled_ = true;
+    since_ = s.now();
+    transitions_ = transitions;
+    return;
+  }
+  // Several timers may fire at one instant; a whole tick has passed only
+  // once the clock has moved.
+  if (s.now() == since_) return;
+  constexpr std::size_t kNamed = 16;
+  std::ostringstream waiting;
+  std::size_t named = 0;
+  const auto name = [&](const std::vector<JobId>& jobs, const char* what) {
+    for (const JobId id : jobs)
+      if (named++ < kNamed) waiting << ' ' << id << " (" << what << ')';
+  };
+  name(s.queuedJobs(), "queued");
+  name(s.suspendedJobs(), "suspended");
+  if (named > kNamed) waiting << " ...";
+  SPS_CHECK_MSG(false, "liveness: stalled since t="
+                           << since_ << ": at t=" << s.now()
+                           << " nothing runs, drains or can arrive, no "
+                              "transition came in a whole policy tick, and "
+                           << s.queuedJobs().size() + s.suspendedJobs().size()
+                           << " jobs wait:" << waiting.str());
+}
+
 // --- InvariantChecker ------------------------------------------------------
 
 void InvariantChecker::arm(sim::Simulator& simulator,
@@ -254,9 +295,11 @@ void InvariantChecker::arm(sim::Simulator& simulator,
         [this](const sim::Simulator& s, JobId id, sim::JobState from,
                sim::JobState to) { onStateChange(s, id, from, to); });
   }
-  if (config_.guarantees || config_.ledger) {
+  if (config_.guarantees || config_.ledger || config_.liveness) {
     simulator.observers().onEventDispatched(
-        [this](const sim::Simulator& s, const sim::Event&) { onEvent(s); });
+        [this](const sim::Simulator& s, const sim::Event& e) {
+          onEvent(s, e);
+        });
   }
 }
 
@@ -295,7 +338,9 @@ void InvariantChecker::onStateChange(const sim::Simulator& s, JobId id,
   }
 }
 
-void InvariantChecker::onEvent(const sim::Simulator& s) {
+void InvariantChecker::onEvent(const sim::Simulator& s, const sim::Event& e) {
+  if (config_.liveness && e.type == sim::EventType::Timer) stalls_.onTimer(s);
+  if (!config_.guarantees && !config_.ledger) return;
   ++dispatches_;
   const std::uint32_t stride = config_.auditStride == 0 ? 1
                                                         : config_.auditStride;

@@ -18,7 +18,11 @@
 //                       worst-case bound of Section IV-E);
 //   * ledger          — the incremental AvailabilityProfile equals a
 //                       from-scratch rebuild (the kernel optimization of
-//                       PR 2 changed no scheduler-visible state).
+//                       PR 2 changed no scheduler-visible state);
+//   * liveness        — the run never stalls: once nothing runs, nothing
+//                       drains and nothing can arrive, a policy timer
+//                       that fires with jobs waiting must see a transition
+//                       before the next one.
 //
 // The validator cores (TransitionAudit, CapacityAudit, GuaranteeAudit,
 // checkTssBound) are plain classes fed explicit streams so tests can drive
@@ -138,6 +142,21 @@ class GuaranteeAudit {
 /// past its category limit has suffered its bound already.
 void checkTssBound(JobId id, double priority, double limit, Time now);
 
+/// Liveness, fed at every policy timer. The run is stalled when no job is
+/// Running or Suspending, no arrival is left (Simulator::arrivalsExhausted)
+/// and some job waits. Throws InvariantError, naming the first waiting
+/// jobs, when a timer later than the one that found the run stalled finds
+/// it still stalled with no transition since.
+class StallAudit {
+ public:
+  void onTimer(const sim::Simulator& s);
+
+ private:
+  bool stalled_ = false;
+  Time since_ = 0;
+  std::uint64_t transitions_ = 0;
+};
+
 /// Composes the validators onto a live run. Construct, arm() before
 /// Simulator::run(), finalize() after. One checker serves one run.
 class InvariantChecker {
@@ -177,12 +196,13 @@ class InvariantChecker {
  private:
   void onStateChange(const sim::Simulator& s, JobId id, sim::JobState from,
                      sim::JobState to);
-  void onEvent(const sim::Simulator& s);
+  void onEvent(const sim::Simulator& s, const sim::Event& e);
 
   CheckConfig config_;
   TransitionAudit transitions_;
   std::optional<CapacityAudit> capacity_;
   GuaranteeAudit guarantees_;
+  StallAudit stalls_;
   GuaranteeProbe guaranteeProbe_;
   TssProbe tssProbe_;
   std::optional<bool> localResume_;

@@ -35,6 +35,7 @@ const char* counterName(Counter counter) {
     case Counter::PassSkips: return "policy.passSkips";
     case Counter::DispatchSkips: return "policy.dispatchSkips";
     case Counter::GateReports: return "policy.gateReports";
+    case Counter::ResumeWalkReads: return "policy.resumeWalkReads";
     case Counter::CheckTransitionAudits: return "check.transitionAudits";
     case Counter::CheckEpochAudits: return "check.epochAudits";
     case Counter::TimelineSamples: return "obs.timeline.samples";

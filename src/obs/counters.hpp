@@ -59,6 +59,7 @@ enum class Counter : std::uint8_t {
   PassSkips,           ///< SS preemption passes proven no-ops and skipped
   DispatchSkips,       ///< SS dispatches proven no-ops and skipped
   GateReports,         ///< SS idle candidates the tick gate hands the pass
+  ResumeWalkReads,     ///< suspended jobs the SS resume walk reads
   // --- invariant oracle (check/) ------------------------------------------
   CheckTransitionAudits,  ///< state transitions audited by sps::check
   CheckEpochAudits,       ///< sampled epoch audits (guarantee poll + ledger)

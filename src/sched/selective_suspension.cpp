@@ -51,6 +51,8 @@ void SelectiveSuspension::onSimulationStart(sim::Simulator& simulator) {
   if (config_.kernelMode == kernel::KernelMode::Incremental) {
     victimIndex_.attach(simulator);
     idleLines_.attach(simulator);
+    if (!config_.migratableJobs)
+      occupancy_.attach(simulator, config_.suspensionFactor);
   }
 }
 
@@ -358,33 +360,53 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
   // first, acting on each that `fits`. The walk's own resumes and starts
   // only shrink usable, so a job that fails `fits` against the walk's
   // starting capacity fails it at every later step too: incremental mode
-  // gathers from the idle-line index only the jobs no wider than
-  // usableCount − countFence that fit at the start — a short list even
-  // when thousands wait — and pops them off a heap only as far as the walk
-  // goes. Rebuild mode gathers every candidate from the simulator's lists
-  // and sorts them all, the unfiltered reference.
+  // gathers only the jobs no wider than usableCount − countFence that fit
+  // at the start — a short list even when thousands wait — and pops them
+  // off a heap only as far as the walk goes. Queued jobs come from the
+  // idle-line index. Under local preemption suspended jobs come from the
+  // occupancy record's unheld list: a job whose set fits has an all-free
+  // set, so the others cannot be candidates. In the migratable model they
+  // come from the idle-line index too. Rebuild mode gathers every
+  // candidate from the simulator's lists and sorts them all, the
+  // unfiltered reference.
   using IdleState = kernel::IdleLineIndex::State;
+  const bool localResumes = !config_.migratableJobs;
+  std::uint64_t resumeWalkReads = 0;
   auto walk = [&](IdleState idle, const sim::ProcSet& fence, auto fits,
                   auto act) {
     usableDirty = true;
     walkScratch_.clear();
+    const bool queued = idle == IdleState::Queued;
     if (incremental) {
       refreshUsable(fence);
       // Nothing fits. Always so while a count claim stands: the claimant
       // loop left usableCount below its width, a part of countFence.
       if (usableCount <= countFence) return;
-      idleLines_.forEachFitting(idle, usableCount - countFence, [&](JobId id) {
+      const std::uint32_t maxWidth = usableCount - countFence;
+      auto gather = [&](JobId id) {
         if (!isClaimant(id) && fits(id))
           walkScratch_.push_back(kernel::idleJob(simulator, id));
-      });
+      };
+      if (!queued && localResumes) {
+        occupancy_.forEachUnheld([&](JobId id, std::uint32_t procs) {
+          ++resumeWalkReads;
+          if (procs <= maxWidth) gather(id);
+        });
+      } else {
+        idleLines_.forEachFitting(idle, maxWidth, [&](JobId id) {
+          if (!queued) ++resumeWalkReads;
+          gather(id);
+        });
+      }
     } else {
-      const bool queued = idle == IdleState::Queued;
       for (const JobId id : queued ? simulator.queuedJobs()
-                                   : simulator.suspendedJobs())
+                                   : simulator.suspendedJobs()) {
+        if (!queued) ++resumeWalkReads;
         if (simulator.state(id) == (queued ? sim::JobState::Queued
                                            : sim::JobState::Suspended) &&
             !isClaimant(id))
           walkScratch_.push_back(kernel::idleJob(simulator, id));
+      }
     }
     if (incremental)
       kernel::makeWalkHeap(walkScratch_);
@@ -405,9 +427,11 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
   };
   // Incremental fast-outs: an empty candidate list or an empty free set
   // makes a walk decision-free (every resume and start needs at least one
-  // usable processor), so its gather and fence scan are skipped.
-  if (!incremental ||
-      (!simulator.suspendedJobs().empty() && simulator.freeCount() != 0)) {
+  // usable processor), so its gather and fence scan are skipped. Under
+  // local preemption the resume walk's candidates are the unheld jobs.
+  const bool anyResumable = localResumes ? occupancy_.unheldCount() != 0
+                                         : !simulator.suspendedJobs().empty();
+  if (!incremental || (anyResumable && simulator.freeCount() != 0)) {
     walk(
         IdleState::Suspended, fenced,
         [&](JobId id) {
@@ -425,6 +449,7 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
           else
             simulator.resumeJob(id);
         });
+    simulator.counters().add(obs::Counter::ResumeWalkReads, resumeWalkReads);
   }
 
   // Backfilling without guarantees: walk queued jobs in priority order and
@@ -688,6 +713,17 @@ void SelectiveSuspension::preemptionPassIncremental(
       if (fencedByClaim(simulator, needed)) return false;
       // The reference's Suspending scan, as one aggregate intersection.
       if (needed.intersects(simulator.drainingSet())) return false;
+      // Running priorities are frozen, so `priority < sf x xr` holds for
+      // some occupant r exactly when it holds for the highest: below the
+      // record's floor the scan below would fail on an SF test. The arm
+      // then cannot go live before the candidate crosses the floor, or a
+      // transition on its set moves the floor (and resets the gate stamp).
+      // At or above it every SF test passes and the scan decides.
+      const double floor = occupancy_.floor(id, victimIndex_);
+      if (priority < floor) {
+        if (std::isfinite(floor)) noteHorizon(id, priority, hit.est, floor);
+        return false;
+      }
       // Occupants via the owner map: O(width) instead of O(running). The
       // map tracks Running holders only, exactly the reference's scan of
       // runningJobs(); ascending sort gives the canonical suspension order.
@@ -707,17 +743,12 @@ void SelectiveSuspension::preemptionPassIncremental(
       sim::ProcSet covered = needed & simulator.freeSet();
       for (JobId r : occupantsScratch_) {
         ++tally.victimTests;
+        // At or above the floor every SF test passes, so only a TSS limit
+        // fails here. That is time-independent: only transitions (stamp)
+        // can change it, and no horizon is due.
         if (!victimEligible(simulator, r, priority, width,
-                            /*reentry=*/true)) {
-          // If the SF ratio is what failed, this arm cannot go live before
-          // the candidate's priority crosses SF x this occupant's (frozen)
-          // priority — a sound wake-up bound even when later occupants
-          // would fail too. A TSS-limit failure is time-independent; only
-          // transitions (stamp) can change it.
-          const double xr = simulator.xfactor(r);
-          if (priority < sf * xr) noteHorizon(id, priority, hit.est, sf * xr);
+                            /*reentry=*/true))
           return false;
-        }
         covered |= simulator.procSet(r) & needed;
       }
       if (!(needed - covered).empty()) return false;

@@ -37,6 +37,7 @@
 
 #include "sched/core/idle_lines.hpp"
 #include "sched/core/idle_order.hpp"
+#include "sched/core/occupancy_record.hpp"
 #include "sched/core/victim_index.hpp"
 #include "sim/policy.hpp"
 #include "sim/procset.hpp"
@@ -99,9 +100,9 @@ struct SsConfig {
   std::size_t tssOnlineMinSamples = 20;
 
   /// Kernel mode (sched/core). Incremental runs the victim index, the
-  /// idle-line tick gate and the fit-filtered idle walks; Rebuild gathers
-  /// and sorts every idle candidate and re-tests every victim, the reference
-  /// both must match.
+  /// idle-line tick gate, the occupancy record (local preemption only) and
+  /// the fit-filtered idle walks; Rebuild gathers and sorts every idle
+  /// candidate and re-tests every victim, the reference both must match.
   kernel::KernelMode kernelMode = kernel::KernelMode::Incremental;
 };
 
@@ -201,7 +202,12 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
 
   /// Start/resume everything that fits on unclaimed free processors,
   /// claimants first, then the idle jobs in priority order (Eq. 2; ties by
-  /// submit time, then id). Runs on every event.
+  /// submit time, then id). Runs on every event. Incremental mode gathers
+  /// only the jobs that can fit the walk's starting capacity: queued jobs
+  /// from the idle-line index, and under local preemption the suspended
+  /// jobs whose owed sets no job holds, from the occupancy record. Every
+  /// suspended job is read only in Rebuild mode and in the migratable
+  /// model (policy.resumeWalkReads counts them).
   void dispatch(sim::Simulator& simulator);
 
   /// The paper's preemption routine (pseudocode, Section IV-C). Runs on the
@@ -211,9 +217,11 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   /// candidate. The bit-identical baseline the golden suite pins.
   void preemptionPassRebuild(sim::Simulator& simulator);
   /// Indexed shape: one walk over the gate's report in Eq. 2 order, each
-  /// candidate evaluated once against VictimSteps' gain bound. Same
-  /// decisions as Rebuild (argued inline), a fraction of the work. Starts
-  /// from the fences and steps the gate built.
+  /// candidate evaluated once: a fresh one against VictimSteps' gain bound,
+  /// a reentry one against its set's cached floor in the occupancy record
+  /// (SF x the highest running priority there) before any occupant is
+  /// scanned. Same decisions as Rebuild (argued inline), a fraction of the
+  /// work. Starts from the fences and steps the gate built.
   void preemptionPassIncremental(sim::Simulator& simulator);
 
   /// Tick gate (Incremental only): one idle-line query that both decides
@@ -255,6 +263,9 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   SsConfig config_;
   kernel::VictimIndex victimIndex_;
   kernel::IdleLineIndex idleLines_;
+  /// Who holds each suspended job's owed set: the resume walk's unheld
+  /// list and the reentry floors. Attached under local preemption only.
+  kernel::OccupancyRecord occupancy_;
   /// The fresh path's state: the victim step function and the fresh free
   /// count. Built by the tick gate for the pass-start state and rebuilt
   /// after each of the pass's actions.

@@ -126,6 +126,30 @@ class ProcSet {
     }
   }
 
+  /// Visit the non-empty words of *this in increasing order, as
+  /// f(word index, bits): processor 64 * index + b is a member for each set
+  /// bit b. F: void(std::uint32_t, std::uint64_t).
+  template <typename F>
+  void forEachWord(F&& f) const {
+    for (std::size_t w = 0; w < kInlineWords; ++w)
+      if (words_[w] != 0) f(static_cast<std::uint32_t>(w), words_[w]);
+    for (std::size_t i = 0; i < ext_.size(); ++i)
+      if (ext_[i] != 0) f(static_cast<std::uint32_t>(extBase_ + i), ext_[i]);
+  }
+
+  /// The same for the intersection with `other`, without building it:
+  /// words where either set is empty cost one AND.
+  template <typename F>
+  void forEachWordAnd(const ProcSet& other, F&& f) const {
+    for (std::size_t w = 0; w < kInlineWords; ++w)
+      if (const std::uint64_t bits = words_[w] & other.words_[w]; bits != 0)
+        f(static_cast<std::uint32_t>(w), bits);
+    for (std::size_t i = 0; i < ext_.size(); ++i)
+      if (const std::uint64_t bits = ext_[i] & other.extWord(extBase_ + i);
+          bits != 0)
+        f(static_cast<std::uint32_t>(extBase_ + i), bits);
+  }
+
   /// Compact human-readable form, e.g. "{0-3,7,12-15}".
   [[nodiscard]] std::string toString() const;
 

@@ -261,6 +261,7 @@ void Simulator::runUntil(Time horizon) {
 
 void Simulator::drain() {
   if (finalized_) return;
+  drainBegun_ = true;
   ensureStarted();
   while (hasPending()) dispatchOne();
   SPS_CHECK_MSG(unfinished_ == 0,

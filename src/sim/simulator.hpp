@@ -219,6 +219,12 @@ class Simulator {
   [[nodiscard]] Time nextEventTime() const;
   /// True once drain() has finalized the run.
   [[nodiscard]] bool drained() const { return finalized_; }
+  /// True when no job can arrive any more: every submitted job's arrival
+  /// has been dispatched, and the run is batch-built or drain() has begun
+  /// (a streamed run may still receive submit() until then).
+  [[nodiscard]] bool arrivalsExhausted() const {
+    return nextArrival_ == jobs_.size() && (jobs_.borrowed() || drainBegun_);
+  }
   /// Jobs submitted but not yet Finished/Cancelled.
   [[nodiscard]] std::uint32_t unfinishedJobs() const { return unfinished_; }
 
@@ -478,6 +484,7 @@ class Simulator {
   std::uint32_t unfinished_ = 0;
   bool started_ = false;    ///< onSimulationStart fired
   bool finalized_ = false;  ///< drain() completed
+  bool drainBegun_ = false;  ///< drain() entered
   ObserverRegistry registry_;
   /// Fallback Recorder when Config::recorder is null; obs_ always points at
   /// a live Recorder so the accessors are branch-free. Mutable because

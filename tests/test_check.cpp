@@ -9,7 +9,9 @@
 // policy under both kernel modes with everything armed at stride 1.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
+#include <string>
 
 #include "check/check_config.hpp"
 #include "check/diff_harness.hpp"
@@ -37,7 +39,7 @@ TEST(CheckConfig, OffByDefaultAndAllArmsEverything) {
   EXPECT_FALSE(core::SimulationOptions{}.check.any());
   const CheckConfig all = CheckConfig::all();
   EXPECT_TRUE(all.capacity && all.conservation && all.guarantees &&
-              all.tssBound && all.ledger);
+              all.tssBound && all.ledger && all.liveness);
   EXPECT_TRUE(all.any());
   EXPECT_EQ(CheckConfig::all(0).auditStride, 1u);  // stride 0 would hang
 }
@@ -369,6 +371,86 @@ TEST(InvariantChecker, DisabledConfigRegistersNothing) {
   const auto trace = makeTrace(4, {{0, 100, 3}, {1, 50, 1}});
   sim::Simulator s(trace, policy);
   InvariantChecker checker{CheckConfig{}};
+  checker.arm(s, policy);
+  s.run();
+  EXPECT_EQ(checker.epochAudits(), 0u);
+  EXPECT_EQ(s.counters().value(obs::Counter::CheckTransitionAudits), 0u);
+  EXPECT_EQ(s.counters().value(obs::Counter::CheckEpochAudits), 0u);
+}
+
+// --- Liveness (a stranding policy) -----------------------------------------
+
+/// Never starts anything: every arrival and every tick only re-arms the
+/// timer, so its jobs wait forever and, unchecked, run() never returns.
+class StrandingPolicy final : public sim::SchedulingPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "strand"; }
+  void onJobArrival(sim::Simulator& s, JobId) override { arm(s); }
+  void onJobCompletion(sim::Simulator&, JobId) override {}
+  void onTimer(sim::Simulator& s, std::uint64_t) override {
+    armed_ = false;
+    arm(s);
+  }
+
+ private:
+  void arm(sim::Simulator& s) {
+    if (armed_) return;
+    armed_ = true;
+    s.scheduleTimer(s.now() + 60, 0);
+  }
+  bool armed_ = false;
+};
+
+TEST(Liveness, StrandedJobRaisesWithinASecond) {
+  StrandingPolicy policy;
+  const auto trace = makeTrace(4, {{0, 100, 2}, {5, 100, 1}});
+  sim::Simulator s(trace, policy);
+  InvariantChecker checker(CheckConfig::all(1));
+  checker.arm(s, policy);
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    s.run();
+    FAIL() << "a stranded run returned";
+  } catch (const InvariantError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("liveness"), std::string::npos) << what;
+    EXPECT_NE(what.find(" 0 (queued)"), std::string::npos) << what;
+    EXPECT_NE(what.find(" 1 (queued)"), std::string::npos) << what;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  // The tick at 60 finds the run stalled; the next one fires.
+  EXPECT_EQ(s.now(), 2 * 60);
+}
+
+TEST(Liveness, StreamedRunStallsOnlyOnceDrainBegins) {
+  // Until drain() a streamed run may still receive the submission that
+  // unblocks it, so a quiet stretch is no stall.
+  StrandingPolicy policy;
+  sim::Simulator s("stream", 4, policy, {});
+  CheckConfig config;
+  config.liveness = true;
+  InvariantChecker checker(config);
+  checker.arm(s, policy);
+  workload::Job job;
+  job.submit = 0;
+  job.runtime = job.estimate = 100;
+  job.procs = 2;
+  (void)s.submit(job);
+  EXPECT_NO_THROW(s.runUntil(100 * 60));
+  EXPECT_FALSE(s.arrivalsExhausted());
+  EXPECT_THROW(s.drain(), InvariantError);
+  EXPECT_TRUE(s.arrivalsExhausted());
+}
+
+TEST(Liveness, AloneRunsNoSampledAudit) {
+  // Liveness alone watches timers only: no sampled audit, no transition
+  // audit.
+  sched::DepthBackfill policy(sched::DepthConfig{sched::kUnlimitedDepth});
+  const auto trace = makeTrace(4, {{0, 100, 3}, {1, 50, 1}});
+  sim::Simulator s(trace, policy);
+  CheckConfig config;
+  config.liveness = true;
+  InvariantChecker checker(config);
   checker.arm(s, policy);
   s.run();
   EXPECT_EQ(checker.epochAudits(), 0u);

@@ -280,6 +280,43 @@ TEST_P(ProcSetProperty, LowestIsPrefixOfIteration) {
   for (std::uint32_t i = 0; i < k; ++i) EXPECT_EQ(low[i], all[i]);
 }
 
+// The word walks against forEach: forEachWord spells out the set a word
+// at a time, forEachWordAnd the intersection, each in increasing order and
+// skipping empty words.
+TEST_P(ProcSetProperty, WordWalksSpellOutTheSet) {
+  Rng rng(GetParam() * 104729);
+  const std::int64_t hi = (GetParam() % 2 == 0) ? 1023 : 99'999;
+  ProcSet a, b;
+  for (int i = 0; i < 80; ++i) {
+    a.insert(static_cast<std::uint32_t>(rng.uniformInt(0, hi)));
+    b.insert(static_cast<std::uint32_t>(rng.uniformInt(0, hi)));
+  }
+  const auto spell = [](auto walk) {
+    std::vector<std::uint32_t> out;
+    std::uint32_t lastWord = 0;
+    bool first = true;
+    walk([&](std::uint32_t w, std::uint64_t bits) {
+      EXPECT_NE(bits, 0u);
+      EXPECT_TRUE(first || w > lastWord);
+      first = false;
+      lastWord = w;
+      for (; bits != 0; bits &= bits - 1)
+        out.push_back(w * 64 + static_cast<std::uint32_t>(
+                                   __builtin_ctzll(bits)));
+    });
+    return out;
+  };
+  const auto members = [](const ProcSet& s) {
+    std::vector<std::uint32_t> out;
+    s.forEach([&](std::uint32_t p) { out.push_back(p); });
+    return out;
+  };
+  EXPECT_EQ(spell([&](auto f) { a.forEachWord(f); }), members(a));
+  EXPECT_EQ(spell([&](auto f) { a.forEachWordAnd(b, f); }), members(a & b));
+  EXPECT_EQ(spell([&](auto f) { a.forEachWordAnd(ProcSet{}, f); }),
+            std::vector<std::uint32_t>{});
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ProcSetProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
