@@ -29,7 +29,7 @@
 namespace sps::core {
 
 /// Subscriber for in-run progress. runSimulation() invokes this every
-/// SimulationOptions::progressStride events, on whatever thread runs the
+/// kProgressStride events (core/simulation.hpp), on whatever thread runs the
 /// simulation (a Runner worker, or the caller on the inline path).
 class RunProgressListener {
  public:

@@ -48,13 +48,11 @@ void SimulationHarness::arm(const SimulationOptions& options) {
     timeline_->attach(*simulator_);
   }
   if (options.progress != nullptr) {
-    const std::uint64_t stride =
-        options.progressStride == 0 ? 1 : options.progressStride;
     simulator_->observers().onEventDispatched(
-        [listener = options.progress, stride,
+        [listener = options.progress,
          n = std::uint64_t{0}](const sim::Simulator& s,
                                const sim::Event&) mutable {
-          if (++n % stride == 0)
+          if (++n % kProgressStride == 0)
             listener->onSimProgress(s.now(), s.eventsProcessed());
         });
   }

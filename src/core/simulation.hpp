@@ -45,6 +45,10 @@ using sched::makePolicy;
 using sched::policyKindName;
 using sched::policyLabel;
 
+/// Events between progress publishes; keeps the listener off the
+/// per-event hot path.
+inline constexpr std::uint64_t kProgressStride = 4096;
+
 struct SimulationOptions {
   /// The simulator-facing knobs (overhead model, recorder), handed
   /// to sim::Simulator unchanged — this is the one documented options
@@ -66,11 +70,8 @@ struct SimulationOptions {
   obs::TimelineConfig timeline{};
   /// Live progress subscriber (core::ProgressBoard::Ticket, or any
   /// RunProgressListener). nullptr = no publishing, zero cost. Invoked on
-  /// the simulating thread every `progressStride` events.
+  /// the simulating thread every kProgressStride events.
   RunProgressListener* progress = nullptr;
-  /// Events between progress publishes; keeps the listener off the
-  /// per-event hot path.
-  std::uint32_t progressStride = 4096;
   /// Instrumentation seam: called after the simulator is constructed and
   /// the run's checkers are armed, before the first dispatch — subscribe
   /// extra observers here (DiffHarness records transitions through it).

@@ -67,42 +67,28 @@ Time crossingHorizon(const sim::Simulator& s, JobId id, double x,
 }
 
 void IdleLineIndex::attach(sim::Simulator& simulator) {
-  for (std::size_t state = 0; state < kStates; ++state) {
-    for (std::vector<Line>& band : bands_[state]) band.clear();
-    for (std::vector<Member>& list : members_[state]) list.clear();
-    nonEmpty_[state].fill(0);
-  }
-  occupied_.fill(0);
-  slot_.assign(simulator.jobCount(), 0);
-  count_ = 0;
-  const bool firstAttach = attached_ == nullptr;
-  attached_ = &simulator;
-  if (firstAttach) {
-    // One registration per index lifetime; stale simulators are filtered
-    // by `attached_`.
-    simulator.observers().onStateChange(
-        [this](const sim::Simulator& s, JobId id, sim::JobState from,
-               sim::JobState to) {
-          if (&s != attached_) return;
-          auto idle = [](sim::JobState st) {
-            return st == sim::JobState::Queued ? State::Queued
-                                               : State::Suspended;
-          };
-          const bool leaves = from == sim::JobState::Queued ||
-                              from == sim::JobState::Suspended;
-          const bool enters =
-              to == sim::JobState::Queued || to == sim::JobState::Suspended;
-          if (!leaves && !enters) return;
-          const sim::JobExec& x = s.exec(id);
-          const workload::Job& j = s.job(id);
-          // Leaving the idle state closes the wait (accumWait += now −
-          // waitSince), which leaves now − accumWait equal to the line's b.
-          if (leaves) erase(id, idle(from), s.now() - x.accumWait, j.estimate);
-          if (enters)
-            insert(id, idle(to), x.waitSince - x.accumWait, j.estimate,
-                   j.procs);
-        });
-  }
+  slot_.resize(simulator.jobCount());
+  simulator.observers().onStateChange(
+      [this](const sim::Simulator& s, JobId id, sim::JobState from,
+             sim::JobState to) {
+        auto idle = [](sim::JobState st) {
+          return st == sim::JobState::Queued ? State::Queued
+                                             : State::Suspended;
+        };
+        const bool leaves = from == sim::JobState::Queued ||
+                            from == sim::JobState::Suspended;
+        const bool enters =
+            to == sim::JobState::Queued || to == sim::JobState::Suspended;
+        if (!leaves && !enters) return;
+        const sim::JobExec& x = s.exec(id);
+        const workload::Job& j = s.job(id);
+        // Leaving the idle state closes the wait (accumWait += now −
+        // waitSince), which leaves now − accumWait equal to the line's b.
+        if (leaves) erase(id, idle(from), s.now() - x.accumWait, j.estimate);
+        if (enters)
+          insert(id, idle(to), x.waitSince - x.accumWait, j.estimate,
+                 j.procs);
+      });
 }
 
 void IdleLineIndex::insert(JobId id, State state, Time b, Time estimate,

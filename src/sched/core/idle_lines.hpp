@@ -120,8 +120,9 @@ class IdleLineIndex {
     std::uint32_t procs;
   };
 
-  /// A reported line: the job's priority now, with the job fields the
-  /// preemption pass reads for every candidate.
+  /// An idle job's priority now, with the job fields the SS/TSS walks
+  /// read for every candidate: a line a query reports, or a job a walk
+  /// gathers (kernel::idleHit).
   struct Hit {
     double x;
     double est;
@@ -136,10 +137,10 @@ class IdleLineIndex {
     double threshold = 0.0;  ///< the winning line's own threshold
   };
 
-  /// Bind to a simulator: clears all lines, sizes the per-job slots to the
-  /// trace, and registers the observer that inserts each job as it becomes
-  /// Queued or Suspended and removes it when it leaves that state. Call
-  /// from onSimulationStart; an index serves one simulator at a time and
+  /// Bind to a simulator: sizes the per-job slots to the trace and
+  /// registers the observer that inserts each job as it becomes Queued or
+  /// Suspended and removes it when it leaves that state. Call once, from
+  /// onSimulationStart: an index serves the one run its policy drives and
   /// must outlive it.
   void attach(sim::Simulator& simulator);
 
@@ -202,7 +203,6 @@ class IdleLineIndex {
   /// Per job: its position in its member list.
   std::vector<std::uint32_t> slot_;
   std::size_t count_ = 0;
-  const sim::Simulator* attached_ = nullptr;
 };
 
 /// The fresh path's report threshold for each width class `index` holds,

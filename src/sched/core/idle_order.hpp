@@ -17,31 +17,17 @@
 
 namespace sps::sched::kernel {
 
-/// An idle job with its sort keys read once, at gather time.
-struct IdleJob {
-  double priority;  ///< expansion factor (Eq. 2)
-  Time submit;
-  JobId id;
-};
-
-[[nodiscard]] inline IdleJob idleJob(const sim::Simulator& s, JobId id) {
-  return {s.xfactor(id), s.job(id).submit, id};
+/// An idle job as the SS/TSS walks gather it: the record the tick gate
+/// reports, with the priority read once, at gather time.
+[[nodiscard]] inline IdleLineIndex::Hit idleHit(const sim::Simulator& s,
+                                                JobId id) {
+  const workload::Job& j = s.job(id);
+  return {s.xfactor(id), static_cast<double>(j.estimate), id, j.procs};
 }
 
 /// Eq. 2 priority order (SS/TSS): true when `a` walks before `b` —
-/// expansion factor descending, then submit time, then id.
-[[nodiscard]] inline bool walksBefore(const IdleJob& a, const IdleJob& b) {
-  if (a.priority != b.priority) return a.priority > b.priority;
-  if (a.submit != b.submit) return a.submit < b.submit;
-  return a.id < b.id;
-}
-
-inline void sortByPriority(std::vector<IdleJob>& jobs) {
-  std::sort(jobs.begin(), jobs.end(), walksBefore);
-}
-
-/// walksBefore over the SS/TSS tick gate's reported lines, which carry
-/// their priority but not their submit time (read only on priority ties).
+/// expansion factor descending, then submit time, then id. The records
+/// carry their priority; the submit time is read only on priority ties.
 struct HitOrder {
   const sim::Simulator& s;
   bool operator()(const IdleLineIndex::Hit& a,
@@ -54,19 +40,26 @@ struct HitOrder {
   }
 };
 
-/// Heap whose top walks first under walksBefore: heapify once, then each
+/// Heap whose top walks first under HitOrder: heapify once, then each
 /// popWalkHeap yields the next job in Eq. 2 order, so a walk that stops
-/// early never orders the rest.
-inline bool walksAfter(const IdleJob& a, const IdleJob& b) {
-  return walksBefore(b, a);
+/// early never orders the rest. std's heaps keep the greatest element on
+/// top, hence the reversed comparator.
+struct WalksAfter {
+  HitOrder order;
+  bool operator()(const IdleLineIndex::Hit& a,
+                  const IdleLineIndex::Hit& b) const {
+    return order(b, a);
+  }
+};
+inline void makeWalkHeap(std::vector<IdleLineIndex::Hit>& hits,
+                         HitOrder order) {
+  std::make_heap(hits.begin(), hits.end(), WalksAfter{order});
 }
-inline void makeWalkHeap(std::vector<IdleJob>& jobs) {
-  std::make_heap(jobs.begin(), jobs.end(), walksAfter);
-}
-inline IdleJob popWalkHeap(std::vector<IdleJob>& jobs) {
-  std::pop_heap(jobs.begin(), jobs.end(), walksAfter);
-  const IdleJob top = jobs.back();
-  jobs.pop_back();
+inline IdleLineIndex::Hit popWalkHeap(std::vector<IdleLineIndex::Hit>& hits,
+                                      HitOrder order) {
+  std::pop_heap(hits.begin(), hits.end(), WalksAfter{order});
+  const IdleLineIndex::Hit top = hits.back();
+  hits.pop_back();
   return top;
 }
 

@@ -12,22 +12,11 @@ void OccupancyRecord::attach(sim::Simulator& simulator,
   sf_ = suspensionFactor;
   const std::uint32_t procs = simulator.machine().totalProcs();
   chunkShift_ = procs <= sim::ProcSet::kInlineBits ? 0 : 6;
-  head_.assign(((procs - 1) >> chunkShift_) + 1, kNone);
-  nodes_.clear();
-  spareNode_ = kNone;
-  entries_.clear();
-  unheld_.clear();
-  const bool firstAttach = attached_ == nullptr;
+  head_.resize(((procs - 1) >> chunkShift_) + 1, kNone);
   attached_ = &simulator;
-  if (firstAttach) {
-    // One registration per record lifetime; stale simulators are filtered
-    // by `attached_`.
-    simulator.observers().onStateChange(
-        [this](const sim::Simulator& s, JobId id, sim::JobState from,
-               sim::JobState to) {
-          if (&s == attached_) onTransition(s, id, from, to);
-        });
-  }
+  simulator.observers().onStateChange(
+      [this](const sim::Simulator& s, JobId id, sim::JobState from,
+             sim::JobState to) { onTransition(s, id, from, to); });
 }
 
 void OccupancyRecord::onTransition(const sim::Simulator& s, JobId id,

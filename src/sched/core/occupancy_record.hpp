@@ -59,10 +59,10 @@ namespace sps::sched::kernel {
 
 class OccupancyRecord {
  public:
-  /// Bind to a simulator: clears all state, sizes the list heads to the
-  /// machine and registers the state-change observer. `suspensionFactor`
-  /// scales the floors. Call from onSimulationStart; a record serves one
-  /// simulator at a time and must outlive it.
+  /// Bind to a simulator: sizes the list heads to the machine and
+  /// registers the state-change observer. `suspensionFactor` scales the
+  /// floors. Call once, from onSimulationStart: a record serves the one run
+  /// its policy drives and must outlive it.
   void attach(sim::Simulator& simulator, double suspensionFactor);
 
   /// Suspended jobs recorded.
@@ -151,7 +151,7 @@ class OccupancyRecord {
   std::uint32_t spareNode_ = kNone;  ///< free nodes, chained through next
   std::vector<Entry> entries_;
   std::vector<std::uint32_t> unheld_;  ///< entries with held == 0
-  const sim::Simulator* attached_ = nullptr;
+  const sim::Simulator* attached_ = nullptr;  ///< the run attach() bound
 };
 
 }  // namespace sps::sched::kernel

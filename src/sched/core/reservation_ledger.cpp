@@ -25,22 +25,14 @@ void ReservationLedger::attach(sim::Simulator& simulator) {
   totalProcs_ = simulator.machine().totalProcs();
   profile_ = AvailabilityProfile(simulator.now(), totalProcs_);
   ++version_;
-  reservations_.clear();
-  const bool firstAttach = attached_ == nullptr;
   attached_ = &simulator;
-  if (firstAttach) {
-    // One registration per ledger lifetime: on re-attach the observer is
-    // already in place (stale simulators are filtered by `attached_`).
-    // Registered in BOTH modes — between two refresh() calls the profile
-    // must track jobs the policy starts mid-decision (the seed code's
-    // manual addBusy-after-startJob), and that bookkeeping is identical
-    // either way; the modes differ only in what refresh() itself does.
-    simulator.observers().onStateChange(
-        [this](const sim::Simulator& s, JobId id, sim::JobState from,
-               sim::JobState to) {
-          if (&s == attached_) onTransition(s, id, from, to);
-        });
-  }
+  // Registered in BOTH modes — between two refresh() calls the profile
+  // must track jobs the policy starts mid-decision (the seed code's manual
+  // addBusy-after-startJob), and that bookkeeping is identical either way;
+  // the modes differ only in what refresh() itself does.
+  simulator.observers().onStateChange(
+      [this](const sim::Simulator& s, JobId id, sim::JobState from,
+             sim::JobState to) { onTransition(s, id, from, to); });
 }
 
 void ReservationLedger::refresh(const sim::Simulator& simulator) {

@@ -60,12 +60,12 @@ class ReservationLedger {
   explicit ReservationLedger(KernelMode mode = KernelMode::Incremental)
       : mode_(mode) {}
 
-  /// Bind to a simulator: resets all state, sizes the profile to the
-  /// machine, and registers the state-change observer that keeps the
-  /// running layer current between refreshes (both modes — a policy that
-  /// starts jobs mid-decision needs the profile to follow). Call from
-  /// onSimulationStart. A ledger serves one simulator at a time and must
-  /// outlive it.
+  /// Bind to a simulator: sizes the profile to the machine and registers
+  /// the state-change observer that keeps the running layer current
+  /// between refreshes (both modes — a policy that starts jobs
+  /// mid-decision needs the profile to follow). Call once, from
+  /// onSimulationStart: a ledger serves the one run its policy drives and
+  /// must outlive it.
   void attach(sim::Simulator& simulator);
 
   /// Bring the profile up to date with the simulation clock. Incremental:
@@ -140,8 +140,7 @@ class ReservationLedger {
   std::uint64_t version_ = 0;
   AvailabilityProfile profile_{0, 0};
   std::unordered_map<JobId, ReservationEntry> reservations_;
-  /// Distinguishes the simulator currently served from a stale one still
-  /// holding our observer (a policy may be re-attached across runs).
+  /// The simulator attach() bound; nullptr for a ledger driven by hand.
   const sim::Simulator* attached_ = nullptr;
 };
 

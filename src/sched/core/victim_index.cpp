@@ -21,24 +21,15 @@ bool entryLess(const VictimIndex::Entry& a, const VictimIndex::Entry& b) {
 }  // namespace
 
 void VictimIndex::attach(sim::Simulator& simulator) {
-  entries_.clear();
-  serial_ = 0;
-  owner_.assign(simulator.machine().totalProcs(), kInvalidJob);
-  const bool firstAttach = attached_ == nullptr;
-  attached_ = &simulator;
-  if (firstAttach) {
-    // One registration per index lifetime: on re-attach the observer is
-    // already in place (stale simulators are filtered by `attached_`).
-    simulator.observers().onStateChange(
-        [this](const sim::Simulator& s, JobId id, sim::JobState from,
-               sim::JobState to) {
-          if (&s != attached_) return;
-          if (to == sim::JobState::Running)
-            insert(s, id);
-          else if (from == sim::JobState::Running)
-            remove(s, id);
-        });
-  }
+  owner_.resize(simulator.machine().totalProcs(), kInvalidJob);
+  simulator.observers().onStateChange(
+      [this](const sim::Simulator& s, JobId id, sim::JobState from,
+             sim::JobState to) {
+        if (to == sim::JobState::Running)
+          insert(s, id);
+        else if (from == sim::JobState::Running)
+          remove(s, id);
+      });
 }
 
 void VictimIndex::insert(const sim::Simulator& s, JobId id) {

@@ -67,10 +67,10 @@ class VictimIndex {
 
   static constexpr std::size_t kCategories = 16;
 
-  /// Bind to a simulator: clears all state, sizes the owner map to the
-  /// machine, and registers the state-change observer that keeps the
-  /// order current. Call from onSimulationStart. An index serves one
-  /// simulator at a time and must outlive it.
+  /// Bind to a simulator: sizes the owner map to the machine and
+  /// registers the state-change observer that keeps the order current.
+  /// Call once, from onSimulationStart: an index serves the one run its
+  /// policy drives and must outlive it.
   void attach(sim::Simulator& simulator);
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
@@ -105,9 +105,6 @@ class VictimIndex {
   std::vector<Entry> entries_;
   std::vector<JobId> owner_;       ///< per processor; kInvalidJob if free
   std::uint64_t serial_ = 0;
-  /// Distinguishes the simulator currently served from a stale one still
-  /// holding our observer (a policy may be re-attached across runs).
-  const sim::Simulator* attached_ = nullptr;
 };
 
 /// The victims one preemption pass may draw on, as a step function of the

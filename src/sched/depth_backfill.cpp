@@ -19,8 +19,6 @@ std::string DepthBackfill::name() const {
 
 void DepthBackfill::onSimulationStart(sim::Simulator& simulator) {
   ledger_.attach(simulator);
-  reserved_.clear();
-  tail_.clear();
 }
 
 std::size_t DepthBackfill::openSlots() const {

@@ -9,7 +9,6 @@ namespace sps::sched {
 
 void EasyBackfill::onSimulationStart(sim::Simulator& simulator) {
   ledger_.attach(simulator);
-  queue_.clear();
 }
 
 void EasyBackfill::enqueue(const sim::Simulator& simulator, JobId job) {

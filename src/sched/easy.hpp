@@ -91,7 +91,7 @@ class EasyBackfill final : public sim::SchedulingPolicy {
   };
   std::vector<Queued> queue_;  ///< FCFS or shortest-first, per config
   /// The head's reservation, valid for shadowHead_ at ledger version
-  /// shadowVersion_ (a fresh attach bumps the version past any stale key).
+  /// shadowVersion_ (attach bumps the version past the initial key).
   kernel::BackfillEngine::Shadow shadow_{};
   JobId shadowHead_ = 0;
   std::uint64_t shadowVersion_ = 0;

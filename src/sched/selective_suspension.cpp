@@ -25,8 +25,6 @@ SelectiveSuspension::SelectiveSuspension(SsConfig config)
     : config_(config) {
   SPS_CHECK_MSG(config_.suspensionFactor >= 1.0,
                 "suspension factor must be >= 1");
-  SPS_CHECK_MSG(config_.preemptionInterval > 0,
-                "preemption interval must be positive");
   SPS_CHECK_MSG(!(config_.tssLimits && config_.tssOnlineMultiplier),
                 "static and online TSS limits are mutually exclusive");
   if (config_.tssOnlineMultiplier)
@@ -43,11 +41,6 @@ std::string SelectiveSuspension::name() const {
 }
 
 void SelectiveSuspension::onSimulationStart(sim::Simulator& simulator) {
-  gateStamp_ = ~std::uint64_t{0};
-  gateSkipUntil_ = kNoTime;
-  tickPrefix_.clear();
-  sweepHorizon_ = kNoTime;
-  passHorizon_ = kNoTime;
   if (config_.kernelMode == kernel::KernelMode::Incremental) {
     victimIndex_.attach(simulator);
     idleLines_.attach(simulator);
@@ -182,7 +175,7 @@ bool SelectiveSuspension::tickPassSkippable(sim::Simulator& simulator) {
 void SelectiveSuspension::armTick(sim::Simulator& simulator) {
   if (tickArmed_) return;
   tickArmed_ = true;
-  simulator.scheduleTimer(simulator.now() + config_.preemptionInterval,
+  simulator.scheduleTimer(simulator.now() + kPreemptionInterval,
                           kTickTag);
 }
 
@@ -287,7 +280,7 @@ std::optional<double> SelectiveSuspension::categoryLimit(
   if (config_.tssLimits) return (*config_.tssLimits)[category];
   if (config_.tssOnlineMultiplier) {
     const auto& [n, mean] = onlineSlowdowns_[category];
-    if (n >= config_.tssOnlineMinSamples)
+    if (n >= kTssOnlineMinSamples)
       return *config_.tssOnlineMultiplier * mean;
   }
   return std::nullopt;
@@ -370,6 +363,7 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
   // candidate from the simulator's lists and sorts them all, the
   // unfiltered reference.
   using IdleState = kernel::IdleLineIndex::State;
+  const kernel::HitOrder walksBefore{simulator};
   const bool localResumes = !config_.migratableJobs;
   std::uint64_t resumeWalkReads = 0;
   auto walk = [&](IdleState idle, const sim::ProcSet& fence, auto fits,
@@ -385,7 +379,7 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
       const std::uint32_t maxWidth = usableCount - countFence;
       auto gather = [&](JobId id) {
         if (!isClaimant(id) && fits(id))
-          walkScratch_.push_back(kernel::idleJob(simulator, id));
+          walkScratch_.push_back(kernel::idleHit(simulator, id));
       };
       if (!queued && localResumes) {
         occupancy_.forEachUnheld([&](JobId id, std::uint32_t procs) {
@@ -405,16 +399,17 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
         if (simulator.state(id) == (queued ? sim::JobState::Queued
                                            : sim::JobState::Suspended) &&
             !isClaimant(id))
-          walkScratch_.push_back(kernel::idleJob(simulator, id));
+          walkScratch_.push_back(kernel::idleHit(simulator, id));
       }
     }
     if (incremental)
-      kernel::makeWalkHeap(walkScratch_);
-    else
-      kernel::sortByPriority(walkScratch_);  // the reference order
+      kernel::makeWalkHeap(walkScratch_, walksBefore);
+    else  // the reference order
+      std::sort(walkScratch_.begin(), walkScratch_.end(), walksBefore);
     for (std::size_t next = 0; next < walkScratch_.size();) {
-      const JobId id = incremental ? kernel::popWalkHeap(walkScratch_).id
-                                   : walkScratch_[next++].id;
+      const JobId id = incremental
+                           ? kernel::popWalkHeap(walkScratch_, walksBefore).id
+                           : walkScratch_[next++].id;
       refreshUsable(fence);
       // usable only shrinks as the walk acts, so once the fence eats all
       // of it no later candidate can fit either.
@@ -562,15 +557,15 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
   // The idle jobs in priority order, as of the pass start. The snapshot goes
   // stale as this loop suspends and starts jobs; anything no longer idle is
   // skipped at use.
-  std::vector<kernel::IdleJob> idle;
+  std::vector<kernel::IdleLineIndex::Hit> idle;
   for (const JobId id : simulator.queuedJobs())
-    idle.push_back(kernel::idleJob(simulator, id));
+    idle.push_back(kernel::idleHit(simulator, id));
   for (const JobId id : simulator.suspendedJobs())
     if (simulator.state(id) == sim::JobState::Suspended)
-      idle.push_back(kernel::idleJob(simulator, id));
-  kernel::sortByPriority(idle);
+      idle.push_back(kernel::idleHit(simulator, id));
+  std::sort(idle.begin(), idle.end(), kernel::HitOrder{simulator});
 
-  for (const kernel::IdleJob& candidate : idle) {
+  for (const kernel::IdleLineIndex::Hit& candidate : idle) {
     const JobId id = candidate.id;
     const sim::JobState st = simulator.state(id);
     if (st != sim::JobState::Queued && st != sim::JobState::Suspended)
@@ -664,8 +659,9 @@ void SelectiveSuspension::preemptionPassIncremental(
   // non-winners too: their raw crossings are at least the winner's, and the
   // floor-minus-one margin keeps every skipped tick strictly before any
   // candidate's true crossing even under the ~1e-7 s float noise of the raw
-  // form. Ties go to the candidate the ordered walk reaches first, so the
-  // winner does not depend on evaluation order.
+  // form. Ties go to the candidate the walk reaches first: the tally is read
+  // only after a pass that did not act, which merged nothing and so visited
+  // its candidates in Eq. 2 order.
   struct Tally {
     std::uint64_t victimTests = 0;
     std::uint64_t boundSkips = 0;
@@ -678,17 +674,7 @@ void SelectiveSuspension::preemptionPassIncremental(
   const auto nowD = static_cast<double>(simulator.now());
   auto noteHorizon = [&](JobId id, double x, double est, double target) {
     const double tc = nowD + (target - x) * est;
-    if (tc > tally.minTc) return;
-    if (tc == tally.minTc) {
-      // Eq. 2 walk order: priority descending, then submit, then id.
-      if (x != tally.minX) {
-        if (x < tally.minX) return;
-      } else {
-        const Time sa = simulator.job(id).submit;
-        const Time sb = simulator.job(tally.minId).submit;
-        if (sa != sb ? sa > sb : id > tally.minId) return;
-      }
-    }
+    if (tc >= tally.minTc) return;
     tally.minTc = tc;
     tally.minId = id;
     tally.minX = x;

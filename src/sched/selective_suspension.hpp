@@ -63,6 +63,12 @@ enum class OwedProcsPolicy {
   Lease,
 };
 
+/// Period of the preemption routine: the paper's 1 minute (Section IV-B).
+inline constexpr Time kPreemptionInterval = kMinute;
+
+/// Online TSS: completions a category needs before it protects anything.
+inline constexpr std::size_t kTssOnlineMinSamples = 20;
+
 struct SsConfig {
   /// Minimum ratio of preemptor priority to victim priority (SF). The paper
   /// evaluates 1.5, 2, and 5; values below 1 allow priority inversions and
@@ -71,9 +77,6 @@ struct SsConfig {
 
   /// Enforce the half-width rule for fresh (never-suspended) preemptors.
   bool halfWidthRule = true;
-
-  /// Period of the preemption routine, seconds.
-  Time preemptionInterval = kMinute;
 
   /// Fresh-start discipline for processors owed to suspended jobs.
   OwedProcsPolicy owedProcs = OwedProcsPolicy::Lease;
@@ -94,10 +97,9 @@ struct SsConfig {
   /// Online-adaptive TSS (extension): instead of pre-calibrated limits,
   /// maintain a running average of completed jobs' bounded slowdowns per
   /// category and protect victims above multiplier x that average. A
-  /// category protects nothing until it has tssOnlineMinSamples
+  /// category protects nothing until it has kTssOnlineMinSamples
   /// completions. Mutually exclusive with tssLimits.
   std::optional<double> tssOnlineMultiplier;
-  std::size_t tssOnlineMinSamples = 20;
 
   /// Kernel mode (sched/core). Incremental runs the victim index, the
   /// idle-line tick gate, the occupancy record (local preemption only) and
@@ -293,7 +295,7 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   Time sweepHorizon_ = kNoTime;
   Time passHorizon_ = kNoTime;
   /// Dispatch-walk candidates, reused across walks.
-  std::vector<kernel::IdleJob> walkScratch_;
+  std::vector<kernel::IdleLineIndex::Hit> walkScratch_;
   /// Pass scratch, reused across ticks to avoid per-pass allocation.
   std::vector<JobId> occupantsScratch_;
   std::vector<JobId> victimsScratch_;

@@ -5,6 +5,10 @@
 // running job to suspend. Policies act through Simulator's startJob /
 // resumeJob / suspendJob / scheduleTimer and must never mutate state any
 // other way.
+//
+// One policy object drives one run: a Simulator binds the policy it is
+// built on and refuses one that is already bound, so a policy's state
+// (and the kernel structures it attaches) never has to be reset.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +60,11 @@ class SchedulingPolicy {
 
   /// Called once after the last event, for end-of-run assertions.
   virtual void onSimulationEnd(Simulator& /*simulator*/) {}
+
+ private:
+  friend class Simulator;
+  /// The simulator this policy drives; set once, at its construction.
+  const Simulator* boundTo_ = nullptr;
 };
 
 /// Per-job suspension/restart cost model (Section V-A of the paper).

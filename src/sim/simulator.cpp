@@ -71,10 +71,17 @@ Simulator::Simulator(const workload::Trace& trace, SchedulingPolicy& policy,
       listPos_(trace.jobs.size(), 0) {
   if (config.recorder != nullptr) obs_ = config.recorder;
   workload::validateTrace(trace);
+  bindPolicy();
   for (std::size_t i = 0; i < trace.jobs.size(); ++i) exec_.emplace_back();
   unfinished_ = static_cast<std::uint32_t>(trace.jobs.size());
   firstSubmit_ = trace.jobs.empty() ? 0 : trace.jobs.front().submit;
   lastSubmit_ = trace.jobs.empty() ? 0 : trace.jobs.back().submit;
+}
+
+void Simulator::bindPolicy() {
+  SPS_CHECK_MSG(policy_.boundTo_ == nullptr,
+                "policy '" << policy_.name() << "' already drives a run");
+  policy_.boundTo_ = this;
 }
 
 namespace {
@@ -100,6 +107,7 @@ Simulator::Simulator(std::string traceName, std::uint32_t machineProcs,
       machine_(checkedMachineProcs(traceName_, machineProcs)),
       owedRef_(machineProcs, 0) {
   if (config.recorder != nullptr) obs_ = config.recorder;
+  bindPolicy();
 }
 
 JobId Simulator::submit(workload::Job job) {
@@ -113,12 +121,6 @@ JobId Simulator::submit(workload::Job job) {
     throw InputError("submit to '" + traceName_ + "' (job " +
                      std::to_string(job.id) + "): " + why);
   };
-  if (job.runtime <= 0) reject("runtime must be positive");
-  if (job.estimate < job.runtime)
-    reject("estimate below runtime (jobs are killed at their wall-clock "
-           "limit; clamp first)");
-  if (job.procs == 0) reject("procs must be >= 1");
-  if (job.procs > machine_.totalProcs()) reject("procs exceed machine size");
   if (job.submit < lastSubmit_ && !jobs_.empty())
     reject("out-of-order submit time " + std::to_string(job.submit) +
            " (stream is at " + std::to_string(lastSubmit_) + ")");
@@ -126,6 +128,8 @@ JobId Simulator::submit(workload::Job job) {
     reject("submit time " + std::to_string(job.submit) +
            " in the simulated past (clock is at " + std::to_string(now_) +
            ")");
+  if (const char* why = workload::jobRowDefect(job, machine_.totalProcs()))
+    reject(why);
   if (jobs_.empty()) firstSubmit_ = job.submit;
   if (job.submit > lastSubmit_) {
     // The steady-state utilization window [firstSubmit, lastSubmit] just

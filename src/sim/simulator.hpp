@@ -175,6 +175,9 @@ class Simulator {
   /// must satisfy validateTrace()). The simulator borrows the trace's job
   /// rows instead of copying them, so the trace, like the policy, must
   /// outlive the simulator; a batch-built simulator refuses submit().
+  /// Both constructors validate their input, then bind the policy: one
+  /// policy object drives one run, and a policy that already drives one
+  /// throws InvariantError (an input error leaves it unbound).
   Simulator(const workload::Trace& trace, SchedulingPolicy& policy,
             Config config);
   Simulator(const workload::Trace& trace, SchedulingPolicy& policy)
@@ -417,6 +420,9 @@ class Simulator {
   [[nodiscard]] bool hasPending() const {
     return nextArrival_ < jobs_.size() || !events_.empty();
   }
+  /// Bind policy_ to this run; throws InvariantError when it already
+  /// drives one. Runs after the constructor has validated its input.
+  void bindPolicy();
   /// True when the arrival under the cursor precedes every queued event.
   [[nodiscard]] bool arrivalIsNext() const;
   /// Dispatch the earliest pending event; requires hasPending().

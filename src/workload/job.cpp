@@ -8,6 +8,17 @@
 
 namespace sps::workload {
 
+const char* jobRowDefect(const Job& job, std::uint32_t machineProcs) {
+  if (job.runtime <= 0) return "runtime must be positive";
+  if (job.estimate < job.runtime)
+    return "estimate below runtime (jobs are killed at their wall-clock "
+           "limit; clamp first)";
+  if (job.procs == 0) return "procs must be >= 1";
+  if (job.procs > machineProcs) return "procs exceed machine size";
+  if (job.submit < 0) return "submit time must be >= 0";
+  return nullptr;
+}
+
 void validateTrace(const Trace& trace) {
   if (trace.machineProcs == 0)
     throw InputError("trace '" + trace.name + "': machineProcs == 0");
@@ -22,12 +33,7 @@ void validateTrace(const Trace& trace) {
     };
     if (j.id != static_cast<JobId>(i)) reject("ids must be dense 0..n-1");
     if (j.submit < prevSubmit) reject("jobs must be sorted by submit time");
-    if (j.runtime <= 0) reject("runtime must be positive");
-    if (j.estimate < j.runtime)
-      reject("estimate below runtime (jobs are killed at their wall-clock "
-             "limit; clamp first)");
-    if (j.procs == 0) reject("procs must be >= 1");
-    if (j.procs > trace.machineProcs) reject("procs exceed machine size");
+    if (const char* why = jobRowDefect(j, trace.machineProcs)) reject(why);
     prevSubmit = j.submit;
   }
 }

@@ -39,8 +39,15 @@ struct Trace {
   std::vector<Job> jobs;
 };
 
-/// Validate a trace: jobs sorted by submit, ids dense 0..n-1, runtimes > 0,
-/// estimate >= runtime, procs within the machine. Throws InputError.
+/// The per-job rule every ingest path applies (validateTrace and
+/// sim::Simulator::submit): runtime > 0, estimate >= runtime, procs in
+/// [1, machineProcs] and submit >= 0. Returns why `job` breaks it, or
+/// nullptr. Each caller adds its own message context and ordering checks.
+[[nodiscard]] const char* jobRowDefect(const Job& job,
+                                       std::uint32_t machineProcs);
+
+/// Validate a trace: ids dense 0..n-1, jobs sorted by submit, and every job
+/// passing jobRowDefect. Throws InputError.
 void validateTrace(const Trace& trace);
 
 /// Total work (runtime x procs) over all jobs, processor-seconds.

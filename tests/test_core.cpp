@@ -7,6 +7,7 @@
 #include "core/figures.hpp"
 #include "core/simulation.hpp"
 #include "helpers.hpp"
+#include "util/check.hpp"
 #include "workload/synthetic.hpp"
 
 #include <cmath>
@@ -95,6 +96,20 @@ TEST(RunSimulation, EndToEndSmallTrace) {
   const metrics::RunStats stats = runSimulation(trace, spec);
   EXPECT_EQ(stats.jobs.size(), 3u);
   for (const auto& j : stats.jobs) EXPECT_GE(j.finish, j.submit + j.runtime);
+}
+
+// A batch trace and a streamed submit share one per-job rule, so a negative
+// submit time is an input error on both paths, not a failed internal check
+// once the run starts.
+TEST(RunSimulation, NegativeSubmitInBatchTraceIsInputError) {
+  auto trace = makeTrace(8, {{0, 100, 4}, {10, 50, 4}});
+  trace.jobs[0].submit = -5;
+  for (const PolicyKind kind :
+       {PolicyKind::Easy, PolicyKind::SelectiveSuspension}) {
+    PolicySpec spec;
+    spec.kind = kind;
+    EXPECT_THROW((void)runSimulation(trace, spec), InputError);
+  }
 }
 
 TEST(RunSimulation, DeterministicAcrossCalls) {

@@ -137,7 +137,7 @@ TEST(OnlineTss, NameDistinguishesMode) {
 }
 
 TEST(OnlineTss, NoProtectionBeforeMinSamples) {
-  // Two jobs only: far below tssOnlineMinSamples, so behaviour must be
+  // Two jobs only: far below kTssOnlineMinSamples, so behaviour must be
   // identical to plain SS (the short job preempts).
   sched::SsConfig cfg;
   cfg.tssOnlineMultiplier = 1.5;

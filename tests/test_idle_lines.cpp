@@ -18,6 +18,7 @@
 
 #include "sched/core/idle_lines.hpp"
 #include "sched/core/idle_order.hpp"
+#include "sched/fcfs.hpp"
 #include "sched/overhead.hpp"
 #include "sched/selective_suspension.hpp"
 #include "sim/simulator.hpp"
@@ -479,7 +480,7 @@ TEST(VictimSteps, ThresholdInvertsCut) {
 
 // The SS/TSS dispatch walk's heap against the reference walk's sort: on
 // random idle lists dense in tied priorities and tied submit times,
-// repeatedly popping the heap yields exactly sortByPriority's order.
+// repeatedly popping the heap yields exactly the HitOrder sort's order.
 TEST(IdleOrder, WalkHeapPopsInSortOrder) {
   Rng rng(23);
   std::size_t tiedPriorities = 0;
@@ -487,30 +488,42 @@ TEST(IdleOrder, WalkHeapPopsInSortOrder) {
   for (int round = 0; round < 500; ++round) {
     const auto n = static_cast<std::size_t>(rng.uniformInt(0, 60));
     const auto distinct = rng.uniformInt(1, 6);
+    // HitOrder reads submit times from the simulator's job rows.
+    FcfsScheduler policy;
+    sim::Simulator s("order", 1, policy, {});
+    Time submit = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.uniformInt(0, distinct) == 0) ++submit;
+      workload::Job j;
+      j.submit = submit;
+      j.runtime = j.estimate = 10;
+      s.submit(j);
+    }
     std::vector<JobId> ids(n);
     std::iota(ids.begin(), ids.end(), JobId{0});
     std::shuffle(ids.begin(), ids.end(), rng);
-    std::vector<kernel::IdleJob> jobs;
+    std::vector<IdleLineIndex::Hit> hits;
     for (const JobId id : ids) {
       const auto level = static_cast<double>(rng.uniformInt(0, distinct));
-      jobs.push_back({1.0 + 0.5 * level, rng.uniformInt(0, distinct), id});
+      hits.push_back({1.0 + 0.5 * level, 10.0, id, 1});
     }
-    std::vector<kernel::IdleJob> sorted = jobs;
-    kernel::sortByPriority(sorted);
+    const kernel::HitOrder order{s};
+    std::vector<IdleLineIndex::Hit> sorted = hits;
+    std::sort(sorted.begin(), sorted.end(), order);
     for (std::size_t i = 1; i < sorted.size(); ++i) {
-      if (sorted[i].priority != sorted[i - 1].priority) continue;
+      if (sorted[i].x != sorted[i - 1].x) continue;
       ++tiedPriorities;
-      if (sorted[i].submit == sorted[i - 1].submit) ++tiedSubmits;
+      if (s.job(sorted[i].id).submit == s.job(sorted[i - 1].id).submit)
+        ++tiedSubmits;
     }
-    kernel::makeWalkHeap(jobs);
-    for (const kernel::IdleJob& want : sorted) {
-      ASSERT_FALSE(jobs.empty());
-      const kernel::IdleJob got = kernel::popWalkHeap(jobs);
+    kernel::makeWalkHeap(hits, order);
+    for (const IdleLineIndex::Hit& want : sorted) {
+      ASSERT_FALSE(hits.empty());
+      const IdleLineIndex::Hit got = kernel::popWalkHeap(hits, order);
       ASSERT_EQ(got.id, want.id) << "round " << round;
-      ASSERT_EQ(got.priority, want.priority);
-      ASSERT_EQ(got.submit, want.submit);
+      ASSERT_EQ(got.x, want.x);
     }
-    EXPECT_TRUE(jobs.empty());
+    EXPECT_TRUE(hits.empty());
   }
   EXPECT_GT(tiedPriorities, 0u);
   EXPECT_GT(tiedSubmits, 0u);

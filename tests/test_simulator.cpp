@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -15,6 +16,7 @@
 #include "metrics/job_record.hpp"
 #include "obs/counters.hpp"
 #include "sched/overhead.hpp"
+#include "sched/policy_factory.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
 #include "util/chunk_table.hpp"
@@ -709,6 +711,68 @@ TEST(SimulatorProcPool, FinishObserverSeesFullSet) {
     EXPECT_TRUE(s.procSet(id).empty()) << "job " << id;
   }
   EXPECT_EQ(atFinish[1], atFinish[2]);  // {3-7} both times
+}
+
+// --- one policy object drives one run ---------------------------------------
+
+/// Every registry policy, in `mode`, as a fresh object (TSS with flat limits,
+/// so its name says TSS).
+std::unique_ptr<SchedulingPolicy> registryPolicy(
+    const std::string& token, sched::kernel::KernelMode mode) {
+  sched::PolicySpec spec = sched::specFromToken(token);
+  if (token.rfind("tss:", 0) == 0) {
+    spec.ss.tssLimits.emplace();
+    spec.ss.tssLimits->fill(10.0);
+  }
+  return sched::makePolicy(sched::withKernelMode(spec, mode));
+}
+
+constexpr sched::kernel::KernelMode kBothModes[] = {
+    sched::kernel::KernelMode::Incremental,
+    sched::kernel::KernelMode::Rebuild};
+
+TEST(SimulatorPolicyBinding, SecondSimulatorOnOnePolicyThrows) {
+  const auto trace = makeTrace(8, {{0, 100, 4}, {10, 50, 8}, {20, 30, 2}});
+  for (const std::string& token : sched::knownPolicyTokens()) {
+    for (const auto mode : kBothModes) {
+      SCOPED_TRACE(token);
+      const auto policy = registryPolicy(token, mode);
+      Simulator first(trace, *policy);
+      first.run();
+      const std::string named =
+          "policy '" + policy->name() + "' already drives a run";
+      for (const bool batch : {true, false}) {
+        try {
+          if (batch)
+            Simulator second(trace, *policy);
+          else
+            Simulator second("again", 8, *policy, {});
+          ADD_FAILURE() << "a second simulator took the policy";
+        } catch (const InvariantError& e) {
+          EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
+}
+
+TEST(SimulatorPolicyBinding, RefusedInputLeavesPolicyUnbound) {
+  const auto trace = makeTrace(8, {{0, 100, 4}, {10, 50, 8}, {20, 30, 2}});
+  auto refused = trace;
+  refused.jobs[1].procs = 9;  // wider than the machine
+  for (const std::string& token : sched::knownPolicyTokens()) {
+    for (const auto mode : kBothModes) {
+      SCOPED_TRACE(token);
+      const auto policy = registryPolicy(token, mode);
+      EXPECT_THROW(Simulator(refused, *policy), InputError);
+      EXPECT_THROW(Simulator("empty", 0, *policy, {}), InputError);
+      Simulator s(trace, *policy);
+      s.run();
+      for (JobId id = 0; id < 3; ++id)
+        EXPECT_EQ(s.state(id), JobState::Finished);
+    }
+  }
 }
 
 }  // namespace

@@ -91,6 +91,9 @@ TEST(Trace, ValidateMessagesCarryJobContext) {
   EXPECT_EQ(messageOf(t), prefix + "1): procs exceed machine size");
   t.jobs[1].procs = 4;
   EXPECT_EQ(messageOf(t), "(accepted)");
+  t.jobs[0].submit = -5;
+  EXPECT_EQ(messageOf(t),
+            "trace 'test' job index 0 (id 0): submit time must be >= 0");
 }
 
 TEST(Trace, TotalWorkSums) {
