@@ -9,7 +9,6 @@
 #include <string_view>
 #include <utility>
 
-#include "check/invariants.hpp"
 #include "core/experiment.hpp"
 #include "sched/overhead.hpp"
 #include "sim/simulator.hpp"
@@ -243,48 +242,50 @@ FuzzCase makeFuzzCase(std::uint64_t seed, std::string token) {
 
 namespace {
 
-/// Shared body of runOnce/runStreamed: construct (batch or streaming),
-/// arm the oracle and the transition recorder, run `drive`, harvest.
+/// Shared body of runOnce/runStreamed: build the run (batch or streaming)
+/// through core::SimulationHarness with the oracle armed and the
+/// transition recorder instrumented, run `drive`, finish, harvest.
 template <typename Drive>
 RunRecord runRecorded(const CheckConfig& checks, const FuzzCase& c,
                       KernelMode mode, bool streamed, Drive&& drive,
                       std::string* violation) {
   const core::PolicySpec spec =
       sched::withKernelMode(resolveCaseSpec(c), mode);
-  const auto policy = core::makePolicy(spec);
   std::optional<sched::DiskSwapOverhead> overhead;
-  sim::Simulator::Config config;
+  core::SimulationOptions options;
+  options.check = checks;
   if (c.overhead) {
     // Per-job costs are precomputed by id from the original trace; the
     // streamed lane assigns identical ids (stream order == trace order).
     overhead.emplace(c.trace);
-    config.overhead = &*overhead;
+    options.sim.overhead = &*overhead;
   }
-  std::optional<sim::Simulator> simulator;
-  if (streamed)
-    simulator.emplace(c.trace.name, c.trace.machineProcs, *policy, config);
-  else
-    simulator.emplace(c.trace, *policy, config);
-  InvariantChecker checker(checks);
-  checker.arm(*simulator, *policy);
   RunRecord record;
-  simulator->observers().onStateChange(
-      [&record](const sim::Simulator& s, JobId id, sim::JobState from,
-                sim::JobState to) {
-        record.transitions.emplace_back(s.now(), id, static_cast<int>(from),
-                                        static_cast<int>(to));
-      });
+  options.instrument = [&record](sim::Simulator& simulator) {
+    simulator.observers().onStateChange(
+        [&record](const sim::Simulator& s, JobId id, sim::JobState from,
+                  sim::JobState to) {
+          record.transitions.emplace_back(s.now(), id, static_cast<int>(from),
+                                          static_cast<int>(to));
+        });
+  };
+  std::optional<core::SimulationHarness> harness;
+  if (streamed)
+    harness.emplace(c.trace.name, c.trace.machineProcs, spec, options);
+  else
+    harness.emplace(c.trace, spec, options);
+  sim::Simulator& simulator = harness->simulator();
   try {
-    drive(*simulator);
-    checker.finalize(*simulator);
+    drive(simulator);
+    (void)harness->finish();
   } catch (const InvariantError& e) {
     if (violation != nullptr) *violation = e.what();
     return record;
   }
   for (JobId id = 0; id < c.trace.jobs.size(); ++id) {
-    record.firstStart.push_back(simulator->exec(id).firstStart);
-    record.finish.push_back(simulator->exec(id).finish);
-    record.suspendCount.push_back(simulator->exec(id).suspendCount);
+    record.firstStart.push_back(simulator.exec(id).firstStart);
+    record.finish.push_back(simulator.exec(id).finish);
+    record.suspendCount.push_back(simulator.exec(id).suspendCount);
   }
   return record;
 }
@@ -322,7 +323,6 @@ RunRecord DiffHarness::runStreamed(const FuzzCase& c, KernelMode mode,
           for (std::size_t k = 0; k < seg; ++k) simulator.submit(jobs[i + k]);
           i += seg;
         }
-        simulator.drain();
       },
       violation);
 }

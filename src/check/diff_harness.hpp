@@ -7,7 +7,8 @@
 // KernelMode::Rebuild (the pre-kernel per-event reconstruction). The
 // harness runs a workload through both with the invariant oracle armed and
 // diffs the full schedules — any divergence or invariant firing is a bug by
-// construction.
+// construction. Every run is built by core::SimulationHarness, the wiring
+// every other run uses.
 //
 // A failing case shrinks via a greedy job-removal minimizer and round-trips
 // through a self-contained text repro file (policy token + overhead flag +
@@ -94,9 +95,9 @@ class DiffHarness {
   /// the trace is chopped into seeded segments, each submitted as a block
   /// after advancing the simulator under bounded lookahead. Coarse segments
   /// deliberately leave several future arrivals pending behind the arrival
-  /// cursor at once — the interleaving the per-job pump
-  /// (core::runSimulation's streaming overload) never produces. Same
-  /// record/violation contract as runOnce.
+  /// cursor at once — the interleaving the per-job pump (SchedulerService's
+  /// bounded lookahead) never produces. Same record/violation contract as
+  /// runOnce.
   [[nodiscard]] RunRecord runStreamed(const FuzzCase& c,
                                       sched::kernel::KernelMode mode,
                                       std::uint64_t seed,

@@ -54,8 +54,6 @@ RunResult Runner::execute(const RunRequest& request, std::size_t index) {
   RunResult result;
   result.index = index;
   result.seed = request.seed;
-  result.label =
-      request.label.empty() ? policyLabel(request.spec) : request.label;
   SimulationOptions options = request.options;
   ProgressBoard::Ticket ticket;
   if (progress_ != nullptr) {
@@ -69,6 +67,7 @@ RunResult Runner::execute(const RunRequest& request, std::size_t index) {
     progress_->finishRun(ticket, result.stats.eventsProcessed);
   result.wallSeconds = std::chrono::duration<double>(end - start).count();
   result.policyName = result.stats.policyName;
+  result.label = request.label.empty() ? result.policyName : request.label;
   result.traceName = result.stats.traceName;
 #if SPS_TRACE_ON
   // Task-lifecycle span: wall-clock timebase (unlike the sim-time events

@@ -44,7 +44,7 @@ struct RunRequest {
   SimulationOptions options{};
   /// Echoed into RunResult::seed — the workload seed, by convention.
   std::uint64_t seed = 0;
-  /// Echoed into RunResult::label; empty = policyLabel(spec).
+  /// Echoed into RunResult::label; empty = the run's policy name.
   std::string label;
 };
 
@@ -62,7 +62,7 @@ struct RunResult {
   std::string policyName;
   std::string traceName;
   std::uint64_t seed = 0;  ///< RunRequest::seed, echoed
-  std::string label;       ///< RunRequest::label, or policyLabel(spec)
+  std::string label;       ///< RunRequest::label, or policyName
   double wallSeconds = 0.0;  ///< wall-clock time of this simulation
   metrics::RunStats stats;
 };

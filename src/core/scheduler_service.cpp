@@ -1,12 +1,8 @@
 #include "core/scheduler_service.hpp"
 
-#include <condition_variable>
-#include <deque>
 #include <istream>
-#include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "util/check.hpp"
@@ -159,44 +155,11 @@ metrics::RunStats SchedulerService::finish() {
 
 metrics::RunStats SchedulerService::serve(std::istream& in,
                                           std::ostream& out) {
-  // Reader thread -> bounded queue -> this thread. The bound is
-  // backpressure, not correctness: when the simulator falls behind, the
-  // reader blocks instead of buffering the whole input; commands still
-  // execute strictly in input order on this thread only.
-  constexpr std::size_t kQueueBound = 1024;
-  std::mutex mutex;
-  std::condition_variable readable;
-  std::condition_variable writable;
-  std::deque<std::string> pending;
-  bool eof = false;
-
-  std::thread reader([&] {
-    std::string line;
-    while (std::getline(in, line)) {
-      std::unique_lock lock(mutex);
-      writable.wait(lock, [&] { return pending.size() < kQueueBound; });
-      pending.push_back(std::move(line));
-      readable.notify_one();
-    }
-    std::lock_guard lock(mutex);
-    eof = true;
-    readable.notify_one();
-  });
-
-  for (;;) {
-    std::string line;
-    {
-      std::unique_lock lock(mutex);
-      readable.wait(lock, [&] { return eof || !pending.empty(); });
-      if (pending.empty()) break;  // eof and nothing left
-      line = std::move(pending.front());
-      pending.pop_front();
-      writable.notify_one();
-    }
+  std::string line;
+  while (std::getline(in, line)) {
     const std::string reply = processLine(line);
     if (!reply.empty()) out << reply << '\n' << std::flush;
   }
-  reader.join();
   // End of input finishes the run exactly as an explicit `drain` does.
   return finish();
 }

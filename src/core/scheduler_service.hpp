@@ -30,11 +30,10 @@
 // discipline a conservatively synchronized PDES federate (SST-style) uses,
 // with the submit stream as the lookahead channel.
 //
-// Threading: processLine() is the whole service and is strictly
-// single-threaded — call it from one thread. serve() adds the standard
-// driver arrangement: a reader thread pumps the input stream into a
-// bounded command queue (blocking when the simulator falls behind) while
-// the calling thread drains commands in order and writes replies.
+// Threading: the service is strictly single-threaded — call it from one
+// thread. processLine() is the whole service; serve() is its stream driver
+// and reads, executes and answers one line at a time on the calling thread,
+// so unread input waits in the stream while a line executes.
 #pragma once
 
 #include <cstdint>
@@ -80,11 +79,11 @@ class SchedulerService {
   /// propagates, as it does everywhere else.
   [[nodiscard]] std::string processLine(std::string_view line);
 
-  /// Drive the service from a stream: a reader thread feeds lines into a
-  /// bounded queue, this thread executes them in order and writes one
-  /// reply line per command to `out` (flushed per line, so a socket pipe
-  /// sees replies promptly). At end of input the run is finished
-  /// implicitly if no `drain` command did it. Returns the final stats.
+  /// Drive the service from a stream on the calling thread: read a line,
+  /// execute it, and write its reply line to `out` (flushed per line, so a
+  /// socket pipe sees replies promptly). At end of input the run is
+  /// finished implicitly if no `drain` command did it. Returns the final
+  /// stats.
   metrics::RunStats serve(std::istream& in, std::ostream& out);
 
   /// Drain the simulator and collect final metrics. Idempotent: the first

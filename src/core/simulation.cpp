@@ -1,6 +1,5 @@
 #include "core/simulation.hpp"
 
-#include <optional>
 #include <utility>
 
 #include "core/progress.hpp"
@@ -15,7 +14,7 @@ SimulationHarness::SimulationHarness(const workload::Trace& trace,
       // invariant under core::Runner) even when many runs share one sink.
       recorder_(options.traceSink),
       traceSink_(options.traceSink),
-      label_(policyLabel(spec)) {
+      label_(spec.label.empty() ? policy_->name() : spec.label) {
   sim::SimulatorConfig config = options.sim;
   config.recorder = &recorder_;
   simulator_.emplace(trace, *policy_, config);
@@ -29,7 +28,7 @@ SimulationHarness::SimulationHarness(std::string traceName,
     : policy_(makePolicy(spec)),
       recorder_(options.traceSink),
       traceSink_(options.traceSink),
-      label_(policyLabel(spec)) {
+      label_(spec.label.empty() ? policy_->name() : spec.label) {
   sim::SimulatorConfig config = options.sim;
   config.recorder = &recorder_;
   simulator_.emplace(std::move(traceName), machineProcs, *policy_, config);
@@ -78,22 +77,6 @@ metrics::RunStats runSimulation(const workload::Trace& trace,
                                 const SimulationOptions& options) {
   SimulationHarness harness(trace, spec, options);
   harness.simulator().run();
-  return harness.finish();
-}
-
-metrics::RunStats runSimulation(JobSource& source, const PolicySpec& spec,
-                                const SimulationOptions& options) {
-  SimulationHarness harness(source.name(), source.machineProcs(), spec,
-                            options);
-  // Minimum-lookahead pump: advance to the instant before each job's
-  // submit time, then ingest it — every event at the submit instant
-  // dispatches with the arrival already enqueued, which (with the
-  // arrivals-first event band) reproduces the batch order exactly.
-  sim::Simulator& simulator = harness.simulator();
-  while (std::optional<workload::Job> j = source.next()) {
-    simulator.runUntil(j->submit - 1);
-    simulator.submit(std::move(*j));
-  }
   return harness.finish();
 }
 

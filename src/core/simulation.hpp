@@ -1,8 +1,7 @@
 // Simulation facade — the library's primary entry point.
 //
-// Wires a workload — a fixed trace OR a streaming JobSource — a scheduling
-// policy, and an optional overhead model into one run and returns the
-// collected metrics:
+// Wires a workload, a scheduling policy, and an optional overhead model
+// into one run and returns the collected metrics:
 //
 //   auto trace = sps::workload::generateTrace(sps::workload::ctcConfig());
 //   sps::core::PolicySpec spec;
@@ -10,11 +9,12 @@
 //   spec.ss.suspensionFactor = 2.0;
 //   auto stats = sps::core::runSimulation(trace, spec);
 //
-// Both overloads share one construction path (recorder, checker, timeline,
-// progress, instrumentation), so batch callers (Runner, the CLI) and
-// streaming callers (SchedulerService, DiffHarness, sps_fuzz) exercise the
-// same wiring; the streaming overload replays a trace bit-identically to
-// the batch one (the golden-equivalence discipline).
+// SimulationHarness is the one place a run is wired (recorder, checker,
+// timeline, progress, instrumentation): runSimulation (and through it
+// Runner and the CLI), SchedulerService, and check::DiffHarness (and
+// through it sps_fuzz and the corpus replays) all build their runs with
+// it. Its streaming shape plus Simulator::runUntil/submit replays a trace
+// bit-identically to the batch shape (the golden-equivalence discipline).
 #pragma once
 
 #include <functional>
@@ -78,42 +78,12 @@ struct SimulationOptions {
   std::function<void(sim::Simulator&)> instrument;
 };
 
-/// A monotone stream of jobs for the streaming entry point. next() yields
-/// jobs in non-decreasing submit order (Simulator::submit rejects
-/// regressions) until std::nullopt; ids are assigned by the simulator in
-/// stream order.
-class JobSource {
- public:
-  virtual ~JobSource() = default;
-  /// Workload label (lands in RunStats::traceName).
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual std::uint32_t machineProcs() const = 0;
-  virtual std::optional<workload::Job> next() = 0;
-};
-
-/// The trivial adapter: replay a validated trace as a stream. The trace
-/// must outlive the source.
-class TraceSource final : public JobSource {
- public:
-  explicit TraceSource(const workload::Trace& trace) : trace_(&trace) {}
-  [[nodiscard]] std::string name() const override { return trace_->name; }
-  [[nodiscard]] std::uint32_t machineProcs() const override {
-    return trace_->machineProcs;
-  }
-  std::optional<workload::Job> next() override {
-    if (pos_ >= trace_->jobs.size()) return std::nullopt;
-    return trace_->jobs[pos_++];
-  }
-
- private:
-  const workload::Trace* trace_;
-  std::size_t pos_ = 0;
-};
-
 /// The wiring shared by every run shape: policy construction, the per-run
 /// Recorder, checker/timeline/progress arming, and end-of-run collection.
 /// runSimulation drives it to completion in one call; SchedulerService
-/// holds one open and drives the simulator between protocol commands.
+/// holds one open and drives the simulator between protocol commands;
+/// DiffHarness drives both shapes with the oracle armed and records the
+/// transitions through `options.instrument`.
 ///
 /// Lifecycle: construct (batch or streaming, mirroring the two Simulator
 /// constructors), drive `simulator()` however the caller likes, then call
@@ -130,7 +100,8 @@ class SimulationHarness {
   /// A temporary trace would die before the simulator that borrows it.
   SimulationHarness(workload::Trace&&, const PolicySpec&,
                     const SimulationOptions&) = delete;
-  /// Streaming shape: an empty simulator; inject via simulator().submit().
+  /// Streaming shape: an empty simulator. Feed it under bounded lookahead:
+  /// simulator().runUntil(job.submit - 1), then simulator().submit(job).
   SimulationHarness(std::string traceName, std::uint32_t machineProcs,
                     const PolicySpec& spec, const SimulationOptions& options);
 
@@ -156,6 +127,7 @@ class SimulationHarness {
   std::optional<check::InvariantChecker> checker_;
   std::optional<obs::TimelineRecorder> timeline_;
   obs::TraceSink* traceSink_ = nullptr;
+  /// RunStats::policyName: spec.label, else the built policy's name().
   std::string label_;
 };
 
@@ -163,14 +135,6 @@ class SimulationHarness {
 /// trace is pre-submitted).
 [[nodiscard]] metrics::RunStats runSimulation(
     const workload::Trace& trace, const PolicySpec& spec,
-    const SimulationOptions& options = {});
-
-/// Streaming entry point: pump the source through Simulator::submit with
-/// minimum lookahead — the simulator advances to just before each job's
-/// submit instant, then ingests it — and drain. Bit-identical to the batch
-/// overload on the same workload.
-[[nodiscard]] metrics::RunStats runSimulation(
-    JobSource& source, const PolicySpec& spec,
     const SimulationOptions& options = {});
 
 }  // namespace sps::core

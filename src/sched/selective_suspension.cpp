@@ -19,6 +19,15 @@ constexpr std::uint64_t kTickTag = 0;
 std::size_t estimateCategory(const workload::Job& j) {
   return workload::category16(j.estimate, j.procs);
 }
+
+/// True when `needed` lies within the free set and the occupants' sets.
+[[maybe_unused]] bool coveredBy(const sim::Simulator& simulator,
+                                const sim::ProcSet& needed,
+                                const std::vector<JobId>& occupants) {
+  sim::ProcSet covered = needed & simulator.freeSet();
+  for (JobId r : occupants) covered |= simulator.procSet(r) & needed;
+  return (needed - covered).empty();
+}
 }  // namespace
 
 SelectiveSuspension::SelectiveSuspension(SsConfig config)
@@ -641,9 +650,9 @@ void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
 
 void SelectiveSuspension::preemptionPassIncremental(
     sim::Simulator& simulator) {
-  // No running jobs: the candidate walk below could only hit the
-  // decision-free continue arms (argued per arm), so skip it outright.
-  if (victimIndex_.empty()) return;
+  // The only caller runs the pass after the gate said no, and the gate says
+  // yes whenever nothing is running.
+  SPS_DCHECK(!victimIndex_.empty());
   // Reference snapshot semantics: entries inserted at or after this stamp
   // were started mid-pass and are invisible to the fresh-victim collection
   // (the reference's pass-start sort would not contain them). The reentry
@@ -726,7 +735,6 @@ void SelectiveSuspension::preemptionPassIncremental(
       occupantsScratch_.erase(
           std::unique(occupantsScratch_.begin(), occupantsScratch_.end()),
           occupantsScratch_.end());
-      sim::ProcSet covered = needed & simulator.freeSet();
       for (JobId r : occupantsScratch_) {
         ++tally.victimTests;
         // At or above the floor every SF test passes, so only a TSS limit
@@ -735,9 +743,10 @@ void SelectiveSuspension::preemptionPassIncremental(
         if (!victimEligible(simulator, r, priority, width,
                             /*reentry=*/true))
           return false;
-        covered |= simulator.procSet(r) & needed;
       }
-      if (!(needed - covered).empty()) return false;
+      // Past the claim and drain checks every owed processor is free or
+      // held by a Running job, and the owner map listed that job above.
+      SPS_DCHECK(coveredBy(simulator, needed, occupantsScratch_));
       return !occupantsScratch_.empty();  // free case: dispatch()
     }
     if (freeNow_ >= width) return false;  // dispatch() handles the free case

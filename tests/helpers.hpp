@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/simulation.hpp"
 #include "sim/policy.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -47,6 +48,22 @@ inline workload::Trace makeTrace(std::uint32_t machineProcs,
   workload::normalizeTrace(trace);
   workload::validateTrace(trace);
   return trace;
+}
+
+/// Replay `trace` through the harness's streaming shape under minimum
+/// lookahead: advance to the instant before each job's submit, then ingest
+/// it. Bit-identical to core::runSimulation(trace, spec, options).
+inline metrics::RunStats runStreamed(const workload::Trace& trace,
+                                     const core::PolicySpec& spec,
+                                     const core::SimulationOptions& options) {
+  core::SimulationHarness harness(trace.name, trace.machineProcs, spec,
+                                  options);
+  sim::Simulator& simulator = harness.simulator();
+  for (const workload::Job& job : trace.jobs) {
+    simulator.runUntil(job.submit - 1);
+    simulator.submit(job);
+  }
+  return harness.finish();
 }
 
 /// The chaos suites' workload: 80 random jobs of 1-12 processors on a

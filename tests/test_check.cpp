@@ -21,6 +21,7 @@
 #include "helpers.hpp"
 #include "sched/core/reservation_ledger.hpp"
 #include "sched/depth_backfill.hpp"
+#include "sched/overhead.hpp"
 #include "sched/selective_suspension.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
@@ -336,6 +337,37 @@ TEST(InvariantChecker, EveryPolicyBothKernelModesSilent) {
                             &violation);
       EXPECT_EQ(violation, "");
     }
+  }
+}
+
+TEST(DiffHarness, RecordsEveryTransitionOfTheRun) {
+  // DiffHarness builds its runs through core::SimulationHarness and records
+  // transitions through options.instrument: both lanes must record one
+  // entry per transition the plain run counts, overhead model included,
+  // and a finish for every job.
+  FuzzCase c = makeFuzzCase(7, "ss:2");
+  c.overhead = true;
+  sched::DiskSwapOverhead overhead(c.trace);
+  core::SimulationOptions options;
+  options.sim.overhead = &overhead;
+  const metrics::RunStats stats =
+      core::runSimulation(c.trace, resolveCaseSpec(c), options);
+  const std::uint64_t transitions =
+      stats.counters.value(obs::Counter::SimTransitions);
+  ASSERT_GT(transitions, 0u);
+  const DiffHarness harness;
+  std::string violation;
+  for (const bool streamed : {false, true}) {
+    SCOPED_TRACE(streamed ? "streamed" : "batch");
+    const RunRecord record =
+        streamed ? harness.runStreamed(
+                       c, sched::kernel::KernelMode::Incremental, 3, &violation)
+                 : harness.runOnce(c, sched::kernel::KernelMode::Incremental,
+                                   &violation);
+    EXPECT_EQ(violation, "");
+    EXPECT_EQ(record.transitions.size(), transitions);
+    ASSERT_EQ(record.finish.size(), c.trace.jobs.size());
+    for (const Time finish : record.finish) EXPECT_NE(finish, kNoTime);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "check/check_config.hpp"
 #include "core/experiment.hpp"
 #include "core/simulation.hpp"
+#include "helpers.hpp"
 #include "sched/policy_factory.hpp"
 #include "workload/synthetic.hpp"
 
@@ -82,7 +83,7 @@ double statusBytes(const char* field) {
 
 /// Peak resident bytes per job that one `token` run of `cfg`'s trace adds
 /// over the resident set left after generating the trace; `streamed` feeds
-/// the trace through core::TraceSource instead of the batch entry point.
+/// the trace through test::runStreamed instead of the batch entry point.
 /// Runs in a forked child: its high-water mark starts at its resident set,
 /// so neither this process's earlier peak nor what it already holds counts.
 double peakBytesPerJob(const workload::SyntheticConfig& cfg,
@@ -98,10 +99,9 @@ double peakBytesPerJob(const workload::SyntheticConfig& cfg,
     {
       const workload::Trace trace = workload::generateTrace(cfg);
       const double base = statusBytes("VmRSS");
-      core::TraceSource source(trace);
       const core::PolicySpec spec = sched::specFromToken(token);
       const metrics::RunStats stats =
-          streamed ? core::runSimulation(source, spec, {})
+          streamed ? test::runStreamed(trace, spec, {})
                    : core::runSimulation(trace, spec, {});
       const double peak = statusBytes("VmHWM");
       if (base > 0 && peak > 0 && stats.jobs.size() == trace.jobs.size())

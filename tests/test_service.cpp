@@ -5,8 +5,8 @@
 //  * submit()/cancelJob() ingest verbs (ordering, rejection, lifecycle);
 //  * batch vs streamed golden equivalence for every policy token under
 //    both kernel modes — schedules AND rendered metrics, bit for bit;
-//  * SchedulerService protocol parsing, replies, and the threaded serve()
-//    driver (the lane to re-run under -DSPS_SANITIZE=thread).
+//  * SchedulerService protocol parsing, replies, and the serve() stream
+//    driver (the lane to re-run under -DSPS_SANITIZE=address).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -289,8 +289,8 @@ TEST(StreamedEquivalence, PartialLastChunk) {
 }
 
 TEST(StreamedEquivalence, SdscTraceThroughRunSimulationOverload) {
-  // The public streaming overload (per-job minimum-lookahead pump) must
-  // render the same metrics document as the batch entry point — gauges,
+  // The harness's streaming shape under the per-job minimum-lookahead pump
+  // must render the same metrics document as the batch entry point — gauges,
   // counters, and quantile summaries all equal, which implies the
   // schedules and counter streams matched exactly.
   const auto trace = workload::generateTrace(workload::sdscConfig(200, 5));
@@ -300,9 +300,7 @@ TEST(StreamedEquivalence, SdscTraceThroughRunSimulationOverload) {
     options.check = check::CheckConfig::all(8);
     const metrics::RunStats batch =
         core::runSimulation(trace, spec, options);
-    core::TraceSource source(trace);
-    const metrics::RunStats streamed =
-        core::runSimulation(source, spec, options);
+    const metrics::RunStats streamed = test::runStreamed(trace, spec, options);
     EXPECT_EQ(metrics::openMetrics(batch), metrics::openMetrics(streamed))
         << token;
   }

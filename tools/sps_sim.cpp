@@ -16,6 +16,7 @@
 // SWF workload input moved to --swf.
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -161,6 +162,22 @@ void addBatchFlags(core::CliConfig& cli, CliOptions& opt) {
            "live batch progress line on stderr (runs done, events/s, ETA)");
 }
 
+/// The scheduler flags `run` and `serve` share; `policyHelp` lists the
+/// policies the command accepts.
+void addPolicyFlags(core::CliConfig& cli, CliOptions& opt,
+                    const char* policyHelp) {
+  cli.section("Scheduler");
+  cli.option("--policy", &opt.policy, "NAME", policyHelp);
+  cli.option("--sf", &opt.sf, "F",
+             "suspension factor for ss/tss/tss-online (default: 2)");
+  cli.option("--gang-slots", &opt.gangSlots, "N",
+             "gang multiprogramming level (default: 4)");
+  cli.option("--gang-quantum", &opt.gangQuantum, "SEC",
+             "gang time slice (default: 600)");
+  cli.option("--depth", &opt.depth, "K",
+             "reservation depth for depth (default: 2)");
+}
+
 core::CliCommands makeCli(CliOptions& opt) {
   core::CliCommands cli(
       "sps_sim",
@@ -170,18 +187,9 @@ core::CliCommands makeCli(CliOptions& opt) {
 
   core::CliConfig& run = cli.command("run", "simulate one policy");
   addWorkloadFlags(run, opt);
-  run.section("Scheduler");
-  run.option("--policy", &opt.policy, "NAME",
-             "fcfs | conservative | easy | sjf | ss | tss | tss-online | is | "
-             "gang | depth (default: ss)");
-  run.option("--sf", &opt.sf, "F",
-             "suspension factor for ss/tss (default: 2)");
-  run.option("--gang-slots", &opt.gangSlots, "N",
-             "gang multiprogramming level (default: 4)");
-  run.option("--gang-quantum", &opt.gangQuantum, "SEC",
-             "gang time slice (default: 600)");
-  run.option("--depth", &opt.depth, "K",
-             "reservation depth for depth (default: 2)");
+  addPolicyFlags(run, opt,
+                 "fcfs | conservative | easy | sjf | ss | tss | tss-online | "
+                 "is | gang | depth (default: ss)");
   run.flag("--overhead", &opt.overhead,
            "2 MB/s disk-swap suspension cost (Section V-A)");
   addObsFlags(run, opt);
@@ -213,19 +221,10 @@ core::CliCommands makeCli(CliOptions& opt) {
       cli.command("serve", "online scheduler service on stdin/stdout");
   serve.section("Machine");
   serve.option("--procs", &opt.procs, "N", "machine size (required)");
-  serve.section("Scheduler");
-  serve.option("--policy", &opt.policy, "NAME",
-               "fcfs | conservative | easy | sjf | ss | tss-online | is | "
-               "gang | depth (default: ss; tss needs offline calibration "
-               "and cannot serve)");
-  serve.option("--sf", &opt.sf, "F",
-               "suspension factor for ss/tss-online (default: 2)");
-  serve.option("--gang-slots", &opt.gangSlots, "N",
-               "gang multiprogramming level (default: 4)");
-  serve.option("--gang-quantum", &opt.gangQuantum, "SEC",
-               "gang time slice (default: 600)");
-  serve.option("--depth", &opt.depth, "K",
-               "reservation depth for depth (default: 2)");
+  addPolicyFlags(serve, opt,
+                 "fcfs | conservative | easy | sjf | ss | tss-online | is | "
+                 "gang | depth (default: ss; tss needs offline calibration "
+                 "and cannot serve)");
   addObsFlags(serve, opt);
   serve.section("Output");
   serve.option("--metrics-out", &opt.metricsOut, "FILE",
@@ -391,11 +390,13 @@ struct ProgressScope {
   }
 };
 
-void writeMetricsFile(const std::string& path,
-                      const std::vector<core::RunResult>& results) {
+/// Write the --metrics-out file through `write`, when one was asked for.
+void writeMetricsOut(const std::string& path,
+                     const std::function<void(std::ostream&)>& write) {
+  if (path.empty()) return;
   std::ofstream os(path);
   if (!os) fail("cannot open --metrics-out file: " + path);
-  core::writeRunResultsOpenMetrics(os, results);
+  write(os);
   if (!os) fail("failed writing --metrics-out file: " + path);
   std::cerr << "wrote OpenMetrics exposition to " << path << "\n";
 }
@@ -451,7 +452,9 @@ int runSingle(const CliOptions& opt, core::Runner& runner,
   request.seed = opt.seed;
   const core::RunResult result = runner.runOne(request);
 
-  if (!opt.metricsOut.empty()) writeMetricsFile(opt.metricsOut, {result});
+  writeMetricsOut(opt.metricsOut, [&](std::ostream& os) {
+    core::writeRunResultsOpenMetrics(os, {result});
+  });
 
   if (opt.json) {
     metrics::JsonOptions jsonOptions;
@@ -502,7 +505,9 @@ int runCompare(const CliOptions& opt, core::Runner& runner,
   const std::vector<core::RunResult> results = runner.runAll(std::move(batch));
   progress.finish(runner);
 
-  if (!opt.metricsOut.empty()) writeMetricsFile(opt.metricsOut, results);
+  writeMetricsOut(opt.metricsOut, [&](std::ostream& os) {
+    core::writeRunResultsOpenMetrics(os, results);
+  });
 
   if (opt.json) {
     metrics::JsonOptions jsonOptions;
@@ -557,9 +562,7 @@ int runSweep(const CliOptions& opt, core::Runner& runner,
                       /*calibrateTssFromBase=*/true, options);
   progress.finish(runner);
 
-  if (!opt.metricsOut.empty()) {
-    std::ofstream os(opt.metricsOut);
-    if (!os) fail("cannot open --metrics-out file: " + opt.metricsOut);
+  writeMetricsOut(opt.metricsOut, [&](std::ostream& os) {
     std::vector<metrics::OpenMetricsEntry> entries;
     std::size_t run = 0;
     for (const core::LoadPoint& point : points)
@@ -573,9 +576,7 @@ int runSweep(const CliOptions& opt, core::Runner& runner,
         entries.push_back(std::move(entry));
       }
     metrics::writeOpenMetrics(os, entries);
-    if (!os) fail("failed writing --metrics-out file: " + opt.metricsOut);
-    std::cerr << "wrote OpenMetrics exposition to " << opt.metricsOut << "\n";
-  }
+  });
 
   for (const core::LoadPoint& point : points) {
     std::cout << "\n=== load factor " << formatFixed(point.loadFactor, 2)
@@ -631,13 +632,8 @@ int runServe(const CliOptions& opt, const core::SimulationOptions& options) {
 
   core::SchedulerService service(std::move(cfg));
   const metrics::RunStats stats = service.serve(std::cin, std::cout);
-  if (!opt.metricsOut.empty()) {
-    std::ofstream os(opt.metricsOut);
-    if (!os) fail("cannot open --metrics-out file: " + opt.metricsOut);
-    os << metrics::openMetrics(stats);
-    if (!os) fail("failed writing --metrics-out file: " + opt.metricsOut);
-    std::cerr << "wrote OpenMetrics exposition to " << opt.metricsOut << "\n";
-  }
+  writeMetricsOut(opt.metricsOut,
+                  [&](std::ostream& os) { os << metrics::openMetrics(stats); });
   std::cerr << metrics::summaryLine(stats) << "\n";
   return 0;
 }
