@@ -20,7 +20,7 @@
 #include "core/scheduler_service.hpp"
 #include "core/simulation.hpp"
 #include "metrics/json.hpp"
-#include "obs/trace.hpp"
+#include "obs/counters.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 #include "workload/synthetic.hpp"
@@ -99,15 +99,6 @@ std::size_t sweepJobs() {
 }
 
 void runKernelSweep() {
-  if (obs::kTraceCompiledIn) {
-    // A -DSPS_TRACE=ON build carries per-event trace branches in the hot
-    // path; numbers from it are not comparable to (and must not overwrite)
-    // the reference BENCH_engine.json. Counters alone are part of the
-    // measured configuration and stay in.
-    std::cout << "kernel sweep: skipped — tracing compiled in "
-                 "(SPS_TRACE=ON); refusing to write BENCH_engine.json\n";
-    return;
-  }
   const std::size_t jobs = sweepJobs();
   const int repeats = 3;
   // High-load SDSC: the regime where the availability profile is largest

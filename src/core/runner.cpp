@@ -8,7 +8,7 @@
 
 #include "core/progress.hpp"
 #include "metrics/openmetrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/trace_sink.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -69,25 +69,21 @@ RunResult Runner::execute(const RunRequest& request, std::size_t index) {
   result.policyName = result.stats.policyName;
   result.label = request.label.empty() ? result.policyName : request.label;
   result.traceName = result.stats.traceName;
-#if SPS_TRACE_ON
   // Task-lifecycle span: wall-clock timebase (unlike the sim-time events
   // inside the run), one lane per request index so concurrent tasks stack
-  // in the viewer. The local Recorder borrows the request's sink; the label
-  // string outlives the synchronous emit.
+  // in the viewer. The label string outlives the synchronous emit.
   if (request.options.traceSink != nullptr) {
-    obs::Recorder lifecycle(request.options.traceSink);
     const auto startUs = std::chrono::duration_cast<std::chrono::microseconds>(
         start.time_since_epoch());
     const auto durUs =
         std::chrono::duration_cast<std::chrono::microseconds>(end - start);
-    SPS_TRACE(&lifecycle,
-              obs::complete("runner", result.label.c_str(), startUs.count(),
-                            durUs.count(), index)
-                  .arg("events",
-                       static_cast<std::int64_t>(result.stats.eventsProcessed))
-                  .arg("seed", static_cast<std::int64_t>(result.seed)));
+    request.options.traceSink->emit(
+        obs::complete("runner", result.label.c_str(), startUs.count(),
+                      durUs.count(), index)
+            .arg("events",
+                 static_cast<std::int64_t>(result.stats.eventsProcessed))
+            .arg("seed", static_cast<std::int64_t>(result.seed)));
   }
-#endif
   return result;
 }
 

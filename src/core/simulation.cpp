@@ -13,7 +13,6 @@ SimulationHarness::SimulationHarness(const workload::Trace& trace,
       // One Recorder per run: counters stay per-simulation (thread-count
       // invariant under core::Runner) even when many runs share one sink.
       recorder_(options.traceSink),
-      traceSink_(options.traceSink),
       label_(spec.label.empty() ? policy_->name() : spec.label) {
   sim::SimulatorConfig config = options.sim;
   config.recorder = &recorder_;
@@ -27,7 +26,6 @@ SimulationHarness::SimulationHarness(std::string traceName,
                                      const SimulationOptions& options)
     : policy_(makePolicy(spec)),
       recorder_(options.traceSink),
-      traceSink_(options.traceSink),
       label_(spec.label.empty() ? policy_->name() : spec.label) {
   sim::SimulatorConfig config = options.sim;
   config.recorder = &recorder_;
@@ -36,12 +34,17 @@ SimulationHarness::SimulationHarness(std::string traceName,
 }
 
 void SimulationHarness::arm(const SimulationOptions& options) {
+  // First, so a transition's trace span precedes every other observer's
+  // reaction to it (the ledger's events among them).
+  if (recorder_.sink() != nullptr)
+    obs::attachRunTrace(*simulator_, *recorder_.sink());
   if (options.check.any()) {
     checker_.emplace(options.check);
     checker_->arm(*simulator_, *policy_);
   }
-  // Telemetry rides the observer registry; with both features off nothing
-  // is registered and the event loop is untouched (the zero-cost contract).
+  // Tracing and telemetry ride the observer registry; with every feature
+  // off nothing is registered and the event loop is untouched (the
+  // zero-cost contract).
   if (options.timeline.enabled) {
     timeline_.emplace(options.timeline);
     timeline_->attach(*simulator_);
@@ -63,10 +66,10 @@ metrics::RunStats SimulationHarness::finish() {
   if (checker_) checker_->finalize(*simulator_);
   metrics::RunStats stats = metrics::collect(*simulator_, label_);
   if (timeline_) {
-    // Counter tracks are bounded post-run output (4 events per sample), so
-    // emission is runtime-gated on the sink — unlike the per-event SPS_TRACE
-    // layer, no instrumented build is required.
-    if (traceSink_ != nullptr) timeline_->emitCounterTracks(*traceSink_);
+    // Counter tracks are bounded post-run output (4 events per sample),
+    // written after the run's own events.
+    if (recorder_.sink() != nullptr)
+      timeline_->emitCounterTracks(*recorder_.sink());
     stats.timeline = timeline_->take();
   }
   return stats;

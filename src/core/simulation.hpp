@@ -9,8 +9,8 @@
 //   spec.ss.suspensionFactor = 2.0;
 //   auto stats = sps::core::runSimulation(trace, spec);
 //
-// SimulationHarness is the one place a run is wired (recorder, checker,
-// timeline, progress, instrumentation): runSimulation (and through it
+// SimulationHarness is the one place a run is wired (recorder, trace,
+// checker, timeline, progress, instrumentation): runSimulation (and through it
 // Runner and the CLI), SchedulerService, and check::DiffHarness (and
 // through it sps_fuzz and the corpus replays) all build their runs with
 // it. Its streaming shape plus Simulator::runUntil/submit replays a trace
@@ -55,10 +55,10 @@ struct SimulationOptions {
   /// struct flowing CLI -> Runner -> Simulator. The recorder slot is owned
   /// by the run and overwritten.
   sim::SimulatorConfig sim{};
-  /// Structured-trace destination. Events only flow in builds configured
-  /// with -DSPS_TRACE=ON (obs::kTraceCompiledIn); counters are collected
-  /// either way. The sink must be thread-safe when the same options are
-  /// shared across core::Runner workers — the bundled sinks are.
+  /// Structured-trace destination; nullptr = tracing off, and the run
+  /// registers no trace observer. Counters are collected either way. The
+  /// sink must be thread-safe when the same options are shared across
+  /// core::Runner workers — the bundled sinks are.
   obs::TraceSink* traceSink = nullptr;
   /// Invariant oracle toggles (sps::check). Default: nothing armed, zero
   /// cost. With any checker enabled, runSimulation arms an
@@ -79,7 +79,8 @@ struct SimulationOptions {
 };
 
 /// The wiring shared by every run shape: policy construction, the per-run
-/// Recorder, checker/timeline/progress arming, and end-of-run collection.
+/// Recorder, trace/checker/timeline/progress arming, and end-of-run
+/// collection.
 /// runSimulation drives it to completion in one call; SchedulerService
 /// holds one open and drives the simulator between protocol commands;
 /// DiffHarness drives both shapes with the oracle armed and records the
@@ -116,7 +117,7 @@ class SimulationHarness {
   [[nodiscard]] metrics::RunStats finish();
 
  private:
-  /// Post-construction arming shared by both constructors (checker,
+  /// Post-construction arming shared by both constructors (trace, checker,
   /// timeline, progress, then the caller's instrument seam — in that order,
   /// so instrument-registered observers fire after the oracle's).
   void arm(const SimulationOptions& options);
@@ -126,7 +127,6 @@ class SimulationHarness {
   std::optional<sim::Simulator> simulator_;
   std::optional<check::InvariantChecker> checker_;
   std::optional<obs::TimelineRecorder> timeline_;
-  obs::TraceSink* traceSink_ = nullptr;
   /// RunStats::policyName: spec.label, else the built policy's name().
   std::string label_;
 };

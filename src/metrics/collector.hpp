@@ -29,8 +29,8 @@ struct RunStats {
   Time span = 0;
   std::uint64_t suspensions = 0;
   std::uint64_t eventsProcessed = 0;
-  /// The run's obs counter block (always collected; counting is on in every
-  /// build, only the SPS_TRACE event layer is compile-gated).
+  /// The run's obs counter block (always collected, with or without a trace
+  /// sink).
   obs::Counters counters;
   /// Sim-clock time series, filled only when SimulationOptions::timeline is
   /// enabled (empty otherwise — and omitted from the JSON export).

@@ -4,8 +4,8 @@
 // Simulator::Config::recorder), so counts are per-simulation by
 // construction: concurrent runs on a core::Runner never share a block and
 // the values are bit-identical for any thread count. An increment is one
-// array add with no branches, so the counters stay compiled in even when
-// the SPS_TRACE event layer is off.
+// array add with no branches, so the counters stay on even when the run
+// has no trace sink.
 //
 // The slots mirror the quantities the paper's evaluation and the kernel's
 // perf work care about: suspensions (total and per Table-I category),

@@ -25,7 +25,6 @@ class Recorder {
   Counters counters;
 
   [[nodiscard]] TraceSink* sink() const { return sink_; }
-  void setSink(TraceSink* sink) { sink_ = sink; }
 
  private:
   TraceSink* sink_ = nullptr;

@@ -96,47 +96,74 @@ void TimelineRecorder::decimate() {
 void TimelineRecorder::emitCounterTracks(TraceSink& sink) const {
   for (std::size_t k = 0; k < data_.sampleCount(); ++k) {
     const std::int64_t ts = data_.timeAt(k);  // 1 sim-second == 1 us
-    {
-      TraceEvent e;
-      e.phase = TraceEvent::Phase::Counter;
-      e.category = "timeline";
-      e.name = "jobs";
-      e.ts = ts;
-      e.arg("queued", data_.queueDepth[k])
-          .arg("running", data_.runningJobs[k])
-          .arg("suspended", data_.suspendedJobs[k]);
-      sink.emit(e);
-    }
-    {
-      TraceEvent e;
-      e.phase = TraceEvent::Phase::Counter;
-      e.category = "timeline";
-      e.name = "procs";
-      e.ts = ts;
-      e.arg("free", data_.freeProcs[k]);
-      sink.emit(e);
-    }
-    {
-      TraceEvent e;
-      e.phase = TraceEvent::Phase::Counter;
-      e.category = "timeline";
-      e.name = "utilizationPct";
-      e.ts = ts;
-      e.arg("value",
-            static_cast<std::int64_t>(data_.utilization[k] * 100.0 + 0.5));
-      sink.emit(e);
-    }
-    {
-      TraceEvent e;
-      e.phase = TraceEvent::Phase::Counter;
-      e.category = "timeline";
-      e.name = "backlogProcSeconds";
-      e.ts = ts;
-      e.arg("value", static_cast<std::int64_t>(data_.backlogProcSeconds[k]));
-      sink.emit(e);
-    }
+    sink.emit(counter("timeline", "jobs", ts)
+                  .arg("queued", data_.queueDepth[k])
+                  .arg("running", data_.runningJobs[k])
+                  .arg("suspended", data_.suspendedJobs[k]));
+    sink.emit(counter("timeline", "procs", ts).arg("free", data_.freeProcs[k]));
+    sink.emit(counter("timeline", "utilizationPct", ts)
+                  .arg("value", static_cast<std::int64_t>(
+                                    data_.utilization[k] * 100.0 + 0.5)));
+    sink.emit(counter("timeline", "backlogProcSeconds", ts)
+                  .arg("value", static_cast<std::int64_t>(
+                                    data_.backlogProcSeconds[k])));
   }
   sink.flush();
+}
+
+namespace {
+
+using sim::JobState;
+
+/// Static display name of a transition. Covers exactly the transitions the
+/// simulator can emit.
+const char* transitionName(JobState from, JobState to) {
+  switch (to) {
+    case JobState::Queued: return "arrive";
+    case JobState::Running:
+      return from == JobState::Suspended ? "resume" : "start";
+    case JobState::Suspending: return "suspend";
+    case JobState::Suspended:
+      return from == JobState::Suspending ? "drained" : "suspend";
+    case JobState::Finished: return "finish";
+    case JobState::Cancelled: return "cancel";
+    case JobState::NotArrived: break;
+  }
+  return "transition";
+}
+
+const char* eventTypeName(sim::EventType type) {
+  switch (type) {
+    case sim::EventType::JobArrival: return "arrival";
+    case sim::EventType::JobCompletion: return "completion";
+    case sim::EventType::SuspendDrained: return "drained";
+    case sim::EventType::Timer: return "timer";
+  }
+  return "?";
+}
+
+}  // namespace
+
+void attachRunTrace(sim::Simulator& simulator, TraceSink& sink) {
+  simulator.observers().onEventDispatched(
+      [&sink](const sim::Simulator& s, const sim::Event& e) {
+        sink.emit(instant("sim", eventTypeName(e.type), s.now())
+                      .arg("payload", static_cast<std::int64_t>(e.payload)));
+      });
+  simulator.observers().onStateChange(
+      [&sink](const sim::Simulator& s, JobId id, JobState from, JobState to) {
+        if (to == JobState::Running) {
+          sink.emit(begin("job", "run", s.now(), id)
+                        .arg("procs", s.job(id).procs));
+        } else if (from == JobState::Running) {
+          // Finished, or preempted: either way the running span closes.
+          sink.emit(end("job", "run", s.now(), id)
+                        .arg("suspended", static_cast<std::int64_t>(
+                                              to != JobState::Finished)));
+        } else {
+          sink.emit(instant("job", transitionName(from, to), s.now(), id));
+        }
+      });
 }
 
 }  // namespace sps::obs

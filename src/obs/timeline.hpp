@@ -21,11 +21,11 @@
 //
 // Off by default and free when disabled: a disabled recorder registers no
 // observers and runSimulation never constructs one, so the hot path is
-// untouched (the same contract as SPS_TRACE, but runtime- rather than
-// compile-gated). When enabled, only the clock channel is subscribed —
-// everything, including the queued backlog, is read from the simulator at
-// the sample instant, so the per-event cost is a single early-out callback
-// and the real work is O(samples), not O(events).
+// untouched (the same contract as attachRunTrace below). When enabled,
+// only the clock channel is subscribed — everything, including the queued
+// backlog, is read from the simulator at the sample instant, so the
+// per-event cost is a single early-out callback and the real work is
+// O(samples), not O(events).
 //
 // Output paths:
 //   * emitCounterTracks() renders the series as Chrome-trace counter events
@@ -113,5 +113,14 @@ class TimelineRecorder {
   Time nextSample_;
   bool strideDefaulted_ = false;  ///< config.stride was 0 → horizon-scaled
 };
+
+/// The simulator's own trace events, subscribed as two observers: a "sim"
+/// instant per dispatched event, a "job" "run" span per running segment
+/// (closing with arg "suspended"), and a "job" instant for every other
+/// transition. core::SimulationHarness attaches it, before any other
+/// observer, only on runs with a sink — so a run without one carries no
+/// trace branch, and a span precedes the ledger events its transition
+/// causes. The sink must outlive the run.
+void attachRunTrace(sim::Simulator& simulator, TraceSink& sink);
 
 }  // namespace sps::obs

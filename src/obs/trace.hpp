@@ -1,25 +1,23 @@
-// SPS_TRACE — the compile-time gate of the event-trace layer.
+// SPS_TRACE — the emission macro of the event-trace layer.
 //
 //   SPS_TRACE(&simulator.recorder(),
 //             obs::instant("sim", "suspend", now).arg("job", id));
 //
-// In a default build the macro expands to nothing: the event expression is
-// never evaluated, no sink virtual call is ever emitted, and the hot path
-// carries zero tracing cost (the "disabled-trace build has no sink calls"
-// test pins this with a counting stub sink). Configure with
-// `cmake -DSPS_TRACE=ON` to compile the instrumentation in; the cost is
-// then one null-sink branch per site until a sink is installed
-// (sps_sim --trace FILE, or obs::Recorder::setSink).
+// Tracing is always compiled in and switched on at runtime: the event
+// expression is evaluated, and the sink called, only when the recorder
+// carries a sink (core::SimulationOptions::traceSink, sps_sim --trace FILE).
+// Without one a site costs a single null-sink branch.
 //
-// Counters (obs/counters.hpp) are NOT behind this gate — they are plain
+// The simulator's own events are not emitted through this macro:
+// obs::attachRunTrace (obs/timeline.hpp) subscribes them as observers.
+//
+// Counters (obs/counters.hpp) do not depend on a sink — they are plain
 // array increments, always on.
 #pragma once
 
 #include "obs/recorder.hpp"
 #include "obs/trace_sink.hpp"
 
-#if defined(SPS_TRACE_ENABLED)
-#define SPS_TRACE_ON 1
 #define SPS_TRACE(recorder, ...)                                      \
   do {                                                                \
     ::sps::obs::Recorder* sps_trace_rec_ = (recorder);                \
@@ -28,18 +26,3 @@
       sps_trace_rec_->sink()->emit(sps_trace_ev_);                    \
     }                                                                 \
   } while (false)
-#else
-#define SPS_TRACE_ON 0
-#define SPS_TRACE(recorder, ...) \
-  do {                           \
-  } while (false)
-#endif
-
-namespace sps::obs {
-
-/// True when this build compiled the SPS_TRACE call sites in. Runtime code
-/// (sps_sim --trace, the bench guard) branches on this instead of sprinkling
-/// #ifdefs.
-inline constexpr bool kTraceCompiledIn = SPS_TRACE_ON == 1;
-
-}  // namespace sps::obs

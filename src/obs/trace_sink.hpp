@@ -15,8 +15,9 @@
 // mutex around every write, so trace output, SPS_LOG lines, and concurrent
 // Runner workers sharing one sink never interleave mid-line.
 //
-// Event emission call sites only exist when the build compiles the SPS_TRACE
-// macro layer in (cmake -DSPS_TRACE=ON) — see obs/trace.hpp.
+// A run emits events only when it has a sink: see obs/trace.hpp for the
+// policy and kernel sites, obs::attachRunTrace (obs/timeline.hpp) for the
+// simulator's own.
 #pragma once
 
 #include <array>
@@ -107,6 +108,13 @@ struct TraceEvent {
   return e;
 }
 
+[[nodiscard]] inline TraceEvent counter(const char* category, const char* name,
+                                        std::int64_t ts) {
+  TraceEvent e = instant(category, name, ts);
+  e.phase = TraceEvent::Phase::Counter;
+  return e;
+}
+
 /// Destination for trace events. Implementations must tolerate emit() from
 /// several Runner workers at once (the shipped sinks lock the shared log
 /// mutex; see obs/trace_sink.cpp).
@@ -153,9 +161,9 @@ class JsonlSink final : public TraceSink {
   std::uint64_t count_ = 0;
 };
 
-/// Counts emit() calls and drops the events — the stub the disabled-build
-/// test and the bench guard use to prove the hot path makes no sink calls.
-/// The count is atomic so one stub can be shared across Runner workers.
+/// Counts emit() calls and drops the events — the stub the tests use to
+/// count what a run emits. The count is atomic so one stub can be shared
+/// across Runner workers.
 class CountingSink final : public TraceSink {
  public:
   void emit(const TraceEvent& /*event*/) override {

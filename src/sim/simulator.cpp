@@ -3,48 +3,14 @@
 #include <algorithm>
 #include <limits>
 
-#include "obs/trace.hpp"
 #include "util/log.hpp"
 #include "workload/category.hpp"
 
 namespace sps::sim {
 
-namespace {
-
 static_assert(obs::Counters::kSuspensionCategories ==
                   workload::kNumCategories16,
               "obs suspension breakdown must match the Table-I categories");
-
-#if SPS_TRACE_ON
-/// Static display name of a transition, for trace events. Covers exactly
-/// the transitions the simulator can emit.
-const char* transitionName(JobState from, JobState to) {
-  switch (to) {
-    case JobState::Queued: return "arrive";
-    case JobState::Running:
-      return from == JobState::Suspended ? "resume" : "start";
-    case JobState::Suspending: return "suspend";
-    case JobState::Suspended:
-      return from == JobState::Suspending ? "drained" : "suspend";
-    case JobState::Finished: return "finish";
-    case JobState::Cancelled: return "cancel";
-    case JobState::NotArrived: break;
-  }
-  return "transition";
-}
-
-const char* eventTypeName(EventType type) {
-  switch (type) {
-    case EventType::JobArrival: return "arrival";
-    case EventType::JobCompletion: return "completion";
-    case EventType::SuspendDrained: return "drained";
-    case EventType::Timer: return "timer";
-  }
-  return "?";
-}
-#endif
-
-}  // namespace
 
 const char* jobStateName(JobState state) {
   switch (state) {
@@ -230,9 +196,6 @@ void Simulator::dispatchOne() {
   ++eventsProcessed_;
   obs_->counters.inc(obs::Counter::SimEvents);
   registry_.notifyEvent(*this, e);
-  SPS_TRACE(obs_, obs::instant("sim", eventTypeName(e.type), now_)
-                      .arg("payload",
-                           static_cast<std::int64_t>(e.payload)));
   switch (e.type) {
     case EventType::JobArrival:
       handleArrival(static_cast<JobId>(e.payload));
@@ -435,25 +398,13 @@ void Simulator::notifyStateChange(JobId id, JobState from, JobState to) {
   if (to == JobState::Running) {
     c.inc(from == JobState::Suspended ? obs::Counter::SimResumes
                                       : obs::Counter::SimStarts);
-    SPS_TRACE(obs_, obs::begin("job", "run", now_, id)
-                        .arg("procs", job(id).procs));
-  } else if (from == JobState::Running) {
-    // Finished, or preempted (Suspending with drain overhead, Suspended
-    // without). Either way the running span closes here.
-    if (to != JobState::Finished) {
-      c.inc(obs::Counter::SimSuspensions);
-      // Per-category breakdown uses the paper's Table-I categorization by
-      // *actual* runtime, matching metrics::CategoryStats.
-      c.incSuspensionCategory(
-          workload::category16(job(id).runtime, job(id).procs));
-    }
-    SPS_TRACE(obs_, obs::end("job", "run", now_, id)
-                        .arg("suspended",
-                             static_cast<std::int64_t>(
-                                 to != JobState::Finished)));
-  } else {
-    SPS_TRACE(obs_,
-              obs::instant("job", transitionName(from, to), now_, id));
+  } else if (from == JobState::Running && to != JobState::Finished) {
+    // Preempted (Suspending with drain overhead, Suspended without). The
+    // per-category breakdown uses the paper's Table-I categorization by
+    // *actual* runtime, matching metrics::CategoryStats.
+    c.inc(obs::Counter::SimSuspensions);
+    c.incSuspensionCategory(
+        workload::category16(job(id).runtime, job(id).procs));
   }
   registry_.notifyStateChange(*this, id, from, to);
 }

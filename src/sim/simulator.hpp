@@ -97,11 +97,6 @@ class Simulator;
 /// Three typed subscription channels; observers fire in registration order,
 /// cannot be removed, and must outlive the run. Callbacks get a const
 /// Simulator and must not call any mutating Simulator API.
-///
-/// This registry replaces the old two-slot scheme (setStateChangeHook for
-/// "the user", addStateChangeObserver for the kernel) — every subscriber
-/// now goes through the same list, so ordering is purely registration
-/// order, with no hidden user-hook-fires-last rule.
 class ObserverRegistry {
  public:
   using StateChangeFn = std::function<void(const Simulator&, JobId,

@@ -2,14 +2,15 @@
 // typed observer registry, and their integration with the simulator, the
 // scheduling kernel, and the Runner.
 //
-// The suite is written to pass in both build flavours: with -DSPS_TRACE=OFF
-// (default) it proves the hot path makes zero sink calls; with ON it proves
-// the emitted traces are valid JSON and the counters are unaffected.
+// Tracing is switched on per run by a sink: the TraceGate tests prove a run
+// with one emits valid, correctly ordered events and a run without one
+// registers no trace observer at all.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -19,7 +20,6 @@
 #include "metrics/json.hpp"
 #include "obs/counters.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/simulator.hpp"
 #include "workload/synthetic.hpp"
@@ -261,7 +261,7 @@ TEST(SimulatorCounters, MatchTheTransitionLog) {
 
 // --- sink integration through the facade ------------------------------------
 
-TEST(TraceGate, SinkCallsOnlyHappenWhenCompiledIn) {
+TEST(TraceGate, RunWithASinkEmitsEvents) {
   const auto trace = workload::generateTrace(workload::sdscConfig(150, 11));
   core::PolicySpec spec;
   spec.kind = core::PolicyKind::SelectiveSuspension;
@@ -269,12 +269,34 @@ TEST(TraceGate, SinkCallsOnlyHappenWhenCompiledIn) {
   core::SimulationOptions options;
   options.traceSink = &sink;
   const metrics::RunStats stats = core::runSimulation(trace, spec, options);
-  EXPECT_TRUE(stats.counters.anyNonZero());  // counters flow in every build
-  if (obs::kTraceCompiledIn) {
-    EXPECT_GT(sink.count(), 0u);
-  } else {
-    EXPECT_EQ(sink.count(), 0u) << "disabled build must make no sink calls";
-  }
+  EXPECT_TRUE(stats.counters.anyNonZero());
+  EXPECT_GT(sink.count(), 0u);
+}
+
+TEST(TraceGate, RunWithoutASinkRegistersNoTraceObserver) {
+  const auto trace = workload::generateTrace(workload::sdscConfig(60, 3));
+  core::PolicySpec spec;
+  spec.kind = core::PolicyKind::Easy;
+  // Read inside the instrument seam: after the harness armed the run and
+  // before any policy structure subscribed at the first dispatch.
+  const auto registered = [&](obs::TraceSink* sink) {
+    std::pair<std::size_t, std::size_t> counts;
+    core::SimulationOptions options;
+    options.traceSink = sink;
+    options.instrument = [&counts](sim::Simulator& s) {
+      counts = {s.observers().stateChangeCount(),
+                s.observers().eventDispatchedCount()};
+    };
+    (void)core::runSimulation(trace, spec, options);
+    return counts;
+  };
+  obs::CountingSink sink;
+  const auto off = registered(nullptr);
+  const auto on = registered(&sink);
+  EXPECT_EQ(off.first, 0u);
+  EXPECT_EQ(off.second, 0u);
+  EXPECT_EQ(on.first, off.first + 1);
+  EXPECT_EQ(on.second, off.second + 1);
 }
 
 TEST(TraceGate, ChromeTraceOfARunValidates) {
@@ -287,12 +309,46 @@ TEST(TraceGate, ChromeTraceOfARunValidates) {
     core::SimulationOptions options;
     options.traceSink = &sink;
     (void)core::runSimulation(trace, spec, options);
-    if (obs::kTraceCompiledIn) {
-      EXPECT_GT(sink.eventCount(), 0u);
-    }
+    EXPECT_GT(sink.eventCount(), 0u);
   }
   std::string error;
   EXPECT_TRUE(metrics::validateJson(os.str(), &error)) << error;
+  for (const char* cat : {"\"cat\":\"sim\"", "\"cat\":\"job\""})
+    EXPECT_NE(os.str().find(cat), std::string::npos) << cat;
+}
+
+// The run trace subscribes before the policy's kernel structures, so a
+// start's "run" span opens right before the ledger books the job.
+TEST(TraceGate, RunSpanPrecedesTheLedgerEventsItCauses) {
+  const auto trace = workload::generateTrace(workload::sdscConfig(200, 7));
+  core::PolicySpec spec;
+  spec.kind = core::PolicyKind::Easy;
+  std::ostringstream os;
+  {
+    obs::JsonlSink sink(os);
+    core::SimulationOptions options;
+    options.traceSink = &sink;
+    (void)core::runSimulation(trace, spec, options);
+  }
+  const auto laneOf = [](const std::string& event) {
+    const std::size_t at = event.find("\"tid\"");
+    return event.substr(at, event.find(',', at) - at);
+  };
+  std::istringstream lines(os.str());
+  std::string previous;
+  std::string line;
+  std::size_t bookings = 0;
+  while (std::getline(lines, line)) {
+    if (line.find("\"ledger.addBusy\"") != std::string::npos) {
+      ++bookings;
+      EXPECT_NE(previous.find("\"ph\":\"B\",\"cat\":\"job\",\"name\":\"run\""),
+                std::string::npos)
+          << previous << "\n" << line;
+      EXPECT_EQ(laneOf(previous), laneOf(line));
+    }
+    previous = line;
+  }
+  EXPECT_GT(bookings, 0u);
 }
 
 // --- counters vs. the kernel's golden equivalence ---------------------------

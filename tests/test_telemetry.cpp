@@ -3,8 +3,8 @@
 // OpenMetrics exposition + validator. (Live Runner progress is covered in
 // test_runner.cpp next to the other concurrency suites.)
 //
-// Like test_obs.cpp, everything here passes in both build flavours: counter
-// track emission is runtime-gated on the sink, not on SPS_TRACE.
+// Counter tracks are written after the run's own trace events, only when the
+// run has a sink.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "metrics/openmetrics.hpp"
 #include "obs/counters.hpp"
 #include "obs/timeline.hpp"
-#include "obs/trace.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/quantile_sketch.hpp"
 #include "util/stats.hpp"
@@ -275,14 +274,16 @@ TEST(Timeline, EmitsCounterTracksThroughChromeSink) {
   }  // destructor closes the JSON array
 
   ASSERT_GT(samples, 0u);
-  // Four counter tracks per sample; in the default (non-instrumented) build
-  // nothing else writes to the sink, so the count is exact.
-  if (!obs::kTraceCompiledIn) {
-    EXPECT_EQ(emitted, samples * 4);
-  }
-  EXPECT_GE(emitted, samples * 4);
-
+  // Four counter tracks per sample; the run's own events are not counters,
+  // so the counter count is exact.
   const std::string trace = os.str();
+  std::size_t counters = 0;
+  for (std::size_t at = trace.find("\"ph\":\"C\""); at != std::string::npos;
+       at = trace.find("\"ph\":\"C\"", at + 1))
+    ++counters;
+  EXPECT_EQ(counters, samples * 4);
+  EXPECT_GT(emitted, counters);
+
   std::string error;
   EXPECT_TRUE(metrics::validateJson(trace, &error)) << error;
   EXPECT_NE(trace.find("\"C\""), std::string::npos) << trace;

@@ -4,16 +4,13 @@
 //
 //   sps_sim run --preset sdsc --policy ss --sf 2
 //   sps_sim run --swf CTC-SP2-1996-3.1-cln.swf --procs 430 --policy tss
-//   sps_sim run --preset ctc --jobs 500 --trace run.json   (-DSPS_TRACE=ON)
+//   sps_sim run --preset ctc --jobs 500 --trace run.json
 //   sps_sim compare --preset sdsc --threads 8 --json
 //   sps_sim compare --set classic --preset kth
 //   sps_sim sweep --preset ctc --factors 1.0,1.1,1.2,1.3
 //   sps_sim replicate --preset sdsc --seeds 5
 //
 // Everything is deterministic in --seed (independent of --threads).
-//
-// NOTE: --trace now names the structured-trace OUTPUT file (obs layer); the
-// SWF workload input moved to --swf.
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -35,7 +32,7 @@
 #include "metrics/json.hpp"
 #include "metrics/openmetrics.hpp"
 #include "metrics/report.hpp"
-#include "obs/trace.hpp"
+#include "obs/trace_sink.hpp"
 #include "sched/overhead.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -118,8 +115,8 @@ void addWorkloadFlags(core::CliConfig& cli, CliOptions& opt) {
 void addObsFlags(core::CliConfig& cli, CliOptions& opt) {
   cli.section("Observability");
   cli.option("--trace", &opt.traceFile, "FILE",
-             "write a structured event trace (needs a -DSPS_TRACE=ON build; "
-             "open chrome format in Perfetto)");
+             "write a structured event trace (open chrome format in "
+             "Perfetto)");
   cli.option("--trace-format", &opt.traceFormat, "chrome|jsonl",
              "trace file format (default: chrome)");
   cli.flag("--counters", &opt.counters,
@@ -290,19 +287,15 @@ workload::Trace buildWorkload(const CliOptions& opt) {
   return trace;
 }
 
-/// Build the requested trace sink, or null when --trace is off. Exits with
-/// guidance when the build has no tracing compiled in — silently writing an
-/// empty file would look like a successful trace.
+/// Build the requested trace sink, or null when --trace is off. The format
+/// is checked either way, so a bad --trace-format never passes silently.
 std::unique_ptr<obs::TraceSink> makeSink(const CliOptions& opt) {
+  if (opt.traceFormat != "chrome" && opt.traceFormat != "jsonl")
+    fail("unknown --trace-format: " + opt.traceFormat);
   if (opt.traceFile.empty()) return nullptr;
-  if (!obs::kTraceCompiledIn)
-    fail("--trace needs the instrumented build: reconfigure with "
-         "-DSPS_TRACE=ON (this binary compiled the tracing layer out)");
   if (opt.traceFormat == "chrome")
     return std::make_unique<obs::ChromeTraceSink>(opt.traceFile);
-  if (opt.traceFormat == "jsonl")
-    return std::make_unique<obs::JsonlSink>(opt.traceFile);
-  fail("unknown --trace-format: " + opt.traceFormat);
+  return std::make_unique<obs::JsonlSink>(opt.traceFile);
 }
 
 /// The policy `--policy` names, with the parameter flags it takes checked
